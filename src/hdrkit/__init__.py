@@ -75,4 +75,5 @@ from .render import (
     diffuse_irradiance,
     parse_scene,
     render,
+    render_many,
 )

@@ -9,6 +9,8 @@ JSON to stdout; images only ever go to files. Exit codes: 0 success,
 Option precedence is flags > config file (--config, JSON with the same key
 names) > built-in defaults. Batch subcommands (synth, render) process
 every input even if some fail; failures are reported per file on stderr.
+Two inputs that would write the same output file are a usage error,
+reported before any file is read or written.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ from .pano import (
     merge_panorama,
     pano_to_ceiling,
 )
-from .render import compare_renders, parse_scene, render
+from .render import compare_renders, parse_scene, render, render_many
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -234,16 +236,25 @@ def _cmd_synth(args, config) -> int:
     seeds = split_seeds(seed, len(inputs)) if len(inputs) > 1 else [seed]
     if args.output and len(inputs) > 1:
         raise UsageError("use --out-dir when synthesizing multiple inputs")
-    out_dir = Path(args.out_dir) if args.out_dir else None
-
-    def out_path(p: Path) -> Path:
-        if args.output:
-            return Path(args.output)
-        return (out_dir or p.parent) / (p.stem + ".ppm")
-
+    outs = _batch_outputs(inputs, args.output, args.out_dir, ".ppm")
     jobs = max(1, int(_resolve(args, config, "jobs", 1)))
-    return _run_batch(inputs, lambda p, i: _synth_one(p, out_path(p), seeds[i], args, config),
+    return _run_batch(inputs, lambda p, i: _synth_one(p, outs[i], seeds[i], args, config),
                       jobs)
+
+
+def _batch_outputs(inputs: list[Path], output, out_dir, suffix: str) -> list[Path]:
+    """Each input's output path: `output`, or the input's stem plus `suffix`
+    in `out_dir` (default: beside the input). Resolved before any work so
+    that two inputs can never write the same file."""
+    outs, claimed = [], {}
+    for path in inputs:
+        out = Path(output) if output else Path(out_dir or path.parent) / (path.stem + suffix)
+        key = out.resolve()
+        if key in claimed:
+            raise UsageError(f"inputs {claimed[key]} and {path} would both write {out}")
+        claimed[key] = path
+        outs.append(out)
+    return outs
 
 
 def _run_batch(inputs, worker, jobs: int) -> int:
@@ -394,19 +405,13 @@ def _cmd_render(args, config) -> int:
     envs = [Path(p) for p in args.envs]
     if args.output and len(envs) > 1:
         raise UsageError("use --out-dir when rendering multiple environments")
-    out_dir = Path(args.out_dir) if args.out_dir else None
-
-    def out_path(p: Path) -> Path:
-        if args.output:
-            return Path(args.output)
-        return (out_dir or p.parent) / (p.stem + "_render.pfm")
-
+    outs = _batch_outputs(envs, args.output, args.out_dir, "_render.pfm")
     jobs = max(1, int(_resolve(args, config, "jobs", 1)))
-    code = _run_batch(envs, lambda p, i: _render_one(p, out_path(p), scene_text, args.scene),
+    code = _run_batch(envs, lambda p, i: _render_one(p, outs[i], scene_text, args.scene),
                       jobs)
     if code == EXIT_OK and args.reference and len(envs) == 1:
         ref = _read_hdr(args.reference)
-        made = _read_hdr(out_path(envs[0]))
+        made = _read_hdr(outs[0])
         _print_json(compare_renders(made, ref))
     return code
 
@@ -419,7 +424,7 @@ def _cmd_eval_ibl(args, config) -> int:
     ldr = _read_linear_ldr(args.ldr_env, ldr_space)
     pred = calibrate_hdr(_read_hdr(args.pred_env), ldr, tau).calibrated
     gt = calibrate_hdr(_read_hdr(args.gt_env), ldr, tau).calibrated
-    report = compare_renders(render(scene, pred), render(scene, gt))
+    report = compare_renders(*render_many(scene, [pred, gt]))
     _print_json(report)
     return EXIT_OK
 

@@ -22,6 +22,7 @@ __all__ = [
     "UnsupportedOrientationError",
     "TruncatedDataError",
     "UnsupportedPixelFormatError",
+    "InvalidPixelValueError",
     "detect_format",
     "read_rgbe",
     "write_rgbe",
@@ -52,6 +53,10 @@ class TruncatedDataError(HdrIoError):
 
 class UnsupportedPixelFormatError(HdrIoError):
     pass
+
+
+class InvalidPixelValueError(HdrIoError):
+    """Decoded pixels that no HDR image may hold (NaN, infinite, negative)."""
 
 
 class FileFormat(enum.Enum):
@@ -142,11 +147,23 @@ def read_rgbe(data: bytes) -> HdrImage:
         raise MalformedHeaderError("image dimensions must be positive")
 
     payload = memoryview(rest[res_end + 1:])
+    if len(payload) < _rgbe_min_payload(height, width):
+        raise TruncatedDataError(
+            f"RGBE payload of {len(payload)} bytes cannot hold {height}x{width} pixels")
     pos = 0
     rows = np.empty((height, width, 4), dtype=np.uint8)
     for y in range(height):
         pos = _read_scanline(payload, pos, rows[y], width)
     return HdrImage(_rgbe_to_float(rows))
+
+
+def _rgbe_min_payload(height: int, width: int) -> int:
+    """Fewest payload bytes that can encode the image. An RLE scanline has a
+    4-byte header, then per channel blocks of at least 2 bytes that each
+    cover at most 128 pixels; a flat scanline has 4 bytes per pixel."""
+    if _RLE_MIN_WIDTH <= width <= _RLE_MAX_WIDTH:
+        return height * (4 + 4 * 2 * -(-width // 128))
+    return height * width * 4
 
 
 def _read_scanline(buf: memoryview, pos: int, out: np.ndarray, width: int) -> int:
@@ -259,6 +276,8 @@ def read_pfm(data: bytes) -> HdrImage:
     if magic == b"Pf":
         raise UnsupportedPixelFormatError("grayscale PFM ('Pf') is not supported")
     width, height = int(m.group(2)), int(m.group(3))
+    if width < 1 or height < 1:
+        raise MalformedHeaderError("image dimensions must be positive")
     scale = float(m.group(4))
     if scale == 0:
         raise MalformedHeaderError("PFM scale must be nonzero")
@@ -269,6 +288,8 @@ def read_pfm(data: bytes) -> HdrImage:
         raise TruncatedDataError("truncated PFM payload")
     arr = np.frombuffer(payload[:count * 4], dtype=dtype).reshape(height, width, 3)
     arr = arr.astype(np.float32)  # native byte order
+    if not np.all(np.isfinite(arr)) or arr.min(initial=0.0) < 0:
+        raise InvalidPixelValueError("PFM holds NaN, infinite or negative values")
     return HdrImage(np.ascontiguousarray(arr[::-1]))  # bottom-up -> top-down
 
 
@@ -320,6 +341,8 @@ def read_ppm(data: bytes) -> LdrImage:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError:
         raise MalformedHeaderError(f"bad PPM header tokens {tokens!r}")
+    if width < 1 or height < 1:
+        raise MalformedHeaderError("image dimensions must be positive")
     if maxval != 255:
         raise UnsupportedPixelFormatError(f"PPM maxval {maxval} unsupported (need 255)")
     count = width * height * 3

@@ -30,6 +30,8 @@ __all__ = [
     "equirect_dir",
     "dir_equirect",
     "bilinear_sample",
+    "bilinear_map",
+    "apply_bilinear_map",
     "plane_to_sphere",
     "sphere_to_plane",
     "pano_to_ceiling",
@@ -106,34 +108,49 @@ def bilinear_sample(img: np.ndarray, x, y, wrap_x: bool = True) -> np.ndarray:
     lerp form keeps sampling a constant image bit-exact.
     """
     a = image_data(img)
-    h, w = a.shape[:2]
+    return apply_bilinear_map(a, bilinear_map(x, y, a.shape[1], a.shape[0], wrap_x))
+
+
+def bilinear_map(x, y, width: int, height: int, wrap_x: bool = True) -> tuple:
+    """The image-independent half of bilinear_sample: flat gather indices
+    of the four neighbours and the two lerp weights, for sampling any
+    width x height image at (x, y) with apply_bilinear_map."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if wrap_x:
-        x = np.mod(x, w)
+        x = np.mod(x, width)
         x0 = np.floor(x)
         fx = x - x0
-        x0 = x0.astype(np.int64) % w
-        x1 = (x0 + 1) % w
+        x0 = x0.astype(np.int64) % width
+        x1 = (x0 + 1) % width
     else:
-        x = np.clip(x, 0.0, w - 1.0)
+        x = np.clip(x, 0.0, width - 1.0)
         x0 = np.floor(x)
         fx = x - x0
         x0 = x0.astype(np.int64)
-        x1 = np.minimum(x0 + 1, w - 1)
-    y = np.clip(y, 0.0, h - 1.0)
+        x1 = np.minimum(x0 + 1, width - 1)
+    y = np.clip(y, 0.0, height - 1.0)
     y0 = np.floor(y)
     fy = y - y0
     y0 = y0.astype(np.int64)
-    y1 = np.minimum(y0 + 1, h - 1)
+    y1 = np.minimum(y0 + 1, height - 1)
+    y0 *= width
+    y1 *= width
+    return y0 + x0, y0 + x1, y1 + x0, y1 + x1, fx, fy
 
+
+def apply_bilinear_map(img: np.ndarray, smap: tuple) -> np.ndarray:
+    """Sample an (H, W) or (H, W, C) image through a bilinear_map."""
+    a = image_data(img)
+    i00, i10, i01, i11, fx, fy = smap
+    flat = a.reshape((a.shape[0] * a.shape[1],) + a.shape[2:])
     if a.ndim == 3:
         fx = fx[..., None]
         fy = fy[..., None]
-    v00 = a[y0, x0]
-    v10 = a[y0, x1]
-    v01 = a[y1, x0]
-    v11 = a[y1, x1]
+    v00 = np.take(flat, i00, axis=0)
+    v10 = np.take(flat, i10, axis=0)
+    v01 = np.take(flat, i01, axis=0)
+    v11 = np.take(flat, i11, axis=0)
     top = v00 + fx * (v10 - v00)
     bottom = v01 + fx * (v11 - v01)
     return top + fy * (bottom - top)

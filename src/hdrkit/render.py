@@ -18,7 +18,7 @@ import numpy as np
 
 from .image import HdrImage, channel_mean, exposure_preview, image_data
 from .losses import log_psnr, ssim
-from .pano import bilinear_sample, dir_equirect
+from .pano import apply_bilinear_map, bilinear_map, dir_equirect
 
 __all__ = [
     "Material",
@@ -30,12 +30,16 @@ __all__ = [
     "default_scene_text",
     "diffuse_irradiance",
     "render",
+    "render_many",
     "compare_renders",
     "GLOSSY_GRID",
 ]
 
 GLOSSY_GRID = (16, 16)  # stratified samples per glossy shading point
-_IRRADIANCE_CHUNK = 512
+# One clamped-cosine tile is 512 x 256 float64 = 1 MiB, which stays in a
+# 2 MiB L2 cache while it is reduced against each environment.
+_NORMAL_TILE = 512
+_TEXEL_TILE = 256
 
 
 @dataclass(frozen=True)
@@ -164,45 +168,54 @@ def default_scene_text(width: int = 160, height: int = 120) -> str:
     ])
 
 
-def _env_texel_table(env) -> tuple[np.ndarray, np.ndarray]:
-    """Directions and solid-angle-weighted radiance of every env texel."""
-    a = np.asarray(image_data(env), dtype=np.float64)
-    h, w = a.shape[:2]
+def _env_texel_table(envs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Texel directions (3, T) and solid-angle-weighted radiance (K, T, 3)
+    of a (K, h, w, 3) stack of environments sharing one resolution."""
+    k, h, w = envs.shape[:3]
     theta = np.pi * (np.arange(h) + 0.5) / h
     phi = 2.0 * np.pi * (np.arange(w) + 0.5) / w - np.pi
     sin_t = np.sin(theta)
-    dirs = np.empty((h, w, 3))
-    dirs[..., 0] = sin_t[:, None] * np.cos(phi)[None, :]
-    dirs[..., 1] = sin_t[:, None] * np.sin(phi)[None, :]
-    dirs[..., 2] = np.cos(theta)[:, None]
+    dirs = np.empty((3, h, w))
+    dirs[0] = sin_t[:, None] * np.cos(phi)[None, :]
+    dirs[1] = sin_t[:, None] * np.sin(phi)[None, :]
+    dirs[2] = np.cos(theta)[:, None]
     d_omega = (2.0 * np.pi / w) * (np.pi / h) * sin_t
-    weighted = a * d_omega[:, None, None]
-    return dirs.reshape(-1, 3), weighted.reshape(-1, 3)
+    weighted = envs * d_omega[:, None, None]
+    return dirs.reshape(3, -1), weighted.reshape(k, -1, 3)
 
 
 def diffuse_irradiance(normals, env) -> np.ndarray:
     """Cosine-weighted irradiance E(n) summed over environment texels.
 
-    normals: (..., 3) unit vectors. Returns (..., 3) irradiance; outgoing
-    diffuse radiance is albedo * E / pi. Under a uniform environment L0 the
-    sum converges to pi * L0.
+    normals: (..., 3) unit vectors. env: one (h, w, 3) environment, giving
+    (..., 3) irradiance, or a (K, h, w, 3) stack of environments, giving
+    (K, ..., 3). Outgoing diffuse radiance is albedo * E / pi. Under a
+    uniform environment L0 the sum converges to pi * L0.
+
+    The sum runs over tiles of normals x texels small enough for the
+    clamped-cosine tile to stay in cache, so memory does not grow with the
+    environment's resolution. Each tile is computed once and reduced against
+    every environment with one same-shaped product, so an environment's
+    result does not depend on the others in the stack.
     """
     n = np.asarray(normals, dtype=np.float64)
     flat = n.reshape(-1, 3)
-    dirs, weighted = _env_texel_table(env)
-    out = np.empty((flat.shape[0], 3))
-    for start in range(0, flat.shape[0], _IRRADIANCE_CHUNK):
-        chunk = flat[start:start + _IRRADIANCE_CHUNK]
-        cos = chunk @ dirs.T
-        np.maximum(cos, 0.0, out=cos)
-        out[start:start + _IRRADIANCE_CHUNK] = cos @ weighted
-    return out.reshape(n.shape)
-
-
-def _env_lookup(env_arr: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    h, w = env_arr.shape[:2]
-    x, y = dir_equirect(dirs, w, h)
-    return bilinear_sample(env_arr, x, y, wrap_x=True)
+    envs = np.asarray(image_data(env), dtype=np.float64)
+    stacked = envs.ndim == 4
+    if not stacked:
+        envs = envs[None]
+    dirs, weighted = _env_texel_table(envs)
+    out = np.zeros((len(envs), len(flat), 3))
+    for n0 in range(0, len(flat), _NORMAL_TILE):
+        chunk = flat[n0:n0 + _NORMAL_TILE]
+        acc = out[:, n0:n0 + _NORMAL_TILE]
+        for t0 in range(0, dirs.shape[1], _TEXEL_TILE):
+            cos = chunk @ dirs[:, t0:t0 + _TEXEL_TILE]
+            np.maximum(cos, 0.0, out=cos)
+            for k in range(len(envs)):
+                acc[k] += cos @ weighted[k, t0:t0 + _TEXEL_TILE]
+    out = out.reshape((len(envs),) + n.shape)
+    return out if stacked else out[0]
 
 
 def _orthonormal_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -217,8 +230,8 @@ def _orthonormal_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t1, t2
 
 
-def _glossy_shade(env_arr: np.ndarray, reflect: np.ndarray, exponent: float) -> np.ndarray:
-    """Average environment radiance over a fixed cos^k lobe sample grid."""
+def _glossy_dirs(reflect: np.ndarray, exponent: float) -> np.ndarray:
+    """(N, S, 3) directions of a fixed cos^k lobe sample grid per axis."""
     n1, n2 = GLOSSY_GRID
     u1 = (np.arange(n1) + 0.5) / n1
     u2 = (np.arange(n2) + 0.5) / n2
@@ -229,16 +242,30 @@ def _glossy_shade(env_arr: np.ndarray, reflect: np.ndarray, exponent: float) -> 
     local = np.stack([sin_a * np.cos(phi), sin_a * np.sin(phi), cos_a], axis=-1)
 
     t1, t2 = _orthonormal_basis(reflect)
-    dirs = (local[None, :, 0, None] * t1[:, None, :]
+    return (local[None, :, 0, None] * t1[:, None, :]
             + local[None, :, 1, None] * t2[:, None, :]
             + local[None, :, 2, None] * reflect[:, None, :])
-    radiance = _env_lookup(env_arr, dirs)
-    return radiance.mean(axis=1)
 
 
-def render(scene: SceneConfig, env) -> HdrImage:
-    """Render the scene under the environment map; deterministic."""
-    env_arr = np.asarray(image_data(env), dtype=np.float64)
+def _lookup_map(dirs: np.ndarray, env_w: int, env_h: int) -> tuple:
+    """Bilinear map of environment lookups along unit directions."""
+    return bilinear_map(*dir_equirect(dirs, env_w, env_h), env_w, env_h, wrap_x=True)
+
+
+@dataclass(frozen=True)
+class _SpherePlan:
+    """What shading one sphere needs, independent of the environment."""
+
+    mask: np.ndarray     # (h, w) pixels where this sphere is the nearest hit
+    material: Material
+    normals: np.ndarray  # (N, 3) unit normals at those pixels
+    lookup: tuple        # bilinear_map of the mirror/glossy directions
+
+
+def _plan_scene(scene: SceneConfig, env_w: int, env_h: int):
+    """Everything in a render that depends on the scene and the environment
+    resolution but not on its values: the background lookup and one
+    _SpherePlan per visible sphere."""
     cam = scene.camera
     w, h = cam.width, cam.height
     span_z = cam.span * h / w
@@ -262,36 +289,70 @@ def render(scene: SceneConfig, env) -> HdrImage:
     # so it never produces hits; it is accepted in scenes for forward
     # compatibility but does not shade.
 
-    out = np.zeros((h, w, 3))
-    if scene.background:
-        down = _env_lookup(env_arr, np.array([0.0, -1.0, 0.0]))
-        out[:, :] = down
-
     view_dir = np.array([0.0, -1.0, 0.0])
+    background = _lookup_map(view_dir, env_w, env_h) if scene.background else None
+    spheres = []
     for si, sphere in enumerate(scene.spheres):
         mask = hit_index == si
         if not mask.any():
             continue
-        px = X[mask]
-        pz = Z[mask]
-        py = hit_y[mask]
         cx, cy, cz = sphere.center
-        normals = np.stack([(px - cx), (py - cy), (pz - cz)], axis=-1) / sphere.radius
+        normals = np.stack([(X[mask] - cx), (hit_y[mask] - cy), (Z[mask] - cz)],
+                           axis=-1) / sphere.radius
         mat = sphere.material
-        albedo = np.asarray(mat.albedo)
-        if mat.kind == "diffuse":
-            shade = albedo * diffuse_irradiance(normals, env_arr) / np.pi
-        else:
+        lookup = ()
+        if mat.kind != "diffuse":
             # reflect the view direction about the normal
             dot = normals @ view_dir
             reflect = view_dir[None, :] - 2.0 * dot[:, None] * normals
             reflect /= np.linalg.norm(reflect, axis=-1, keepdims=True)
-            if mat.kind == "mirror":
-                shade = _env_lookup(env_arr, reflect)
-            else:
-                shade = albedo * _glossy_shade(env_arr, reflect, mat.exponent)
-        out[mask] = shade
-    return HdrImage(np.maximum(out, 0.0).astype(np.float32))
+            dirs = reflect if mat.kind == "mirror" else _glossy_dirs(reflect, mat.exponent)
+            lookup = _lookup_map(dirs, env_w, env_h)
+        spheres.append(_SpherePlan(mask, mat, normals, lookup))
+    return background, spheres
+
+
+def render_many(scene: SceneConfig, envs) -> list[HdrImage]:
+    """Render the scene under each environment map; deterministic.
+
+    The scene is planned once and every diffuse sphere's irradiance is one
+    diffuse_irradiance call over the stacked environments. Each result is
+    byte-identical to rendering its environment alone. The environments
+    must share one shape.
+    """
+    arrs = [np.asarray(image_data(e), dtype=np.float64) for e in envs]
+    if not arrs:
+        return []
+    shapes = {a.shape for a in arrs}
+    if len(shapes) > 1:
+        raise ValueError(f"environments differ in shape: {sorted(shapes)}")
+    stack = np.stack(arrs)
+    env_h, env_w = stack.shape[1:3]
+    background, spheres = _plan_scene(scene, env_w, env_h)
+    cam = scene.camera
+    outs = np.zeros((len(stack), cam.height, cam.width, 3))
+    if background is not None:
+        for out, arr in zip(outs, stack):
+            out[:, :] = apply_bilinear_map(arr, background)
+    for sp in spheres:
+        albedo = np.asarray(sp.material.albedo)
+        if sp.material.kind == "diffuse":
+            irradiance = diffuse_irradiance(sp.normals, stack)
+            for out, e in zip(outs, irradiance):
+                out[sp.mask] = albedo * e / np.pi
+        elif sp.material.kind == "mirror":
+            for out, arr in zip(outs, stack):
+                out[sp.mask] = apply_bilinear_map(arr, sp.lookup)
+        else:
+            for out, arr in zip(outs, stack):
+                radiance = apply_bilinear_map(arr, sp.lookup)
+                out[sp.mask] = albedo * radiance.mean(axis=1)
+    return [HdrImage(np.maximum(out, 0.0).astype(np.float32)) for out in outs]
+
+
+def render(scene: SceneConfig, env) -> HdrImage:
+    """Render the scene under the environment map; deterministic."""
+    return render_many(scene, [env])[0]
 
 
 def compare_renders(a, b, preview_ev: float = 0.0, preview_window_ev: float = 10.0) -> dict:

@@ -11,6 +11,11 @@ from hdrkit.image import HdrImage, LdrImage
 from hdrkit.render import default_scene_text
 
 
+# 81 bytes whose header claims 10^12 pixels
+OVERSIZED_RGBE = (b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n-Y 1000000 +X 1000000\n"
+                  + bytes(24))
+
+
 @pytest.fixture
 def workdir(tmp_path):
     return tmp_path
@@ -140,6 +145,34 @@ def test_synth_batch_partial_failure(workdir, capsys):
     assert any(e["error"]["file"] == str(bad) for e in errors)
 
 
+def test_synth_oversized_rgbe_header_does_not_abort_batch(workdir, capsys):
+    big = workdir / "big.hdr"
+    big.write_bytes(OVERSIZED_RGBE)
+    ok = save_hdr(workdir / "ok.hdr", np.random.default_rng(4).lognormal(0, 1.0, (8, 8, 3)))
+    out = workdir / "o"
+    code, _, err = run(capsys, "synth", big, ok, "--out-dir", out)
+    assert code == EXIT_IO
+    assert (out / "ok.ppm").exists()
+    errors = [json.loads(line) for line in err.strip().splitlines()]
+    assert [e["error"]["file"] for e in errors] == [str(big)]
+    assert errors[0]["error"]["type"] == "TruncatedDataError"
+
+
+def test_synth_output_collision_writes_nothing(workdir, capsys):
+    rng = np.random.default_rng(5)
+    (workdir / "a").mkdir()
+    (workdir / "b").mkdir()
+    a = save_hdr(workdir / "a" / "x.hdr", rng.lognormal(0, 1.0, (8, 8, 3)))
+    b = save_hdr(workdir / "b" / "x.hdr", rng.lognormal(0, 1.0, (8, 8, 3)))
+    out = workdir / "o"
+    code, _, err = run(capsys, "synth", a, b, "--out-dir", out)
+    assert code == EXIT_USAGE
+    (line,) = err.strip().splitlines()
+    message = json.loads(line)["error"]["message"]
+    assert str(a) in message and str(b) in message
+    assert not out.exists()
+
+
 def test_metrics_json(workdir, capsys):
     rng = np.random.default_rng(4)
     gt = rng.uniform(0.5, 2.0, (24, 24, 3))
@@ -227,6 +260,42 @@ def test_render_and_eval_ibl(workdir, capsys):
     assert report["ssim"] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [-3, 1, 6])
+def test_eval_ibl_scale_invariant(workdir, capsys, k):
+    # calibration cancels an exact power-of-two scale of the prediction
+    rng = np.random.default_rng(9)
+    env_arr = rng.uniform(0.02, 0.3, (32, 64, 3))
+    env_arr[1:4, 40:48] = 25.0
+    gt_path = save_hdr(workdir / "gt.hdr", env_arr)
+    pred_path = save_hdr(workdir / "pred.hdr", env_arr * 2.0 ** k)
+    ldr = np.clip(env_arr * 1.5, 0, 1)
+    ldr_path = save_ppm(workdir / "env.ppm", (ldr * 255).astype(np.uint8))
+    scene_path = workdir / "scene.txt"
+    scene_path.write_text(default_scene_text(40, 30))
+    code, out, _ = run(capsys, "eval-ibl", pred_path, gt_path, ldr_path, scene_path)
+    assert code == EXIT_OK
+    report = json.loads(out)
+    assert report["mse"] == 0.0
+    assert report["ssim"] == 1.0
+
+
+def test_render_output_collision_writes_nothing(workdir, capsys):
+    rng = np.random.default_rng(10)
+    (workdir / "a").mkdir()
+    (workdir / "b").mkdir()
+    a = save_hdr(workdir / "a" / "x.hdr", rng.uniform(0.05, 3.0, (16, 32, 3)))
+    b = save_hdr(workdir / "b" / "x.hdr", rng.uniform(0.05, 3.0, (16, 32, 3)))
+    scene_path = workdir / "scene.txt"
+    scene_path.write_text(default_scene_text(32, 24))
+    out = workdir / "o"
+    code, _, err = run(capsys, "render", scene_path, a, b, "--out-dir", out)
+    assert code == EXIT_USAGE
+    (line,) = err.strip().splitlines()
+    message = json.loads(line)["error"]["message"]
+    assert str(a) in message and str(b) in message
+    assert not out.exists()
+
+
 def test_render_batch_jobs_identical(workdir, capsys):
     rng = np.random.default_rng(7)
     envs = [save_hdr(workdir / f"e{i}.hdr", rng.uniform(0.05, 3.0, (16, 32, 3)))
@@ -259,6 +328,28 @@ def test_convert_formats(workdir, capsys):
     out = load(back_path).data
     rel = np.abs(out - arr) / arr.max(axis=2, keepdims=True)
     assert rel.max() <= 2.0 ** -7  # one RGBE round trip
+
+
+def test_convert_oversized_rgbe_header_is_io_error(workdir, capsys):
+    big = workdir / "big.hdr"
+    big.write_bytes(OVERSIZED_RGBE)
+    code, _, err = run(capsys, "convert", big, "-o", workdir / "x.pfm")
+    assert code == EXIT_IO
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"]["type"] == "TruncatedDataError"
+    assert not (workdir / "x.pfm").exists()
+
+
+def test_convert_nan_pfm_is_io_error(workdir, capsys):
+    arr = np.ones((4, 4, 3), dtype="<f4")
+    arr[2, 1, 0] = np.nan
+    nan_pfm = workdir / "nan.pfm"
+    nan_pfm.write_bytes(b"PF\n4 4\n-1.0\n" + arr.tobytes())
+    code, _, err = run(capsys, "convert", nan_pfm, "-o", workdir / "x.hdr")
+    assert code == EXIT_IO
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"]["type"] == "InvalidPixelValueError"
+    assert not (workdir / "x.hdr").exists()
 
 
 def test_convert_ldr_space_flag(workdir, capsys):

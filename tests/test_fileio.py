@@ -3,6 +3,7 @@ import pytest
 
 from hdrkit.fileio import (
     FileFormat,
+    InvalidPixelValueError,
     MalformedHeaderError,
     TruncatedDataError,
     UnsupportedOrientationError,
@@ -112,6 +113,10 @@ def test_rgbe_header_errors_are_distinct():
         read_rgbe(b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n+X 2 +Y 2\n" + bytes(16))
     with pytest.raises(TruncatedDataError):
         read_rgbe(b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n-Y 2 +X 2\n" + bytes(4))
+    # refused from the payload size, before 4 TB of scanlines are allocated
+    with pytest.raises(TruncatedDataError):
+        read_rgbe(b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n-Y 1000000 +X 1000000\n"
+                  + bytes(24))
 
 
 def test_rgbe_rejects_nonfinite():
@@ -151,6 +156,14 @@ def test_pfm_grayscale_rejected():
         read_pfm(data)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+def test_pfm_invalid_values_rejected(bad):
+    arr = np.ones((2, 2, 3), dtype="<f4")
+    arr[1, 0, 2] = bad
+    with pytest.raises(InvalidPixelValueError):
+        read_pfm(b"PF\n2 2\n-1.0\n" + arr.tobytes())
+
+
 def test_pfm_truncated():
     with pytest.raises(TruncatedDataError):
         read_pfm(b"PF\n4 4\n-1.0\n" + b"\0" * 10)
@@ -175,3 +188,15 @@ def test_ppm_maxval_must_be_255():
     data = b"P6\n1 1\n65535\n" + bytes(6)
     with pytest.raises(UnsupportedPixelFormatError):
         read_ppm(data)
+
+
+@pytest.mark.parametrize("data", [
+    b"PF\n0 0\n-1.0\n",
+    b"PF\n0 2\n-1.0\n" + bytes(24),
+    b"P6\n0 0\n255\n ",
+    b"P6\n-1 1\n255\n" + bytes(6),
+])
+def test_empty_or_negative_dimensions_rejected(data):
+    reader = read_pfm if data.startswith(b"PF") else read_ppm
+    with pytest.raises(MalformedHeaderError):
+        reader(data)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from hdrkit.render import (
     diffuse_irradiance,
     parse_scene,
     render,
+    render_many,
 )
 
 L0 = 0.75
@@ -78,6 +81,59 @@ def test_backfacing_zenith_light():
     env = HdrImage(env_arr)
     E = diffuse_irradiance(np.array([[0.0, 0.0, -1.0]]), env)
     assert np.all(E == 0.0)
+
+
+def reference_irradiance(normals, env):
+    """The untiled formula: every texel of the environment at once against a
+    small block of normals, clamped, then one product with the weighted
+    radiance."""
+    a = np.asarray(env, dtype=np.float64)
+    h, w = a.shape[:2]
+    theta = np.pi * (np.arange(h) + 0.5) / h
+    phi = 2.0 * np.pi * (np.arange(w) + 0.5) / w - np.pi
+    sin_t = np.sin(theta)
+    dirs = np.stack(np.broadcast_arrays(sin_t[:, None] * np.cos(phi)[None, :],
+                                        sin_t[:, None] * np.sin(phi)[None, :],
+                                        np.cos(theta)[:, None]), axis=-1).reshape(-1, 3)
+    weighted = (a * ((2.0 * np.pi / w) * (np.pi / h) * sin_t)[:, None, None]).reshape(-1, 3)
+    out = np.empty((len(normals), 3))
+    for start in range(0, len(normals), 32):
+        cos = np.maximum(normals[start:start + 32] @ dirs.T, 0.0)
+        out[start:start + 32] = cos @ weighted
+    return out
+
+
+@pytest.mark.parametrize("shape", [(37, 75, 3), (256, 512, 3)])
+def test_tiled_irradiance_matches_untiled_sum(shape):
+    # neither size is a multiple of the normal or texel tile
+    rng = np.random.default_rng(11)
+    env = rng.uniform(0.0, 4.0, shape)
+    n = random_normals(1000, seed=12)
+    np.testing.assert_allclose(diffuse_irradiance(n, env), reference_irradiance(n, env),
+                               rtol=1e-12, atol=0)
+
+
+def test_irradiance_stack_matches_single_environments():
+    rng = np.random.default_rng(13)
+    envs = rng.uniform(0.0, 2.0, (3, 32, 64, 3))
+    n = random_normals(600, seed=14).reshape(20, 30, 3)
+    stacked = diffuse_irradiance(n, envs)
+    assert stacked.shape == (3, 20, 30, 3)
+    for k in range(3):
+        assert np.array_equal(stacked[k], diffuse_irradiance(n, envs[k]))
+
+
+def test_irradiance_memory_independent_of_environment_size():
+    # the untiled sum peaked at 808 MB here: a 512 x 131072 cosine block
+    env = uniform_env().data
+    n = random_normals(2048, seed=15)
+    tracemalloc.start()
+    try:
+        diffuse_irradiance(n, env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 def test_irradiance_linearity():
@@ -158,6 +214,23 @@ def test_render_determinism():
     a = render(scene, env)
     b = render(scene, env)
     assert np.array_equal(a.data, b.data)
+
+
+def test_render_many_matches_single_renders():
+    scene = parse_scene(default_scene_text())
+    rng = np.random.default_rng(16)
+    e1 = HdrImage(rng.uniform(0.05, 4.0, (64, 128, 3)).astype(np.float32))
+    e2 = HdrImage(rng.lognormal(0.0, 1.5, (64, 128, 3)).astype(np.float32))
+    both = render_many(scene, [e1, e2])
+    assert len(both) == 2
+    for made, env in zip(both, (e1, e2)):
+        assert made.data.tobytes() == render(scene, env).data.tobytes()
+
+
+def test_render_many_rejects_mixed_shapes():
+    scene = parse_scene(default_scene_text(32, 24))
+    with pytest.raises(ValueError):
+        render_many(scene, [uniform_env(shape=(16, 32, 3)), uniform_env(shape=(32, 64, 3))])
 
 
 def test_render_mirror_symmetry():
