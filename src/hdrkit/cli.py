@@ -6,9 +6,11 @@ sufficient to reproduce the output byte-for-byte. Metric subcommands print
 JSON to stdout; images only ever go to files. Exit codes: 0 success,
 1 usage, 2 I/O, 3 numeric failure (e.g. an uncalibratable image).
 
-Option precedence is flags > config file (--config, JSON with the same key
-names) > built-in defaults. Batch subcommands (synth, render) process
-every input even if some fail; failures are reported per file on stderr.
+Every option resolves as flag > config file (--config, a JSON object keyed
+by the manifests' key names) > built-in default. A config value is checked
+like a flag, and a bad one is a usage error. Batch subcommands (synth,
+render) process every input even if some fail; failures are reported per
+file on stderr.
 Two inputs that would write the same output file are a usage error,
 reported before any file is read or written.
 """
@@ -38,6 +40,7 @@ from .calibration import (
 from .camera import (
     AutoExposureError,
     DEFAULT_TARGET_MEAN,
+    DYNAMIC_RANGE_EV,
     identity_camera,
     sample_camera,
     split_seeds,
@@ -92,19 +95,13 @@ def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"config file {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise UsageError("config file must hold a JSON object")
     return cfg
-
-
-def _resolve(args, config: dict, key: str, default):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
 
 
 def _format_for(path: Path) -> FileFormat:
@@ -130,13 +127,17 @@ def _read_hdr(path) -> HdrImage:
     return img
 
 
+def _linearize(img: LdrImage, ldr_space: str) -> LinearLdr:
+    if ldr_space == "linear":
+        return LinearLdr(img.data.astype(np.float32) / np.float32(255.0))
+    return srgb_to_linear(img)
+
+
 def _read_linear_ldr(path, ldr_space: str) -> LinearLdr:
     img = _read(path)
     if not isinstance(img, LdrImage):
         raise HdrIoError(f"{path}: expected an 8-bit LDR image (PPM)")
-    if ldr_space == "linear":
-        return LinearLdr(img.data.astype(np.float32) / np.float32(255.0))
-    return srgb_to_linear(img)
+    return _linearize(img, ldr_space)
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -166,50 +167,42 @@ def _print_json(obj) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: each takes the parsed path arguments and the
+# resolved options of its subcommand
 
 
-def _cmd_calibrate(args, config) -> int:
-    tau = float(_resolve(args, config, "tau", DEFAULT_TAU))
-    ldr_space = _resolve(args, config, "ldr_space", "srgb")
+def _cmd_calibrate(args, params) -> int:
     hdr = _read_hdr(args.hdr)
-    ldr = _read_linear_ldr(args.ldr, ldr_space)
-    result = calibrate_hdr(hdr, ldr, tau)
-    out = Path(args.output)
-    _write_output(out, result.calibrated, {
+    ldr = _read_linear_ldr(args.ldr, params["ldr_space"])
+    result = calibrate_hdr(hdr, ldr, params["tau"])
+    _write_output(Path(args.output), result.calibrated, {
         "subcommand": "calibrate",
         "inputs": [str(args.hdr), str(args.ldr)],
-        "params": {"tau": tau, "ldr_space": ldr_space},
+        "params": params,
         "result": {"scale_factor": result.scale_factor},
     })
     _print_json({"scale_factor": result.scale_factor})
     return EXIT_OK
 
 
-def _cmd_segment(args, config) -> int:
-    t_low = float(_resolve(args, config, "t_low", DEFAULT_T_LOW))
-    t_high = float(_resolve(args, config, "t_high", DEFAULT_T_HIGH))
+def _cmd_segment(args, params) -> int:
     hdr = _read_hdr(args.hdr)
-    mask = luminance_seg_labels(hdr, t_low, t_high)
-    out = Path(args.output)
-    _write_output(out, LdrImage(mask.data * np.uint8(255)), {
+    mask = luminance_seg_labels(hdr, params["t_low"], params["t_high"])
+    _write_output(Path(args.output), LdrImage(mask.data * np.uint8(255)), {
         "subcommand": "segment",
         "inputs": [str(args.hdr)],
-        "params": {"t_low": t_low, "t_high": t_high},
+        "params": params,
     })
     return EXIT_OK
 
 
-def _synth_one(path: Path, out_path: Path, seed: int, args, config) -> dict:
-    target_mean = float(_resolve(args, config, "target_mean", DEFAULT_TARGET_MEAN))
-    tau = float(_resolve(args, config, "tau", DEFAULT_TAU))
+def _synth_one(path: Path, out_path: Path, seed: int, params) -> dict:
     hdr = _read_hdr(path)
-    if args.identity_crf:
-        dr = float(_resolve(args, config, "dynamic_range_ev", 14.8))
-        sample = dataclasses.replace(identity_camera(dr), seed=seed)
+    if params["identity_crf"]:
+        sample = dataclasses.replace(identity_camera(params["dynamic_range_ev"]), seed=seed)
     else:
         sample = sample_camera(seed)
-    ldr, resolved = synth_ldr(hdr, sample, target_mean)
+    ldr, resolved = synth_ldr(hdr, sample, params["target_mean"])
     manifest = {
         "subcommand": "synth",
         "source": str(path),
@@ -221,8 +214,8 @@ def _synth_one(path: Path, out_path: Path, seed: int, args, config) -> dict:
         "identity_crf": resolved.is_identity_crf,
         "exposure": resolved.exposure,
         "exposure_mean_before_noise_floor": True,
-        "target_mean": target_mean,
-        "tau_default": tau,
+        "target_mean": params["target_mean"],
+        "tau_default": DEFAULT_TAU,
         "t_low_default": DEFAULT_T_LOW,
         "t_high_default": DEFAULT_T_HIGH,
     }
@@ -230,16 +223,15 @@ def _synth_one(path: Path, out_path: Path, seed: int, args, config) -> dict:
     return {"file": str(path), "output": str(out_path), "seed": seed}
 
 
-def _cmd_synth(args, config) -> int:
+def _cmd_synth(args, params) -> int:
     inputs = [Path(p) for p in args.inputs]
-    seed = int(_resolve(args, config, "seed", 0))
+    seed = params["seed"]
     seeds = split_seeds(seed, len(inputs)) if len(inputs) > 1 else [seed]
     if args.output and len(inputs) > 1:
         raise UsageError("use --out-dir when synthesizing multiple inputs")
     outs = _batch_outputs(inputs, args.output, args.out_dir, ".ppm")
-    jobs = max(1, int(_resolve(args, config, "jobs", 1)))
-    return _run_batch(inputs, lambda p, i: _synth_one(p, outs[i], seeds[i], args, config),
-                      jobs)
+    return _run_batch(inputs, lambda p, i: _synth_one(p, outs[i], seeds[i], params),
+                      params["jobs"])
 
 
 def _batch_outputs(inputs: list[Path], output, out_dir, suffix: str) -> list[Path]:
@@ -258,8 +250,8 @@ def _batch_outputs(inputs: list[Path], output, out_dir, suffix: str) -> list[Pat
 
 
 def _run_batch(inputs, worker, jobs: int) -> int:
-    """Run per-file work, reporting failures without aborting the batch."""
-    failures = []
+    """Run per-file work, reporting failures without aborting the batch.
+    `jobs` below 2 runs the files one after another."""
 
     def safe(i_path):
         i, path = i_path
@@ -270,7 +262,7 @@ def _run_batch(inputs, worker, jobs: int) -> int:
         except (UncalibratableError, AutoExposureError, ValueError) as exc:
             return None, (EXIT_NUMERIC, type(exc).__name__, str(exc), str(path))
 
-    if jobs == 1:
+    if jobs <= 1:
         results = [safe(item) for item in enumerate(inputs)]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -278,31 +270,28 @@ def _run_batch(inputs, worker, jobs: int) -> int:
     code = EXIT_OK
     for _, failure in results:
         if failure:
-            failures.append(failure)
             c, kind, message, path = failure
             _emit_error(kind, message, file=path)
             code = max(code, c)
     return code
 
 
-def _cmd_metrics(args, config) -> int:
-    eps = float(_resolve(args, config, "eps", 1e-6))
-    ldr_space = _resolve(args, config, "ldr_space", "srgb")
+def _cmd_metrics(args, params) -> int:
     pred = _read_hdr(args.pred)
     gt = _read_hdr(args.gt)
-    anchor = _read_linear_ldr(args.ldr, ldr_space) if args.ldr else None
-    _print_json(metric_report(pred, gt, anchor, eps))
+    anchor = _read_linear_ldr(args.ldr, params["ldr_space"]) if args.ldr else None
+    _print_json(metric_report(pred, gt, anchor, params["eps"]))
     return EXIT_OK
 
 
-def _projection(args, config, pano_width: int, pano_height: int, ceil_size: int) -> PanoProjection:
+def _projection(params, pano_width: int, pano_height: int, ceil_size: int) -> PanoProjection:
     return PanoProjection(
         pano_width=pano_width,
         pano_height=pano_height,
         ceil_width=ceil_size,
         ceil_height=ceil_size,
-        camera_offset=float(_resolve(args, config, "camera_d", 1.0)),
-        plane_extent=float(_resolve(args, config, "plane_extent", 1.0)),
+        camera_offset=params["camera_d"],
+        plane_extent=params["plane_extent"],
     )
 
 
@@ -316,10 +305,10 @@ def _geometry_params(proj: PanoProjection) -> dict:
     }
 
 
-def _cmd_p2c(args, config) -> int:
+def _cmd_p2c(args, params) -> int:
     pano = _read_hdr(args.pano)
-    ceil_size = int(_resolve(args, config, "ceil_size", pano.height))
-    proj = _projection(args, config, pano.width, pano.height, ceil_size)
+    ceil_size = pano.height if params["ceil_size"] is None else params["ceil_size"]
+    proj = _projection(params, pano.width, pano.height, ceil_size)
     ceil = pano_to_ceiling(pano, proj)
     _write_output(Path(args.output), HdrImage(ceil.astype(np.float32)), {
         "subcommand": "p2c",
@@ -329,59 +318,51 @@ def _cmd_p2c(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_c2p(args, config) -> int:
+def _cmd_c2p(args, params) -> int:
+    pano_width = params["pano_width"]
+    if pano_width is None:
+        raise UsageError("c2p requires --pano-width (or pano_width in --config)")
     ceil = _read_hdr(args.ceil)
-    if args.pano_width is None:
-        raise UsageError("c2p requires --pano-width")
-    pano_width = int(args.pano_width)
-    proj = _projection(args, config, pano_width, pano_width // 2, ceil.width)
+    proj = _projection(params, pano_width, pano_width // 2, ceil.width)
     pano, validity = ceiling_to_pano(ceil, proj)
-    _write_output(Path(args.output), HdrImage(pano.astype(np.float32)), {
+    manifest = {
         "subcommand": "c2p",
         "inputs": [str(args.ceil)],
         "params": _geometry_params(proj),
-    })
+    }
+    _write_output(Path(args.output), HdrImage(pano.astype(np.float32)), manifest)
     if args.validity_out:
         vimg = HdrImage(np.repeat(validity[..., None], 3, axis=2).astype(np.float32))
-        _write_output(Path(args.validity_out), vimg, {
-            "subcommand": "c2p",
-            "inputs": [str(args.ceil)],
-            "params": _geometry_params(proj),
-            "content": "validity mask",
-        })
+        _write_output(Path(args.validity_out), vimg, {**manifest, "content": "validity mask"})
     return EXIT_OK
 
 
-def _cmd_merge(args, config) -> int:
-    tau_m = float(_resolve(args, config, "merge_tau", DEFAULT_MERGE_TAU))
-    ldr_space = _resolve(args, config, "ldr_space", "srgb")
+def _cmd_merge(args, params) -> int:
     ceil_hdr = _read_hdr(args.ceil_hdr)
     pano_hdr = _read_hdr(args.pano_hdr)
-    ceil_ldr = _read_linear_ldr(args.ceil_ldr, ldr_space)
-    proj = _projection(args, config, pano_hdr.width, pano_hdr.height, ceil_hdr.width)
-    m_p = merge_mask(ceil_ldr, proj, tau_m)
+    ceil_ldr = _read_linear_ldr(args.ceil_ldr, params["ldr_space"])
+    proj = _projection(params, pano_hdr.width, pano_hdr.height, ceil_hdr.width)
+    m_p = merge_mask(ceil_ldr, proj, params["merge_tau"])
     merged = merge_panorama(ceil_hdr, pano_hdr, m_p, proj)
     _write_output(Path(args.output), HdrImage(merged.astype(np.float32)), {
         "subcommand": "merge",
         "inputs": [str(args.ceil_hdr), str(args.pano_hdr), str(args.ceil_ldr)],
-        "params": {**_geometry_params(proj), "merge_tau": tau_m, "ldr_space": ldr_space},
+        "params": {**params, **_geometry_params(proj)},
     })
     return EXIT_OK
 
 
-def _cmd_crop_set(args, config) -> int:
+def _cmd_crop_set(args, params) -> int:
     pano = _read_hdr(args.pano)
-    width = int(_resolve(args, config, "width", 320))
-    height = int(_resolve(args, config, "height", 240))
-    hfov_deg = float(_resolve(args, config, "hfov_deg", 60.0))
     out_dir = Path(args.out_dir)
-    crops = crop_set(pano, width, height, hfov_deg, outdoor=args.outdoor)
-    for img, params in crops:
-        name = f"{Path(args.pano).stem}_yaw{int(params['yaw_deg']):03d}_pitch{int(params['pitch_deg']):02d}.pfm"
+    crops = crop_set(pano, params["width"], params["height"], params["hfov_deg"],
+                     outdoor=params["outdoor"])
+    for img, view in crops:
+        name = f"{Path(args.pano).stem}_yaw{int(view['yaw_deg']):03d}_pitch{int(view['pitch_deg']):02d}.pfm"
         _write_output(out_dir / name, HdrImage(img.astype(np.float32)), {
             "subcommand": "crop-set",
             "inputs": [str(args.pano)],
-            "params": {**params, "outdoor": args.outdoor},
+            "params": {**view, "outdoor": params["outdoor"]},
         })
     _print_json({"crops": len(crops)})
     return EXIT_OK
@@ -399,16 +380,15 @@ def _render_one(env_path: Path, out_path: Path, scene_text: str, scene_path: str
     return {"file": str(env_path), "output": str(out_path)}
 
 
-def _cmd_render(args, config) -> int:
+def _cmd_render(args, params) -> int:
     with open(args.scene, "r", encoding="utf-8") as fh:
         scene_text = fh.read()
     envs = [Path(p) for p in args.envs]
     if args.output and len(envs) > 1:
         raise UsageError("use --out-dir when rendering multiple environments")
     outs = _batch_outputs(envs, args.output, args.out_dir, "_render.pfm")
-    jobs = max(1, int(_resolve(args, config, "jobs", 1)))
     code = _run_batch(envs, lambda p, i: _render_one(p, outs[i], scene_text, args.scene),
-                      jobs)
+                      params["jobs"])
     if code == EXIT_OK and args.reference and len(envs) == 1:
         ref = _read_hdr(args.reference)
         made = _read_hdr(outs[0])
@@ -416,54 +396,158 @@ def _cmd_render(args, config) -> int:
     return code
 
 
-def _cmd_eval_ibl(args, config) -> int:
-    tau = float(_resolve(args, config, "tau", DEFAULT_TAU))
-    ldr_space = _resolve(args, config, "ldr_space", "srgb")
+def _cmd_eval_ibl(args, params) -> int:
     with open(args.scene, "r", encoding="utf-8") as fh:
         scene = parse_scene(fh.read())
-    ldr = _read_linear_ldr(args.ldr_env, ldr_space)
-    pred = calibrate_hdr(_read_hdr(args.pred_env), ldr, tau).calibrated
-    gt = calibrate_hdr(_read_hdr(args.gt_env), ldr, tau).calibrated
-    report = compare_renders(*render_many(scene, [pred, gt]))
-    _print_json(report)
+    ldr = _read_linear_ldr(args.ldr_env, params["ldr_space"])
+    pred = calibrate_hdr(_read_hdr(args.pred_env), ldr, params["tau"]).calibrated
+    gt = calibrate_hdr(_read_hdr(args.gt_env), ldr, params["tau"]).calibrated
+    _print_json(compare_renders(*render_many(scene, [pred, gt])))
     return EXIT_OK
 
 
-def _cmd_preview(args, config) -> int:
-    ev = float(_resolve(args, config, "ev", 0.0))
-    window = float(_resolve(args, config, "window", 10.0))
+def _cmd_preview(args, params) -> int:
     hdr = _read_hdr(args.hdr)
-    _write_output(Path(args.output), exposure_preview(hdr, ev, window), {
+    _write_output(Path(args.output), exposure_preview(hdr, params["ev"], params["window"]), {
         "subcommand": "preview",
         "inputs": [str(args.hdr)],
-        "params": {"ev": ev, "window": window},
+        "params": params,
     })
     return EXIT_OK
 
 
-def _cmd_convert(args, config) -> int:
-    ldr_space = _resolve(args, config, "ldr_space", "srgb")
-    ev = float(_resolve(args, config, "ev", 0.0))
-    window = float(_resolve(args, config, "window", 10.0))
+def _cmd_convert(args, params) -> int:
     img = _read(args.input)
     out = Path(args.output)
     target = _format_for(out)
     if target is FileFormat.PPM6:
         if isinstance(img, HdrImage):
-            img = exposure_preview(img, ev, window)
+            img = exposure_preview(img, params["ev"], params["window"])
     elif isinstance(img, LdrImage):
-        lin = _read_linear_ldr(args.input, ldr_space)
-        img = HdrImage(lin.data)
+        img = HdrImage(_linearize(img, params["ldr_space"]).data)
     _write_output(out, img, {
         "subcommand": "convert",
         "inputs": [str(args.input)],
-        "params": {"ldr_space": ldr_space, "ev": ev, "window": window},
+        "params": params,
     })
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# parser
+# option and subcommand tables
+
+
+def _choice(*names):
+    """Converter that accepts exactly one of `names`."""
+    def convert(value):
+        if value not in names:
+            raise ValueError(f"expected one of {', '.join(names)}")
+        return value
+    return convert
+
+
+def _switch(value):
+    """Converter of an on/off option: its flag gives True, a config value
+    must be a JSON boolean."""
+    if not isinstance(value, bool):
+        raise ValueError("expected true or false")
+    return value
+
+
+@dataclasses.dataclass(frozen=True)
+class _Option:
+    flag: str
+    convert: object  # takes a flag string or a config value alike
+    default: object  # None: taken from an input, or required (the help says which)
+    help: str
+
+
+# Every option, declared once under the key that config files and
+# manifests use.
+_OPTIONS = {
+    "tau": _Option("--tau", float, DEFAULT_TAU,
+                   "calibration: LDR channel mean below which a pixel is an anchor"),
+    "ldr_space": _Option("--ldr-space", _choice("srgb", "linear"), "srgb",
+                         "encoding of LDR inputs: srgb or linear"),
+    "t_low": _Option("--t-low", float, DEFAULT_T_LOW, "dim/mid luminance threshold"),
+    "t_high": _Option("--t-high", float, DEFAULT_T_HIGH, "mid/bright luminance threshold"),
+    "seed": _Option("--seed", int, 0, "master seed of the batch"),
+    "jobs": _Option("--jobs", int, 1, "worker threads"),
+    "identity_crf": _Option("--identity-crf", _switch, False,
+                            "identity response curve at a fixed dynamic range"),
+    "dynamic_range_ev": _Option("--dynamic-range", float, DYNAMIC_RANGE_EV[1],
+                                "fixed dynamic range in EV (identity-CRF mode)"),
+    "target_mean": _Option("--target-mean", float, DEFAULT_TARGET_MEAN,
+                           "auto-exposure target mean"),
+    "eps": _Option("--eps", float, 1e-6, "offset added before taking logs"),
+    "ceil_size": _Option("--ceil-size", int, None,
+                         "ceiling view side in pixels (default: the panorama's height)"),
+    "pano_width": _Option("--pano-width", int, None, "panorama width in pixels (required)"),
+    "camera_d": _Option("--d", float, 1.0, "ceiling camera offset below the sphere center"),
+    "plane_extent": _Option("--extent", float, 1.0, "half-width of the ceiling plane"),
+    "merge_tau": _Option("--merge-tau", float, DEFAULT_MERGE_TAU,
+                         "ceiling LDR mean where the merge mask starts"),
+    "width": _Option("--width", int, 320, "crop width in pixels"),
+    "height": _Option("--height", int, 240, "crop height in pixels"),
+    "hfov_deg": _Option("--hfov-deg", float, 60.0, "crop horizontal field of view in degrees"),
+    "outdoor": _Option("--outdoor", _switch, False, "omit the elevated crops"),
+    "ev": _Option("--ev", float, 0.0, "preview exposure in EV"),
+    "window": _Option("--window", float, 10.0, "preview dynamic range window in EV"),
+}
+
+
+def _path(*names, **kwargs):
+    return names, kwargs
+
+
+_OUTPUT = _path("-o", "--output", required=True)
+
+
+@dataclasses.dataclass(frozen=True)
+class _Command:
+    handler: object
+    help: str
+    paths: list  # path arguments (inputs and outputs), command line only
+    options: list  # keys of _OPTIONS
+
+
+_COMMANDS = {
+    "calibrate": _Command(_cmd_calibrate, "scale an HDR image to its LDR reference",
+                          [_path("hdr"), _path("ldr"), _OUTPUT], ["tau", "ldr_space"]),
+    "segment": _Command(_cmd_segment, "three-class luminance labels from a calibrated HDR",
+                        [_path("hdr"), _OUTPUT], ["t_low", "t_high"]),
+    "synth": _Command(_cmd_synth, "synthesize LDR images with the virtual camera",
+                      [_path("inputs", nargs="+"), _path("-o", "--output"), _path("--out-dir")],
+                      ["seed", "jobs", "identity_crf", "dynamic_range_ev", "target_mean"]),
+    "metrics": _Command(_cmd_metrics, "scale-invariant metrics for an HDR pair",
+                        [_path("pred"), _path("gt"),
+                         _path("--ldr", help="linear-anchor LDR image for display anchoring")],
+                        ["ldr_space", "eps"]),
+    "p2c": _Command(_cmd_p2c, "panorama to ceiling-view projection",
+                    [_path("pano"), _OUTPUT], ["ceil_size", "camera_d", "plane_extent"]),
+    "c2p": _Command(_cmd_c2p, "ceiling-view to panorama projection",
+                    [_path("ceil"), _OUTPUT, _path("--validity-out")],
+                    ["pano_width", "camera_d", "plane_extent"]),
+    "merge": _Command(_cmd_merge, "blend ceiling and panorama reconstructions",
+                      [_path("ceil_hdr"), _path("pano_hdr"), _path("--ceil-ldr", required=True),
+                       _OUTPUT],
+                      ["merge_tau", "ldr_space", "camera_d", "plane_extent"]),
+    "crop-set": _Command(_cmd_crop_set, "dataset crops at fixed yaws/pitches",
+                         [_path("pano"), _path("--out-dir", required=True)],
+                         ["width", "height", "hfov_deg", "outdoor"]),
+    "render": _Command(_cmd_render, "render the evaluation scene under environments",
+                       [_path("scene"), _path("envs", nargs="+"), _path("-o", "--output"),
+                        _path("--out-dir"),
+                        _path("--reference", help="reference render; prints metric JSON")],
+                       ["jobs"]),
+    "eval-ibl": _Command(_cmd_eval_ibl, "calibrate, render, and compare two environments",
+                         [_path("pred_env"), _path("gt_env"), _path("ldr_env"), _path("scene")],
+                         ["tau", "ldr_space"]),
+    "preview": _Command(_cmd_preview, "exposure-window LDR preview of an HDR image",
+                        [_path("hdr"), _OUTPUT], ["ev", "window"]),
+    "convert": _Command(_cmd_convert, "convert between RGBE, PFM, and PPM",
+                        [_path("input"), _OUTPUT], ["ldr_space", "ev", "window"]),
+}
 
 
 def _build_parser() -> _Parser:
@@ -471,141 +555,47 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"hdrkit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for names, kwargs in command.paths:
+            p.add_argument(*names, **kwargs)
+        for key in command.options:
+            opt = _OPTIONS[key]
+            default = "" if opt.default is None else f", default {opt.default}"
+            text = f"{opt.help} [config key {key}{default}]"
+            if opt.convert is _switch:
+                p.add_argument(opt.flag, dest=key, action="store_true", default=None, help=text)
+            else:
+                p.add_argument(opt.flag, dest=key, help=text)
         p.add_argument("--config", help="JSON config file (flags take precedence)")
-
-    p = sub.add_parser("calibrate", help="scale an HDR image to its LDR reference")
-    p.add_argument("hdr")
-    p.add_argument("ldr")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--ldr-space", choices=("srgb", "linear"), dest="ldr_space")
-    common(p)
-
-    p = sub.add_parser("segment", help="three-class luminance labels from a calibrated HDR")
-    p.add_argument("hdr")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--t-low", type=float, dest="t_low")
-    p.add_argument("--t-high", type=float, dest="t_high")
-    common(p)
-
-    p = sub.add_parser("synth", help="synthesize LDR images with the virtual camera")
-    p.add_argument("inputs", nargs="+")
-    p.add_argument("-o", "--output")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--identity-crf", action="store_true", dest="identity_crf")
-    p.add_argument("--dynamic-range", type=float, dest="dynamic_range_ev",
-                   help="fixed dynamic range in EV (identity-CRF mode)")
-    p.add_argument("--target-mean", type=float, dest="target_mean")
-    p.add_argument("--tau", type=float)
-    common(p)
-
-    p = sub.add_parser("metrics", help="scale-invariant metrics for an HDR pair")
-    p.add_argument("pred")
-    p.add_argument("gt")
-    p.add_argument("--ldr", help="linear-anchor LDR image for display anchoring")
-    p.add_argument("--ldr-space", choices=("srgb", "linear"), dest="ldr_space")
-    p.add_argument("--eps", type=float)
-    common(p)
-
-    p = sub.add_parser("p2c", help="panorama to ceiling-view projection")
-    p.add_argument("pano")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--ceil-size", type=int, dest="ceil_size")
-    p.add_argument("--d", type=float, dest="camera_d")
-    p.add_argument("--extent", type=float, dest="plane_extent")
-    common(p)
-
-    p = sub.add_parser("c2p", help="ceiling-view to panorama projection")
-    p.add_argument("ceil")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--pano-width", type=int, dest="pano_width")
-    p.add_argument("--validity-out", dest="validity_out")
-    p.add_argument("--d", type=float, dest="camera_d")
-    p.add_argument("--extent", type=float, dest="plane_extent")
-    common(p)
-
-    p = sub.add_parser("merge", help="blend ceiling and panorama reconstructions")
-    p.add_argument("ceil_hdr")
-    p.add_argument("pano_hdr")
-    p.add_argument("--ceil-ldr", required=True, dest="ceil_ldr")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--merge-tau", type=float, dest="merge_tau")
-    p.add_argument("--ldr-space", choices=("srgb", "linear"), dest="ldr_space")
-    p.add_argument("--d", type=float, dest="camera_d")
-    p.add_argument("--extent", type=float, dest="plane_extent")
-    common(p)
-
-    p = sub.add_parser("crop-set", help="dataset crops at fixed yaws/pitches")
-    p.add_argument("pano")
-    p.add_argument("--out-dir", required=True, dest="out_dir")
-    p.add_argument("--width", type=int)
-    p.add_argument("--height", type=int)
-    p.add_argument("--hfov-deg", type=float, dest="hfov_deg")
-    p.add_argument("--outdoor", action="store_true")
-    common(p)
-
-    p = sub.add_parser("render", help="render the evaluation scene under environments")
-    p.add_argument("scene")
-    p.add_argument("envs", nargs="+")
-    p.add_argument("-o", "--output")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--reference", help="reference render; prints metric JSON")
-    p.add_argument("--jobs", type=int)
-    common(p)
-
-    p = sub.add_parser("eval-ibl", help="calibrate, render, and compare two environments")
-    p.add_argument("pred_env")
-    p.add_argument("gt_env")
-    p.add_argument("ldr_env")
-    p.add_argument("scene")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--ldr-space", choices=("srgb", "linear"), dest="ldr_space")
-    common(p)
-
-    p = sub.add_parser("preview", help="exposure-window LDR preview of an HDR image")
-    p.add_argument("hdr")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--ev", type=float)
-    p.add_argument("--window", type=float)
-    common(p)
-
-    p = sub.add_parser("convert", help="convert between RGBE, PFM, and PPM")
-    p.add_argument("input")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--ldr-space", choices=("srgb", "linear"), dest="ldr_space")
-    p.add_argument("--ev", type=float)
-    p.add_argument("--window", type=float)
-    common(p)
-
     return parser
 
 
-_COMMANDS = {
-    "calibrate": _cmd_calibrate,
-    "segment": _cmd_segment,
-    "synth": _cmd_synth,
-    "metrics": _cmd_metrics,
-    "p2c": _cmd_p2c,
-    "c2p": _cmd_c2p,
-    "merge": _cmd_merge,
-    "crop-set": _cmd_crop_set,
-    "render": _cmd_render,
-    "eval-ibl": _cmd_eval_ibl,
-    "preview": _cmd_preview,
-    "convert": _cmd_convert,
-}
+def _resolve_params(args, config: dict, keys) -> dict:
+    """Each option by flag > config > default. Flag strings and config
+    values pass through the same converter; a bad value is a usage error."""
+    params = {}
+    for key in keys:
+        opt = _OPTIONS[key]
+        value = getattr(args, key)
+        if value is None:
+            if key not in config:
+                params[key] = opt.default
+                continue
+            value = config[key]
+        try:
+            params[key] = opt.convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise UsageError(f"invalid {key} value {value!r} ({opt.flag}): {exc}") from None
+    return params
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _load_config(getattr(args, "config", None))
-        return _COMMANDS[args.command](args, config)
+        args = _build_parser().parse_args(argv)
+        command = _COMMANDS[args.command]
+        params = _resolve_params(args, _load_config(args.config), command.options)
+        return command.handler(args, params)
     except UsageError as exc:
         _emit_error("UsageError", str(exc))
         return EXIT_USAGE

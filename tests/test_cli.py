@@ -1,10 +1,14 @@
 import json
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hdrkit
 from hdrkit.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from hdrkit.fileio import read_image, write_pfm, write_ppm, write_rgbe
 from hdrkit.image import HdrImage, LdrImage
@@ -378,7 +382,161 @@ def test_config_file_precedence(workdir, capsys):
 
 
 def test_module_entry_point(workdir):
+    # run the package under test, also when it is found through pytest's pythonpath
+    paths = [str(Path(hdrkit.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     proc = subprocess.run([sys.executable, "-m", "hdrkit", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "hdrkit" in proc.stdout
+
+
+def test_synth_tau_flag_is_gone(workdir, capsys):
+    hdr_path = save_hdr(workdir / "h.hdr", np.full((4, 4, 3), 0.5))
+    out = workdir / "o" / "l.ppm"
+    code, _, err = run(capsys, "synth", hdr_path, "-o", out, "--tau", 0.1)
+    assert code == EXIT_USAGE
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"]["type"] == "UsageError"
+    assert not out.parent.exists()
+
+
+def _calibrate_inputs(workdir):
+    vals = np.array([[[0.2] * 3, [0.9] * 3]])
+    hdr_path = save_hdr(workdir / "h.hdr", vals)
+    ldr_path = save_ppm(workdir / "l.ppm", (vals * 255).astype(np.uint8))
+    return ["calibrate", hdr_path, ldr_path, "-o", workdir / "out" / "cal.pfm"]
+
+
+def _synth_batch_inputs(workdir):
+    rng = np.random.default_rng(12)
+    paths = [save_hdr(workdir / f"h{i}.hdr", rng.lognormal(0, 1.0, (8, 8, 3))) for i in range(2)]
+    return ["synth", *paths, "--out-dir", workdir / "out"]
+
+
+def _crop_set_inputs(workdir):
+    pano_path = save_pfm(workdir / "pano.pfm", np.full((16, 32, 3), 2.0))
+    return ["crop-set", pano_path, "--out-dir", workdir / "out"]
+
+
+@pytest.mark.parametrize("config_text, argv", [
+    ('{"tau": null}', _calibrate_inputs),
+    ('{"tau": "high"}', _calibrate_inputs),
+    ('{"ldr_space": "bogus"}', _calibrate_inputs),
+    ('{"tau": 0.5', _calibrate_inputs),
+    ('{"target_mean": null}', _synth_batch_inputs),
+    ('{"outdoor": "yes"}', _crop_set_inputs),
+], ids=["tau-null", "tau-string", "ldr-space-bogus", "malformed-json", "synth-target-mean-null",
+        "switch-not-boolean"])
+def test_bad_config_is_usage_error(workdir, capsys, config_text, argv):
+    cfg = workdir / "cfg.json"
+    cfg.write_text(config_text)
+    code, _, err = run(capsys, *argv(workdir), "--config", cfg)
+    assert code == EXIT_USAGE
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"]["type"] == "UsageError"
+    assert not (workdir / "out").exists()
+
+
+def test_config_sets_switches_and_pano_width(workdir, capsys):
+    ceil_path = save_pfm(workdir / "ceil.pfm", np.full((16, 16, 3), 1.5))
+    pano_path = save_pfm(workdir / "pano.pfm", np.full((16, 32, 3), 2.0))
+    hdr_path = save_hdr(workdir / "h.hdr", np.random.default_rng(13).lognormal(0, 1, (8, 8, 3)))
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({"pano_width": 64, "outdoor": True, "identity_crf": True,
+                               "dynamic_range_ev": 10}))
+    back = workdir / "back.pfm"
+    assert run(capsys, "c2p", ceil_path, "-o", back, "--config", cfg)[0] == EXIT_OK
+    assert load(back).width == 64
+    code, out, _ = run(capsys, "crop-set", pano_path, "--out-dir", workdir / "crops",
+                       "--width", 8, "--height", 6, "--config", cfg)
+    assert code == EXIT_OK
+    assert json.loads(out)["crops"] == 6
+    assert len(list((workdir / "crops").glob("*.pfm"))) == 6
+    assert run(capsys, "synth", hdr_path, "-o", workdir / "l.ppm", "--config", cfg)[0] == EXIT_OK
+    man = json.loads((workdir / "l.ppm.json").read_text())
+    assert man["identity_crf"] is True and man["dynamic_range_ev"] == 10.0
+    # a flag still beats the config
+    assert run(capsys, "c2p", ceil_path, "-o", back, "--pano-width", 32,
+               "--config", cfg)[0] == EXIT_OK
+    assert json.loads((workdir / "back.pfm.json").read_text())["params"]["pano_width"] == 32
+
+
+T_LOW, T_HIGH = 0.004086771438464067, 1.1051709180756477
+GEOMETRY = {"pano_width": 32, "pano_height": 16, "ceil_size": 16, "camera_d": 1.0,
+            "plane_extent": 1.0}
+
+# Sidecar `params` (for synth, every field but the paths and the tool
+# version) of each image-writing subcommand run with default options.
+PINNED_MANIFESTS = [
+    (["calibrate", "pano.hdr", "pano.ppm", "-o", "out.pfm"], "out.pfm.json",
+     {"tau": 0.83, "ldr_space": "srgb"}),
+    (["segment", "pano.hdr", "-o", "out.ppm"], "out.ppm.json",
+     {"t_low": T_LOW, "t_high": T_HIGH}),
+    (["synth", "pano.hdr", "-o", "out.ppm"], "out.ppm.json",
+     {"subcommand": "synth", "seed": 0, "rng": "pcg64",
+      "dynamic_range_ev": 12.912200774071563, "sigma": 0.3539573427527741,
+      "n": 0.808194704787239, "identity_crf": False, "exposure": 0.12080760427458825,
+      "exposure_mean_before_noise_floor": True, "target_mean": 0.18,
+      "tau_default": 0.83, "t_low_default": T_LOW, "t_high_default": T_HIGH}),
+    (["p2c", "pano.hdr", "-o", "out.pfm"], "out.pfm.json", GEOMETRY),
+    (["c2p", "ceil.pfm", "-o", "out.pfm", "--pano-width", "32"], "out.pfm.json", GEOMETRY),
+    (["merge", "ceil.pfm", "pano.hdr", "--ceil-ldr", "ceil.ppm", "-o", "out.pfm"],
+     "out.pfm.json", {**GEOMETRY, "merge_tau": 0.13, "ldr_space": "srgb"}),
+    (["crop-set", "pano.hdr", "--out-dir", "."], "pano_yaw120_pitch45.pfm.json",
+     {"yaw_deg": 120.0, "pitch_deg": 45.0, "hfov_deg": 60.0, "width": 320, "height": 240,
+      "outdoor": False}),
+    (["render", "scene.txt", "pano.hdr", "-o", "out.pfm"], "out.pfm.json",
+     {"scene": "scene.txt"}),
+    (["preview", "pano.hdr", "-o", "out.ppm"], "out.ppm.json", {"ev": 0.0, "window": 10.0}),
+    (["convert", "pano.ppm", "-o", "out.pfm"], "out.pfm.json",
+     {"ldr_space": "srgb", "ev": 0.0, "window": 10.0}),
+]
+
+
+@pytest.mark.parametrize("argv, sidecar, expected", PINNED_MANIFESTS,
+                         ids=[case[0][0] for case in PINNED_MANIFESTS])
+def test_default_manifests_are_pinned(workdir, capsys, monkeypatch, argv, sidecar, expected):
+    monkeypatch.chdir(workdir)
+    rng = np.random.default_rng(11)
+    pano = rng.uniform(0.05, 3.0, (16, 32, 3))
+    save_hdr(workdir / "pano.hdr", pano)
+    save_ppm(workdir / "pano.ppm", (np.clip(pano / 3.0, 0, 1) * 255).astype(np.uint8))
+    save_pfm(workdir / "ceil.pfm", rng.uniform(0.1, 2.0, (16, 16, 3)))
+    save_ppm(workdir / "ceil.ppm", rng.integers(0, 256, (16, 16, 3)).astype(np.uint8))
+    (workdir / "scene.txt").write_text(default_scene_text(16, 12))
+    assert run(capsys, *argv)[0] == EXIT_OK
+    man = json.loads((workdir / sidecar).read_text())
+    if argv[0] == "synth":
+        params = {k: v for k, v in man.items() if k not in ("source", "output", "tool_version")}
+    else:
+        params = man["params"]
+    assert params == expected
+
+
+FLAGS = {
+    "calibrate": ["--config", "--ldr-space", "--output", "--tau", "-o"],
+    "segment": ["--config", "--output", "--t-high", "--t-low", "-o"],
+    "synth": ["--config", "--dynamic-range", "--identity-crf", "--jobs", "--out-dir",
+              "--output", "--seed", "--target-mean", "-o"],
+    "metrics": ["--config", "--eps", "--ldr", "--ldr-space"],
+    "p2c": ["--ceil-size", "--config", "--d", "--extent", "--output", "-o"],
+    "c2p": ["--config", "--d", "--extent", "--output", "--pano-width", "--validity-out", "-o"],
+    "merge": ["--ceil-ldr", "--config", "--d", "--extent", "--ldr-space", "--merge-tau",
+              "--output", "-o"],
+    "crop-set": ["--config", "--height", "--hfov-deg", "--out-dir", "--outdoor", "--width"],
+    "render": ["--config", "--jobs", "--out-dir", "--output", "--reference", "-o"],
+    "eval-ibl": ["--config", "--ldr-space", "--tau"],
+    "preview": ["--config", "--ev", "--output", "--window", "-o"],
+    "convert": ["--config", "--ev", "--ldr-space", "--output", "--window", "-o"],
+}
+
+
+@pytest.mark.parametrize("sub", sorted(FLAGS))
+def test_help_names_every_flag(capsys, sub):
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--help"])
+    assert exc.value.code == 0
+    named = set(re.findall(r"(?<![\w-])(--?[a-z][\w-]*)", capsys.readouterr().out))
+    assert set(FLAGS[sub]) <= named
