@@ -5,12 +5,19 @@ mean-value auto-exposure, applies the camera's noise floor and response
 curve, and quantizes to 8 bits. Everything is deterministic given the
 image and the seed, so datasets can be reproduced from their manifests.
 
+Auto-exposure is defined by a fixed 90-step bisection of the clipped mean.
+It is computed by replaying those steps: one sort gives the exact root of
+the piecewise-linear mean, two evaluations bracket it, and only the steps
+inside the bracket touch the image, so the exposure is bit-identical to
+the plain bisection at about a tenth of its cost.
+
 The random generator is numpy's PCG64 (``np.random.default_rng``); a batch
 master seed is split into per-file seeds with ``np.random.SeedSequence``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +48,8 @@ DEFAULT_TARGET_MEAN = 0.18  # photographic middle gray in linear light
 
 _BISECT_ITERS = 90
 _BRACKET_LOG2 = 40
+# Relative half-widths tried, in order, to bracket the sorted root.
+_BRACKET_WIDTHS = (1e-14, 1e-12, 1e-9, 1e-6, 1e-3)
 
 
 class AutoExposureError(ValueError):
@@ -87,29 +96,49 @@ def identity_camera(dynamic_range_ev: float = DYNAMIC_RANGE_EV[1]) -> CameraSamp
 def auto_expose(h, target_mean: float = DEFAULT_TARGET_MEAN, tol: float = 1e-4) -> float:
     """Exposure multiplier e such that mean(clamp(e*h, 0, 1)) = target_mean.
 
-    Solved by bisection on a mean-normalized copy of the image with a fixed
-    iteration count, which makes the result deterministic and insensitive
-    to a global rescaling of the input (relative-luminance behavior).
+    Defined as a fixed-count bisection on a mean-normalized copy of the
+    image, which makes the result deterministic and insensitive to a global
+    rescaling of the input (relative-luminance behavior).
+
+    The bisection is replayed, not run blind. The float clipped mean never
+    decreases as the multiplier grows (rounding, clipping and numpy's
+    fixed-order pairwise sum are each monotone on non-negative values), so
+    two evaluations that bracket the exact root of the piecewise-linear mean
+    (solved from one sort) decide every step outside the bracket, and only
+    the steps inside it evaluate the image. The result is bit-identical to
+    the plain bisection.
     """
     if not 0 < target_mean < 1:
         raise ValueError("target_mean must lie in (0, 1)")
-    a = image_data(h).astype(np.float64, copy=False)
-    mu = float(a.mean())
+    g = np.array(image_data(h), dtype=np.float64)
+    mu = float(g.mean())
     if not mu > 0:
         raise AutoExposureError("image has no positive pixels")
-    g = a / mu
+    g /= mu
+    root = _sorted_root(g, target_mean)
+    buf = np.empty_like(g)
 
     def clipped_mean(m: float) -> float:
-        return float(np.clip(m * g, 0.0, 1.0).mean())
+        np.multiply(m, g, out=buf)
+        return float(np.clip(buf, 0.0, 1.0, out=buf).mean())
+
+    below, above = _bracket(clipped_mean, root, target_mean)
+
+    def under_target(m: float) -> bool:
+        if m <= below:
+            return True
+        if m >= above:
+            return False
+        return clipped_mean(m) < target_mean
 
     lo, hi = 2.0 ** -_BRACKET_LOG2, 2.0 ** _BRACKET_LOG2
-    if clipped_mean(hi) < target_mean:
+    if under_target(hi):
         raise AutoExposureError(
             f"target mean {target_mean} unreachable: too few positive pixels"
         )
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        if clipped_mean(mid) < target_mean:
+        if under_target(mid):
             lo = mid
         else:
             hi = mid
@@ -117,6 +146,48 @@ def auto_expose(h, target_mean: float = DEFAULT_TARGET_MEAN, tol: float = 1e-4) 
     if abs(clipped_mean(m) - target_mean) > tol:
         raise AutoExposureError("auto-exposure did not converge to the target mean")
     return m / mu
+
+
+def _sorted_root(g: np.ndarray, target_mean: float) -> float | None:
+    """The exact root m of mean(min(m*g, 1)) = target_mean, or None.
+
+    With g sorted ascending as s, the pixels k.. saturate at the root for
+    the smallest k with sum(s[:k])/s[k] + n - k <= n*target_mean (a zero
+    s[k] never saturates), and then m = (n*target_mean - (n - k)) / sum(s[:k]).
+    """
+    s = np.sort(g, axis=None)
+    n = s.size
+    goal = n * target_mean
+    lo, hi = 1, n  # k = 0 would saturate every pixel, k = n none
+    while lo < hi:
+        k = (lo + hi) // 2
+        if s[k] > 0 and s[:k].sum() / s[k] + (n - k) <= goal:
+            hi = k
+        else:
+            lo = k + 1
+    covered = float(s[:lo].sum())
+    if not covered > 0:
+        return None
+    root = (goal - (n - lo)) / covered
+    return root if 0 < root < math.inf else None
+
+
+def _bracket(clipped_mean, root: float | None, target_mean: float) -> tuple[float, float]:
+    """Multipliers (below, above) with clipped_mean(below) < target_mean
+    <= clipped_mean(above), found by evaluating around `root` at the
+    relative widths of _BRACKET_WIDTHS. A side that no width bounds stays
+    at 0 or inf, and the bisection then evaluates every step there."""
+    below, above = 0.0, math.inf
+    if root is None:
+        return below, above
+    for delta in _BRACKET_WIDTHS:
+        if below == 0.0 and clipped_mean(root * (1.0 - delta)) < target_mean:
+            below = root * (1.0 - delta)
+        if above == math.inf and clipped_mean(root * (1.0 + delta)) >= target_mean:
+            above = root * (1.0 + delta)
+        if below > 0.0 and above < math.inf:
+            break
+    return below, above
 
 
 def apply_dynamic_range(h_exposed: np.ndarray, dr_ev: float) -> np.ndarray:

@@ -237,10 +237,12 @@ def _cmd_synth(args, params) -> int:
 def _batch_outputs(inputs: list[Path], output, out_dir, suffix: str) -> list[Path]:
     """Each input's output path: `output`, or the input's stem plus `suffix`
     in `out_dir` (default: beside the input). Resolved before any work so
-    that two inputs can never write the same file."""
+    that two inputs can never write the same file, and a worker never meets
+    an output of unknown format."""
     outs, claimed = [], {}
     for path in inputs:
         out = Path(output) if output else Path(out_dir or path.parent) / (path.stem + suffix)
+        _format_for(out)
         key = out.resolve()
         if key in claimed:
             raise UsageError(f"inputs {claimed[key]} and {path} would both write {out}")
@@ -250,16 +252,17 @@ def _batch_outputs(inputs: list[Path], output, out_dir, suffix: str) -> list[Pat
 
 
 def _run_batch(inputs, worker, jobs: int) -> int:
-    """Run per-file work, reporting failures without aborting the batch.
-    `jobs` below 2 runs the files one after another."""
+    """Run per-file work, reporting failures without aborting the batch:
+    an I/O failure or a MemoryError exits 2, any other exception 3. `jobs`
+    of 1 runs the files one after another."""
 
     def safe(i_path):
         i, path = i_path
         try:
             return worker(path, i), None
-        except (HdrIoError, OSError) as exc:
+        except (HdrIoError, OSError, MemoryError) as exc:
             return None, (EXIT_IO, type(exc).__name__, str(exc), str(path))
-        except (UncalibratableError, AutoExposureError, ValueError) as exc:
+        except Exception as exc:  # numeric failures and anything unforeseen
             return None, (EXIT_NUMERIC, type(exc).__name__, str(exc), str(path))
 
     if jobs <= 1:
@@ -446,6 +449,28 @@ def _choice(*names):
     return convert
 
 
+def _real(value) -> float:
+    """Converter of a real-valued option: a flag string or a JSON number."""
+    if isinstance(value, bool):
+        raise ValueError("expected a number, not a boolean")
+    return float(value)
+
+
+def _integer(minimum: int, even: bool = False):
+    """Converter of a whole-number option of at least `minimum`: a flag
+    string, a JSON integer, or a JSON number with no fractional part."""
+    def convert(value):
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError("expected a whole number")
+        number = int(value)
+        if number < minimum:
+            raise ValueError(f"expected at least {minimum}")
+        if even and number % 2:
+            raise ValueError("expected an even number")
+        return number
+    return convert
+
+
 def _switch(value):
     """Converter of an on/off option: its flag gives True, a config value
     must be a JSON boolean."""
@@ -465,34 +490,36 @@ class _Option:
 # Every option, declared once under the key that config files and
 # manifests use.
 _OPTIONS = {
-    "tau": _Option("--tau", float, DEFAULT_TAU,
+    "tau": _Option("--tau", _real, DEFAULT_TAU,
                    "calibration: LDR channel mean below which a pixel is an anchor"),
     "ldr_space": _Option("--ldr-space", _choice("srgb", "linear"), "srgb",
                          "encoding of LDR inputs: srgb or linear"),
-    "t_low": _Option("--t-low", float, DEFAULT_T_LOW, "dim/mid luminance threshold"),
-    "t_high": _Option("--t-high", float, DEFAULT_T_HIGH, "mid/bright luminance threshold"),
-    "seed": _Option("--seed", int, 0, "master seed of the batch"),
-    "jobs": _Option("--jobs", int, 1, "worker threads"),
+    "t_low": _Option("--t-low", _real, DEFAULT_T_LOW, "dim/mid luminance threshold"),
+    "t_high": _Option("--t-high", _real, DEFAULT_T_HIGH, "mid/bright luminance threshold"),
+    "seed": _Option("--seed", _integer(0), 0, "master seed of the batch (at least 0)"),
+    "jobs": _Option("--jobs", _integer(1), 1, "worker threads (at least 1)"),
     "identity_crf": _Option("--identity-crf", _switch, False,
                             "identity response curve at a fixed dynamic range"),
-    "dynamic_range_ev": _Option("--dynamic-range", float, DYNAMIC_RANGE_EV[1],
+    "dynamic_range_ev": _Option("--dynamic-range", _real, DYNAMIC_RANGE_EV[1],
                                 "fixed dynamic range in EV (identity-CRF mode)"),
-    "target_mean": _Option("--target-mean", float, DEFAULT_TARGET_MEAN,
+    "target_mean": _Option("--target-mean", _real, DEFAULT_TARGET_MEAN,
                            "auto-exposure target mean"),
-    "eps": _Option("--eps", float, 1e-6, "offset added before taking logs"),
-    "ceil_size": _Option("--ceil-size", int, None,
-                         "ceiling view side in pixels (default: the panorama's height)"),
-    "pano_width": _Option("--pano-width", int, None, "panorama width in pixels (required)"),
-    "camera_d": _Option("--d", float, 1.0, "ceiling camera offset below the sphere center"),
-    "plane_extent": _Option("--extent", float, 1.0, "half-width of the ceiling plane"),
-    "merge_tau": _Option("--merge-tau", float, DEFAULT_MERGE_TAU,
+    "eps": _Option("--eps", _real, 1e-6, "offset added before taking logs"),
+    "ceil_size": _Option("--ceil-size", _integer(1), None,
+                         "ceiling view side in pixels, at least 1 (default: the panorama's "
+                         "height)"),
+    "pano_width": _Option("--pano-width", _integer(2, even=True), None,
+                          "panorama width in pixels, positive and even (required)"),
+    "camera_d": _Option("--d", _real, 1.0, "ceiling camera offset below the sphere center"),
+    "plane_extent": _Option("--extent", _real, 1.0, "half-width of the ceiling plane"),
+    "merge_tau": _Option("--merge-tau", _real, DEFAULT_MERGE_TAU,
                          "ceiling LDR mean where the merge mask starts"),
-    "width": _Option("--width", int, 320, "crop width in pixels"),
-    "height": _Option("--height", int, 240, "crop height in pixels"),
-    "hfov_deg": _Option("--hfov-deg", float, 60.0, "crop horizontal field of view in degrees"),
+    "width": _Option("--width", _integer(1), 320, "crop width in pixels (at least 1)"),
+    "height": _Option("--height", _integer(1), 240, "crop height in pixels (at least 1)"),
+    "hfov_deg": _Option("--hfov-deg", _real, 60.0, "crop horizontal field of view in degrees"),
     "outdoor": _Option("--outdoor", _switch, False, "omit the elevated crops"),
-    "ev": _Option("--ev", float, 0.0, "preview exposure in EV"),
-    "window": _Option("--window", float, 10.0, "preview dynamic range window in EV"),
+    "ev": _Option("--ev", _real, 0.0, "preview exposure in EV"),
+    "window": _Option("--window", _real, 10.0, "preview dynamic range window in EV"),
 }
 
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
 
 from .image import channel_mean, exposure_preview, image_data
 
@@ -212,6 +211,8 @@ def ssim(
     if min(x.shape) < win_size:
         raise ValueError(f"image smaller than the {win_size}x{win_size} window")
     taps = _gaussian_taps(win_size, sigma)
+    # imported here, so that a CLI run that computes no SSIM never loads scipy
+    from scipy.ndimage import correlate1d
 
     def smooth(img):
         out = correlate1d(img, taps, axis=0, mode="nearest")

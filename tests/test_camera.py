@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdrkit.camera import (
     AutoExposureError,
@@ -78,6 +80,87 @@ def test_auto_expose_unreachable_target_errors():
     arr[:5] = 1.0  # only 5% of pixels can ever be bright
     with pytest.raises(AutoExposureError):
         auto_expose(hdr(arr), target_mean=0.18)
+
+
+def _bisection_auto_expose(h, target_mean=0.18, tol=1e-4):
+    """The 90-step blind bisection that auto_expose must reproduce bit for bit."""
+    if not 0 < target_mean < 1:
+        raise ValueError("target_mean must lie in (0, 1)")
+    a = np.asarray(h.data).astype(np.float64, copy=False)
+    mu = float(a.mean())
+    if not mu > 0:
+        raise AutoExposureError("image has no positive pixels")
+    g = a / mu
+
+    def clipped_mean(m):
+        return float(np.clip(m * g, 0.0, 1.0).mean())
+
+    lo, hi = 2.0 ** -40, 2.0 ** 40
+    if clipped_mean(hi) < target_mean:
+        raise AutoExposureError("unreachable")
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        if clipped_mean(mid) < target_mean:
+            lo = mid
+        else:
+            hi = mid
+    m = 0.5 * (lo + hi)
+    if abs(clipped_mean(m) - target_mean) > tol:
+        raise AutoExposureError("no convergence")
+    return m / mu
+
+
+def _outcome(fn, img, target):
+    try:
+        return "ok", fn(img, target)
+    except Exception as exc:
+        return "error", type(exc)
+
+
+_PIXELS = {
+    "spread": st.floats(0.0, 1e6),
+    "ties": st.sampled_from([0.0, 0.25, 1.0, 7.0]),
+    "mostly-zero": st.one_of(st.just(0.0), st.just(0.0), st.just(0.0), st.floats(0.0, 1e3)),
+}
+
+
+@st.composite
+def _exposure_cases(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)), 3)
+    kind = draw(st.sampled_from(sorted(_PIXELS) + ["constant"]))
+    if kind == "constant":
+        arr = np.full(shape, draw(st.floats(1e-30, 1e30)))
+    else:
+        values = draw(st.lists(_PIXELS[kind], min_size=shape[0] * shape[1] * 3,
+                               max_size=shape[0] * shape[1] * 3))
+        arr = np.reshape(values, shape) * 2.0 ** draw(st.integers(-60, 60))
+    target = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    return HdrImage(arr.astype(dtype)), target
+
+
+@settings(max_examples=400, deadline=None)
+@given(_exposure_cases())
+def test_auto_expose_bit_identical_to_bisection(case):
+    img, target = case
+    assert _outcome(auto_expose, img, target) == _outcome(_bisection_auto_expose, img, target)
+
+
+def test_auto_expose_bit_identical_on_large_image():
+    rng = np.random.default_rng(15)
+    arr = rng.lognormal(0, 2.0, (96, 128, 3)).astype(np.float32)
+    arr[:8] *= 300.0  # a bright band that saturates
+    for target in (0.05, 0.18, 0.5, 0.9):
+        assert auto_expose(hdr(arr), target) == _bisection_auto_expose(hdr(arr), target)
+
+
+def test_auto_expose_leaves_float64_input_unchanged():
+    arr = np.random.default_rng(16).lognormal(0, 1.0, (8, 8, 3))
+    img = HdrImage(arr.copy())
+    assert img.data.dtype == np.float64
+    auto_expose(img)
+    auto_expose(img.data)
+    assert np.array_equal(img.data, arr)
 
 
 # --- dynamic range and CRF ---------------------------------------------------

@@ -540,3 +540,92 @@ def test_help_names_every_flag(capsys, sub):
     assert exc.value.code == 0
     named = set(re.findall(r"(?<![\w-])(--?[a-z][\w-]*)", capsys.readouterr().out))
     assert set(FLAGS[sub]) <= named
+
+
+@pytest.mark.parametrize("argv, config", [
+    (["synth", "in.hdr", "-o", "out/x.ppm"], {"seed": 7.9}),
+    (["synth", "in.hdr", "-o", "out/x.ppm"], {"seed": True}),
+    (["synth", "in.hdr", "-o", "out/x.ppm", "--seed", "-1"], None),
+    (["synth", "in.hdr", "-o", "out/x.ppm", "--jobs", "0"], None),
+    (["synth", "in.hdr", "-o", "out/x.ppm"], {"target_mean": False}),
+    (["calibrate", "in.hdr", "in.ppm", "-o", "out/x.pfm"], {"tau": True}),
+    (["crop-set", "in.pfm", "--out-dir", "out"], {"width": 20.9}),
+    (["crop-set", "in.pfm", "--out-dir", "out", "--height", "0"], None),
+    (["p2c", "in.pfm", "-o", "out/x.pfm", "--ceil-size", "0"], None),
+    (["c2p", "in.pfm", "-o", "out/x.pfm", "--pano-width", "63"], None),
+    (["c2p", "in.pfm", "-o", "out/x.pfm", "--pano-width", "0"], None),
+    (["c2p", "in.pfm", "-o", "out/x.pfm"], {"pano_width": 64.5}),
+    (["synth", "in.hdr", "-o", "out/x.png"], None),
+], ids=["seed-fraction", "seed-boolean", "seed-negative", "jobs-zero", "target-mean-boolean",
+        "tau-boolean", "width-fraction", "height-zero", "ceil-size-zero", "pano-width-odd",
+        "pano-width-zero", "pano-width-fraction", "unknown-output-format"])
+def test_bad_option_value_exits_before_reading(workdir, capsys, monkeypatch, argv, config):
+    # the inputs do not exist: reading one would exit 2, not 1
+    monkeypatch.chdir(workdir)
+    if config is not None:
+        (workdir / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", "cfg.json"]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"]["type"] == "UsageError"
+    assert not (workdir / "out").exists()
+
+
+def test_whole_number_config_values_are_accepted(workdir, capsys):
+    hdr_path = save_hdr(workdir / "h.hdr", np.random.default_rng(17).lognormal(0, 1, (8, 8, 3)))
+    assert run(capsys, "synth", hdr_path, "-o", workdir / "a.ppm", "--seed", 7,
+               "--target-mean", 0.2)[0] == EXIT_OK
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 7.0, "target_mean": 0.2}))
+    assert run(capsys, "synth", hdr_path, "-o", workdir / "b.ppm", "--config", cfg)[0] == EXIT_OK
+    assert (workdir / "a.ppm").read_bytes() == (workdir / "b.ppm").read_bytes()
+    man = json.loads((workdir / "b.ppm.json").read_text())
+    assert man["seed"] == 7 and isinstance(man["seed"], int)
+
+
+@pytest.mark.parametrize("exc_type, code, jobs", [
+    (MemoryError, EXIT_IO, 1),
+    (MemoryError, EXIT_IO, 2),
+    (KeyError, EXIT_NUMERIC, 1),
+    (ZeroDivisionError, EXIT_NUMERIC, 2),
+])
+def test_unexpected_worker_exception_does_not_abort_batch(workdir, capsys, monkeypatch,
+                                                          exc_type, code, jobs):
+    from hdrkit import cli
+
+    rng = np.random.default_rng(18)
+    paths = [save_hdr(workdir / f"h{i}.hdr", rng.lognormal(0, 1.0, (8, 8, 3))) for i in range(2)]
+    real = cli._synth_one
+
+    def flaky(path, out_path, seed, params):
+        if path == paths[0]:
+            raise exc_type("boom")
+        return real(path, out_path, seed, params)
+
+    monkeypatch.setattr(cli, "_synth_one", flaky)
+    out = workdir / "out"
+    got, _, err = run(capsys, "synth", *paths, "--out-dir", out, "--jobs", jobs)
+    assert got == code
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == exc_type.__name__ and error["file"] == str(paths[0])
+    assert not (out / "h0.ppm").exists()
+    assert (out / "h1.ppm").exists() and (out / "h1.ppm.json").exists()
+
+
+def test_cli_import_leaves_scipy_out(workdir):
+    rng = np.random.default_rng(19)
+    gt = rng.uniform(0.5, 2.0, (24, 24, 3))
+    pred = save_pfm(workdir / "pred.pfm", gt * 2.0)
+    gt = save_pfm(workdir / "gt.pfm", gt)
+    paths = [str(Path(hdrkit.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    probe = "import sys, hdrkit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
+    proc = subprocess.run([sys.executable, "-m", "hdrkit", "metrics", str(pred), str(gt)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["ssim"] == pytest.approx(1.0, abs=1e-9)
