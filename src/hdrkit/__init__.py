@@ -68,12 +68,13 @@ from .pano import (
     merge_panorama,
     pano_to_ceiling,
 )
+# The function render is not re-exported: it would shadow the module
+# hdrkit.render. render_many(scene, [env])[0] is the same render.
 from .render import (
     SceneConfig,
     compare_renders,
     default_scene_text,
     diffuse_irradiance,
     parse_scene,
-    render,
     render_many,
 )

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -449,11 +450,21 @@ def _choice(*names):
     return convert
 
 
-def _real(value) -> float:
-    """Converter of a real-valued option: a flag string or a JSON number."""
-    if isinstance(value, bool):
-        raise ValueError("expected a number, not a boolean")
-    return float(value)
+def _real(interval: str):
+    """Converter of a real-valued option: a flag string or a JSON number,
+    finite and inside `interval`, written like "(0, 1]"."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+
+    def convert(value):
+        if isinstance(value, bool):
+            raise ValueError("expected a number, not a boolean")
+        number = float(value)
+        above = number >= low if interval[0] == "[" else number > low
+        below = number <= high if interval[-1] == "]" else number < high
+        if not (math.isfinite(number) and above and below):
+            raise ValueError(f"expected a finite number in {interval}")
+        return number
+    return convert
 
 
 def _integer(minimum: int, even: bool = False):
@@ -490,36 +501,41 @@ class _Option:
 # Every option, declared once under the key that config files and
 # manifests use.
 _OPTIONS = {
-    "tau": _Option("--tau", _real, DEFAULT_TAU,
+    "tau": _Option("--tau", _real("(0, 1]"), DEFAULT_TAU,
                    "calibration: LDR channel mean below which a pixel is an anchor"),
     "ldr_space": _Option("--ldr-space", _choice("srgb", "linear"), "srgb",
                          "encoding of LDR inputs: srgb or linear"),
-    "t_low": _Option("--t-low", _real, DEFAULT_T_LOW, "dim/mid luminance threshold"),
-    "t_high": _Option("--t-high", _real, DEFAULT_T_HIGH, "mid/bright luminance threshold"),
+    "t_low": _Option("--t-low", _real("(0, inf)"), DEFAULT_T_LOW,
+                     "dim/mid luminance threshold (below t_high)"),
+    "t_high": _Option("--t-high", _real("(0, inf)"), DEFAULT_T_HIGH,
+                      "mid/bright luminance threshold"),
     "seed": _Option("--seed", _integer(0), 0, "master seed of the batch (at least 0)"),
     "jobs": _Option("--jobs", _integer(1), 1, "worker threads (at least 1)"),
     "identity_crf": _Option("--identity-crf", _switch, False,
                             "identity response curve at a fixed dynamic range"),
-    "dynamic_range_ev": _Option("--dynamic-range", _real, DYNAMIC_RANGE_EV[1],
+    "dynamic_range_ev": _Option("--dynamic-range", _real("(0, inf)"), DYNAMIC_RANGE_EV[1],
                                 "fixed dynamic range in EV (identity-CRF mode)"),
-    "target_mean": _Option("--target-mean", _real, DEFAULT_TARGET_MEAN,
+    "target_mean": _Option("--target-mean", _real("(0, 1)"), DEFAULT_TARGET_MEAN,
                            "auto-exposure target mean"),
-    "eps": _Option("--eps", _real, 1e-6, "offset added before taking logs"),
+    "eps": _Option("--eps", _real("(0, inf)"), 1e-6, "offset added before taking logs"),
     "ceil_size": _Option("--ceil-size", _integer(1), None,
                          "ceiling view side in pixels, at least 1 (default: the panorama's "
                          "height)"),
     "pano_width": _Option("--pano-width", _integer(2, even=True), None,
                           "panorama width in pixels, positive and even (required)"),
-    "camera_d": _Option("--d", _real, 1.0, "ceiling camera offset below the sphere center"),
-    "plane_extent": _Option("--extent", _real, 1.0, "half-width of the ceiling plane"),
-    "merge_tau": _Option("--merge-tau", _real, DEFAULT_MERGE_TAU,
+    "camera_d": _Option("--d", _real("(0, 1]"), 1.0,
+                        "ceiling camera offset below the sphere center"),
+    "plane_extent": _Option("--extent", _real("(0, inf)"), 1.0, "half-width of the ceiling plane"),
+    "merge_tau": _Option("--merge-tau", _real("[0, 1)"), DEFAULT_MERGE_TAU,
                          "ceiling LDR mean where the merge mask starts"),
     "width": _Option("--width", _integer(1), 320, "crop width in pixels (at least 1)"),
     "height": _Option("--height", _integer(1), 240, "crop height in pixels (at least 1)"),
-    "hfov_deg": _Option("--hfov-deg", _real, 60.0, "crop horizontal field of view in degrees"),
+    "hfov_deg": _Option("--hfov-deg", _real("(0, 180)"), 60.0,
+                        "crop horizontal field of view in degrees"),
     "outdoor": _Option("--outdoor", _switch, False, "omit the elevated crops"),
-    "ev": _Option("--ev", _real, 0.0, "preview exposure in EV"),
-    "window": _Option("--window", _real, 10.0, "preview dynamic range window in EV"),
+    # 2.0 ** ev overflows a float from 1024 on
+    "ev": _Option("--ev", _real("(-inf, 1024)"), 0.0, "preview exposure in EV"),
+    "window": _Option("--window", _real("(0, inf)"), 10.0, "preview dynamic range window in EV"),
 }
 
 
@@ -614,6 +630,8 @@ def _resolve_params(args, config: dict, keys) -> dict:
             params[key] = opt.convert(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"invalid {key} value {value!r} ({opt.flag}): {exc}") from None
+    if "t_low" in params and not params["t_low"] < params["t_high"]:
+        raise UsageError(f"t_low {params['t_low']} must lie below t_high {params['t_high']}")
     return params
 
 

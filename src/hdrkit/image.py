@@ -36,117 +36,85 @@ _SRGB_GAMMA = 2.4
 _SRGB_EOTF_BREAK = _SRGB_LINEAR_MAX / _SRGB_SLOPE  # 0.0031308...
 
 
-def _as_hwc3(data, dtype=None) -> np.ndarray:
-    arr = np.asarray(data)
-    if dtype is not None:
-        arr = arr.astype(dtype, copy=False)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ValueError(f"expected (height, width, 3) array, got shape {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError("image must be at least 1x1")
-    return np.ascontiguousarray(arr)
-
-
 @dataclass(eq=False)
-class HdrImage:
+class _Image:
+    """An (height, width, 3) pixel buffer; each subclass checks its values
+    and may coerce their dtype in _checked."""
+
+    data: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.data)
+        if arr.ndim != 3 or arr.shape[2] != 3:
+            raise ValueError(f"expected (height, width, 3) array, got shape {arr.shape}")
+        if arr.shape[0] < 1 or arr.shape[1] < 1:
+            raise ValueError("image must be at least 1x1")
+        self.data = self._checked(np.ascontiguousarray(arr))
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.data.shape[0]
+
+
+def _float_finite(arr: np.ndarray, what: str) -> np.ndarray:
+    """arr as floats (float32 unless already floating), all finite."""
+    if not np.issubdtype(arr.dtype, np.floating):
+        arr = arr.astype(np.float32)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} contains non-finite values")
+    return arr
+
+
+class HdrImage(_Image):
     """Linear radiance image in relative luminance units.
 
     Values must be finite and non-negative; the absolute scale carries no
     meaning until the image is calibrated against an LDR reference.
     """
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_hwc3(self.data)
-        if not np.issubdtype(arr.dtype, np.floating):
-            arr = arr.astype(np.float32)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("HDR image contains non-finite values")
+    def _checked(self, arr):
+        arr = _float_finite(arr, "HDR image")
         if arr.min() < 0:
             raise ValueError("HDR image contains negative values")
-        self.data = arr
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
+        return arr
 
 
-@dataclass(eq=False)
-class LdrImage:
+class LdrImage(_Image):
     """8-bit sRGB-encoded image (stored display codes, 0..255)."""
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_hwc3(self.data)
+    def _checked(self, arr):
         if arr.dtype != np.uint8:
             if np.issubdtype(arr.dtype, np.integer) and arr.min() >= 0 and arr.max() <= 255:
                 arr = arr.astype(np.uint8)
             else:
                 raise ValueError("LDR image must be uint8 (codes 0..255)")
-        self.data = arr
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
+        return arr
 
 
-@dataclass(eq=False)
-class LinearLdr:
+class LinearLdr(_Image):
     """Linear-light float image with every value in [0, 1]."""
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_hwc3(self.data)
-        if not np.issubdtype(arr.dtype, np.floating):
-            arr = arr.astype(np.float32)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("linear LDR contains non-finite values")
+    def _checked(self, arr):
+        arr = _float_finite(arr, "linear LDR")
         if arr.min() < 0 or arr.max() > 1:
             raise ValueError("linear LDR values must lie in [0, 1]")
-        self.data = arr
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
+        return arr
 
 
-@dataclass(eq=False)
-class SegMask:
+class SegMask(_Image):
     """One-hot three-class luminance map (dim / mid / bright per pixel)."""
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_hwc3(self.data)
+    def _checked(self, arr):
         arr = arr.astype(np.uint8, copy=False)
         if not np.all((arr == 0) | (arr == 1)):
             raise ValueError("segmentation mask must be one-hot (0/1 values)")
         if not np.all(arr.sum(axis=2) == 1):
             raise ValueError("segmentation mask channels must sum to 1 per pixel")
-        self.data = arr
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
+        return arr
 
 
 def image_data(img) -> np.ndarray:

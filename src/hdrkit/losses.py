@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import channel_mean, exposure_preview, image_data
+from .image import HdrImage, channel_mean, exposure_preview, image_data
 
 __all__ = [
     "LossConfig",
@@ -27,6 +27,7 @@ __all__ = [
     "display_anchor",
     "log_psnr",
     "ssim",
+    "preview_ssim",
     "metric_report",
     "LOG_PSNR_CAP_DB",
 ]
@@ -231,29 +232,38 @@ def ssim(
     return float(s[pad:-pad, pad:-pad].mean())
 
 
+def preview_ssim(a, b, preview_ev: float = 0.0, preview_window_ev: float = 10.0) -> float:
+    """SSIM of the channel means of identical exposure previews of a and b.
+
+    Both images are scaled by 1/max(b), so that b's peak maps to 1, and a
+    is clamped at 0 before its preview.
+    """
+    x, y = _pair(a, b)
+    scale = 1.0 / max(float(y.max()), 1e-30)
+    pa = exposure_preview(HdrImage(np.clip(x * scale, 0, None)), preview_ev, preview_window_ev)
+    pb = exposure_preview(HdrImage(y * scale), preview_ev, preview_window_ev)
+    return ssim(channel_mean(pa), channel_mean(pb))
+
+
 def metric_report(pred, gt, ldr_linear=None, eps: float = 1e-6,
                   preview_ev: float = 0.0, preview_window_ev: float = 10.0) -> dict:
     """The standard metric bundle: si_mse, log_psnr, ssim, and kappa.
 
     pred is aligned to gt by its optimal scale before log_psnr; when a
     linear LDR anchor is given, both images are display-anchored first.
-    SSIM is computed on the channel means of identical exposure previews.
+    SSIM is that of preview_ssim. kappa and si_mse come from one log
+    difference, as in optimal_scale and scale_invariant_loss.
     """
-    from .image import HdrImage
-
-    k = optimal_scale(pred, gt, eps)
     p, g = _pair(pred, gt)
+    d = _log_diff(p, g, eps)
+    k = float(math.exp(-d.mean()))
     if ldr_linear is not None:
         p_cmp, g_cmp = display_anchor(p, g, ldr_linear, eps)
     else:
         p_cmp, g_cmp = p * k, g
-    prev_scale = 1.0 / max(float(g_cmp.max()), 1e-30)
-    pa = exposure_preview(HdrImage(np.clip(p_cmp * prev_scale, 0, None)),
-                          preview_ev, preview_window_ev)
-    ga = exposure_preview(HdrImage(g_cmp * prev_scale), preview_ev, preview_window_ev)
     return {
-        "si_mse": si_mse(pred, gt, eps),
+        "si_mse": float(d.var()),
         "log_psnr": log_psnr(p_cmp, g_cmp, eps),
-        "ssim": ssim(channel_mean(pa), channel_mean(ga)),
+        "ssim": preview_ssim(p_cmp, g_cmp, preview_ev, preview_window_ev),
         "kappa": k,
     }

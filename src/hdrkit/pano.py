@@ -29,6 +29,7 @@ __all__ = [
     "PanoProjection",
     "equirect_dir",
     "dir_equirect",
+    "equirect_map",
     "bilinear_sample",
     "bilinear_map",
     "apply_bilinear_map",
@@ -89,15 +90,16 @@ def dir_equirect(v, width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
     """Continuous pixel coordinates (x, y) of unit direction(s) v."""
     v = np.asarray(v, dtype=np.float64)
     vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
-    return _angles_to_pixels(np.arctan2(vy, vx), np.arctan2(np.hypot(vx, vy), vz),
-                             width, height)
-
-
-def _angles_to_pixels(phi, theta, width, height):
-    x = (phi + np.pi) / (2.0 * np.pi) * width - 0.5
-    y = theta / np.pi * height - 0.5
+    x = (np.arctan2(vy, vx) + np.pi) / (2.0 * np.pi) * width - 0.5
+    y = np.arctan2(np.hypot(vx, vy), vz) / np.pi * height - 0.5
     # wrap into [-0.5, width - 0.5) so pixel centers map to themselves
     return np.mod(x + 0.5, width) - 0.5, y
+
+
+def equirect_map(dirs, width: int, height: int) -> tuple:
+    """The bilinear_map that samples a width x height equirectangular image
+    along unit directions `dirs`."""
+    return bilinear_map(*dir_equirect(dirs, width, height), width, height, wrap_x=True)
 
 
 def bilinear_sample(img: np.ndarray, x, y, wrap_x: bool = True) -> np.ndarray:
@@ -204,8 +206,8 @@ def pano_to_ceiling(pano, proj: PanoProjection) -> np.ndarray:
     a = np.asarray(image_data(pano), dtype=np.float64)
     cx, cy = _ceiling_grid(proj)
     px, py, pz, valid = plane_to_sphere(cx, cy, proj.camera_offset)
-    x, y = dir_equirect(np.stack((px, py, pz), axis=-1), proj.pano_width, proj.pano_height)
-    out = bilinear_sample(a, x, y, wrap_x=True)
+    out = apply_bilinear_map(a, equirect_map(np.stack((px, py, pz), axis=-1),
+                                             a.shape[1], a.shape[0]))
     out[~valid] = 0.0
     return out
 
@@ -291,9 +293,7 @@ def crop_perspective(pano, yaw: float, pitch: float, hfov: float,
     v = (1.0 - 2.0 * (np.arange(out_height) + 0.5) / out_height) * tan_y
     uu, vv = np.meshgrid(u, v)
     dirs = forward + uu[..., None] * right + vv[..., None] * up
-    h, w = a.shape[:2]
-    x, y = dir_equirect(dirs, w, h)
-    return bilinear_sample(a, x, y, wrap_x=True)
+    return apply_bilinear_map(a, equirect_map(dirs, a.shape[1], a.shape[0]))
 
 
 def crop_set(pano, out_width: int = 320, out_height: int = 240,

@@ -1,8 +1,8 @@
 """Deterministic environment-light renderer for render-based evaluation.
 
-Spheres of simple materials (diffuse, mirror, glossy) above an optional
-ground plane, lit only by an equirectangular environment map and seen by an
-orthographic camera looking along -y. No shadows or interreflections: the
+Spheres of simple materials (diffuse, mirror, glossy), lit only by an
+equirectangular environment map and seen by an orthographic camera looking
+along -y. No shadows or interreflections: the
 point is a reproducible relighting comparison, not photorealism.
 
 Diffuse irradiance is a direct sum over environment texels, so renders are
@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import HdrImage, channel_mean, exposure_preview, image_data
-from .losses import log_psnr, ssim
-from .pano import apply_bilinear_map, bilinear_map, dir_equirect
+from .image import HdrImage, image_data
+from .losses import log_psnr, preview_ssim
+from .pano import apply_bilinear_map, equirect_dir, equirect_map
 
 __all__ = [
     "Material",
@@ -88,7 +88,6 @@ class OrthoCamera:
 class SceneConfig:
     camera: OrthoCamera
     spheres: tuple[Sphere, ...] = ()
-    plane_albedo: tuple[float, float, float] | None = None
     background: bool = True
 
 
@@ -104,12 +103,10 @@ def parse_scene(text: str) -> SceneConfig:
       sphere CX CY CZ RADIUS diffuse R G B
       sphere CX CY CZ RADIUS mirror
       sphere CX CY CZ RADIUS glossy EXPONENT R G B
-      plane R G B
       background on|off
     """
     camera = None
     spheres: list[Sphere] = []
-    plane = None
     background = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -139,8 +136,6 @@ def parse_scene(text: str) -> SceneConfig:
                 else:
                     raise SceneParseError(f"unknown material {kind!r}")
                 spheres.append(Sphere(center, radius, mat))
-            elif word == "plane":
-                plane = (float(args[0]), float(args[1]), float(args[2]))
             elif word == "background":
                 background = args[0].lower() in ("on", "true", "1", "yes")
             else:
@@ -151,8 +146,7 @@ def parse_scene(text: str) -> SceneConfig:
             raise SceneParseError(f"line {lineno}: bad arguments for {word!r}: {exc}") from None
     if camera is None:
         raise SceneParseError("scene has no camera line")
-    return SceneConfig(camera=camera, spheres=tuple(spheres),
-                       plane_albedo=plane, background=background)
+    return SceneConfig(camera=camera, spheres=tuple(spheres), background=background)
 
 
 def default_scene_text(width: int = 160, height: int = 120) -> str:
@@ -172,16 +166,10 @@ def _env_texel_table(envs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Texel directions (3, T) and solid-angle-weighted radiance (K, T, 3)
     of a (K, h, w, 3) stack of environments sharing one resolution."""
     k, h, w = envs.shape[:3]
-    theta = np.pi * (np.arange(h) + 0.5) / h
-    phi = 2.0 * np.pi * (np.arange(w) + 0.5) / w - np.pi
-    sin_t = np.sin(theta)
-    dirs = np.empty((3, h, w))
-    dirs[0] = sin_t[:, None] * np.cos(phi)[None, :]
-    dirs[1] = sin_t[:, None] * np.sin(phi)[None, :]
-    dirs[2] = np.cos(theta)[:, None]
-    d_omega = (2.0 * np.pi / w) * (np.pi / h) * sin_t
+    dirs = equirect_dir(np.arange(w)[None, :], np.arange(h)[:, None], w, h)
+    d_omega = (2.0 * np.pi / w) * (np.pi / h) * np.sin(np.pi * (np.arange(h) + 0.5) / h)
     weighted = envs * d_omega[:, None, None]
-    return dirs.reshape(3, -1), weighted.reshape(k, -1, 3)
+    return np.ascontiguousarray(dirs.reshape(-1, 3).T), weighted.reshape(k, -1, 3)
 
 
 def diffuse_irradiance(normals, env) -> np.ndarray:
@@ -247,11 +235,6 @@ def _glossy_dirs(reflect: np.ndarray, exponent: float) -> np.ndarray:
             + local[None, :, 2, None] * reflect[:, None, :])
 
 
-def _lookup_map(dirs: np.ndarray, env_w: int, env_h: int) -> tuple:
-    """Bilinear map of environment lookups along unit directions."""
-    return bilinear_map(*dir_equirect(dirs, env_w, env_h), env_w, env_h, wrap_x=True)
-
-
 @dataclass(frozen=True)
 class _SpherePlan:
     """What shading one sphere needs, independent of the environment."""
@@ -259,7 +242,7 @@ class _SpherePlan:
     mask: np.ndarray     # (h, w) pixels where this sphere is the nearest hit
     material: Material
     normals: np.ndarray  # (N, 3) unit normals at those pixels
-    lookup: tuple        # bilinear_map of the mirror/glossy directions
+    lookup: tuple        # equirect_map of the mirror/glossy directions
 
 
 def _plan_scene(scene: SceneConfig, env_w: int, env_h: int):
@@ -285,12 +268,9 @@ def _plan_scene(scene: SceneConfig, env_w: int, env_h: int):
         closer = visible & (y > hit_y)
         hit_y[closer] = y[closer]
         hit_index[closer] = si
-    # The ground plane z = 0 is parallel to the view rays of this camera,
-    # so it never produces hits; it is accepted in scenes for forward
-    # compatibility but does not shade.
 
     view_dir = np.array([0.0, -1.0, 0.0])
-    background = _lookup_map(view_dir, env_w, env_h) if scene.background else None
+    background = equirect_map(view_dir, env_w, env_h) if scene.background else None
     spheres = []
     for si, sphere in enumerate(scene.spheres):
         mask = hit_index == si
@@ -307,7 +287,7 @@ def _plan_scene(scene: SceneConfig, env_w: int, env_h: int):
             reflect = view_dir[None, :] - 2.0 * dot[:, None] * normals
             reflect /= np.linalg.norm(reflect, axis=-1, keepdims=True)
             dirs = reflect if mat.kind == "mirror" else _glossy_dirs(reflect, mat.exponent)
-            lookup = _lookup_map(dirs, env_w, env_h)
+            lookup = equirect_map(dirs, env_w, env_h)
         spheres.append(_SpherePlan(mask, mat, normals, lookup))
     return background, spheres
 
@@ -356,20 +336,14 @@ def render(scene: SceneConfig, env) -> HdrImage:
 
 
 def compare_renders(a, b, preview_ev: float = 0.0, preview_window_ev: float = 10.0) -> dict:
-    """Metric bundle for two renders: linear MSE, log-domain PSNR, and SSIM
-    of identically tone-mapped previews."""
+    """Metric bundle for two renders: linear MSE, log-domain PSNR, and the
+    preview_ssim of the pair."""
     pa = np.asarray(image_data(a), dtype=np.float64)
     pb = np.asarray(image_data(b), dtype=np.float64)
     if pa.shape != pb.shape:
         raise ValueError(f"shape mismatch: {pa.shape} vs {pb.shape}")
-    mse = float(((pa - pb) ** 2).mean())
-    scale = 1.0 / max(float(pb.max()), 1e-30)
-    prev_a = exposure_preview(HdrImage((pa * scale).astype(np.float32)),
-                              preview_ev, preview_window_ev)
-    prev_b = exposure_preview(HdrImage((pb * scale).astype(np.float32)),
-                              preview_ev, preview_window_ev)
     return {
-        "mse": mse,
+        "mse": float(((pa - pb) ** 2).mean()),
         "log_psnr": log_psnr(pa, pb),
-        "ssim": ssim(channel_mean(prev_a), channel_mean(prev_b)),
+        "ssim": preview_ssim(pa, pb, preview_ev, preview_window_ev),
     }

@@ -572,6 +572,53 @@ def test_bad_option_value_exits_before_reading(workdir, capsys, monkeypatch, arg
     assert not (workdir / "out").exists()
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["synth", "in.hdr", "-o", "out/x.ppm", "--target-mean", "1.5"], None),
+    (["synth", "in.hdr", "-o", "out/x.ppm", "--identity-crf", "--dynamic-range", "nan"], None),
+    (["calibrate", "in.hdr", "in.ppm", "-o", "out/x.pfm"], {"tau": 0}),
+    (["segment", "in.hdr", "-o", "out/x.ppm", "--t-low", "nan"], None),
+    (["segment", "in.hdr", "-o", "out/x.ppm", "--t-low", "2", "--t-high", "1"], None),
+    (["segment", "in.hdr", "-o", "out/x.ppm", "--t-high", "0.5"], {"t_low": 0.5}),
+    (["merge", "c.pfm", "p.pfm", "--ceil-ldr", "c.ppm", "-o", "out/x.pfm", "--merge-tau", "1.0"],
+     None),
+    (["preview", "in.hdr", "-o", "out/x.ppm", "--window", "0"], None),
+    (["preview", "in.hdr", "-o", "out/x.ppm", "--ev", "inf"], None),
+    (["convert", "in.hdr", "-o", "out/x.ppm", "--ev", "1024"], None),
+    (["synth", "in.hdr", "-o", "out/x.ppm", "--identity-crf"], {"dynamic_range_ev": -2000}),
+    (["p2c", "in.pfm", "-o", "out/x.pfm", "--d", "0"], None),
+    (["p2c", "in.pfm", "-o", "out/x.pfm"], {"plane_extent": -1.0}),
+    (["crop-set", "in.pfm", "--out-dir", "out", "--hfov-deg", "180"], None),
+    (["metrics", "a.pfm", "b.pfm", "--eps", "0"], None),
+], ids=["target-mean-above-1", "dynamic-range-nan", "tau-zero", "t-low-nan",
+        "t-low-above-t-high", "t-low-equals-t-high", "merge-tau-one", "window-zero", "ev-inf",
+        "ev-overflow", "dynamic-range-negative", "d-zero", "extent-negative", "hfov-180",
+        "eps-zero"])
+def test_real_option_out_of_range_exits_before_reading(workdir, capsys, monkeypatch, argv,
+                                                       config):
+    # the inputs do not exist: reading one would exit 2, not 1
+    monkeypatch.chdir(workdir)
+    if config is not None:
+        (workdir / "cfg.json").write_text(json.dumps(config))
+        argv = argv + ["--config", "cfg.json"]
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"]["type"] == "UsageError"
+    assert not (workdir / "out").exists()
+
+
+def test_real_option_closed_ends_are_accepted(workdir, capsys):
+    rng = np.random.default_rng(20)
+    hdr_path = save_hdr(workdir / "a.hdr", rng.uniform(0.5, 4.0, (16, 16, 3)))
+    ldr_path = save_ppm(workdir / "a.ppm", rng.integers(0, 200, (16, 16, 3)))
+    assert run(capsys, "calibrate", hdr_path, ldr_path, "-o", workdir / "c.pfm",
+               "--tau", 1)[0] == EXIT_OK
+    ceil_hdr = save_pfm(workdir / "c.pfm", rng.uniform(0.1, 2.0, (16, 16, 3)))
+    pano_hdr = save_pfm(workdir / "p.pfm", rng.uniform(0.1, 2.0, (16, 32, 3)))
+    assert run(capsys, "merge", ceil_hdr, pano_hdr, "--ceil-ldr", ldr_path, "-o",
+               workdir / "m.pfm", "--merge-tau", 0, "--d", 1)[0] == EXIT_OK
+
+
 def test_whole_number_config_values_are_accepted(workdir, capsys):
     hdr_path = save_hdr(workdir / "h.hdr", np.random.default_rng(17).lognormal(0, 1, (8, 8, 3)))
     assert run(capsys, "synth", hdr_path, "-o", workdir / "a.ppm", "--seed", 7,

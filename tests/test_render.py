@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -40,9 +41,19 @@ def test_parse_default_scene():
 
 
 def test_parse_plane_and_background():
-    scene = parse_scene("camera 8 8 1\nplane 0.5 0.5 0.5\nbackground off\n")
-    assert scene.plane_albedo == (0.5, 0.5, 0.5)
+    scene = parse_scene("camera 8 8 1\nbackground off\n")
     assert scene.background is False
+    # the ground plane never shaded: it is an unknown directive
+    with pytest.raises(SceneParseError, match="line 2: unknown directive 'plane'"):
+        parse_scene("camera 8 8 1\nplane 0.5 0.5 0.5\n")
+
+
+def test_render_module_is_not_shadowed():
+    import hdrkit
+    import hdrkit.render as m
+
+    assert inspect.ismodule(m) and m is hdrkit.render
+    assert callable(m.render) and callable(m.render_many)
 
 
 def test_parse_errors():
