@@ -63,6 +63,7 @@ from .image import (
 from .losses import metric_report
 from .pano import (
     DEFAULT_MERGE_TAU,
+    MAX_PLANE_EXTENT,
     PanoProjection,
     ceiling_to_pano,
     crop_set,
@@ -525,7 +526,8 @@ _OPTIONS = {
                           "panorama width in pixels, positive and even (required)"),
     "camera_d": _Option("--d", _real("(0, 1]"), 1.0,
                         "ceiling camera offset below the sphere center"),
-    "plane_extent": _Option("--extent", _real("(0, inf)"), 1.0, "half-width of the ceiling plane"),
+    "plane_extent": _Option("--extent", _real(f"(0, {MAX_PLANE_EXTENT:g}]"), 1.0,
+                            "half-width of the ceiling plane"),
     "merge_tau": _Option("--merge-tau", _real("[0, 1)"), DEFAULT_MERGE_TAU,
                          "ceiling LDR mean where the merge mask starts"),
     "width": _Option("--width", _integer(1), 320, "crop width in pixels (at least 1)"),

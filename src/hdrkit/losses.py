@@ -147,12 +147,17 @@ def display_anchor(pred, gt, ldr_linear, eps: float = 1e-6, peak: float = 255.0)
     Returns (pred_anchored, gt_anchored) as float64 arrays.
     """
     p, g = _pair(pred, gt)
+    return _anchor(p, g, ldr_linear, optimal_scale(p, g, eps), peak)
+
+
+def _anchor(p, g, ldr_linear, k: float, peak: float = 255.0):
+    """display_anchor of the float64 pair (p, g), given pred's alignment
+    scale k."""
     ldr = image_data(ldr_linear).astype(np.float64, copy=False)
     if ldr.shape != g.shape:
         raise ValueError("LDR anchor shape differs from the HDR pair")
     if float(ldr.max()) <= 0:
         raise ValueError("cannot anchor against an all-black LDR image")
-    k = optimal_scale(pred, gt, eps)
     ref = float(g.flat[int(np.argmax(ldr))])
     if ref <= 0:
         raise ValueError("ground truth is zero at the LDR's brightest element")
@@ -187,6 +192,33 @@ def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
+def _correlate_nearest(img: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
+    """Correlate img with the symmetric taps along axis, edge values
+    repeated past the border.
+
+    The sum runs in the order of ndimage's correlate1d for symmetric taps:
+    the centre first, then each mirrored pair added before it is weighted,
+    farthest pair first. The result is bit-identical to correlate1d with
+    mode="nearest", and so is every SSIM taken with it.
+    """
+    half = len(taps) // 2
+    n = img.shape[axis]
+    widths = [(0, 0)] * img.ndim
+    widths[axis] = (half, half)
+    padded = np.pad(img, widths, mode="edge")
+
+    def shifted(offset):
+        return padded[(slice(None),) * axis + (slice(half + offset, half + offset + n),)]
+
+    out = shifted(0) * taps[half]
+    pair = np.empty_like(out)
+    for j in range(half, 0, -1):
+        np.add(shifted(-j), shifted(j), out=pair)
+        pair *= taps[half - j]
+        out += pair
+    return out
+
+
 def ssim(
     a,
     b,
@@ -212,12 +244,9 @@ def ssim(
     if min(x.shape) < win_size:
         raise ValueError(f"image smaller than the {win_size}x{win_size} window")
     taps = _gaussian_taps(win_size, sigma)
-    # imported here, so that a CLI run that computes no SSIM never loads scipy
-    from scipy.ndimage import correlate1d
 
     def smooth(img):
-        out = correlate1d(img, taps, axis=0, mode="nearest")
-        return correlate1d(out, taps, axis=1, mode="nearest")
+        return _correlate_nearest(_correlate_nearest(img, taps, 0), taps, 1)
 
     mu_x = smooth(x)
     mu_y = smooth(y)
@@ -258,7 +287,7 @@ def metric_report(pred, gt, ldr_linear=None, eps: float = 1e-6,
     d = _log_diff(p, g, eps)
     k = float(math.exp(-d.mean()))
     if ldr_linear is not None:
-        p_cmp, g_cmp = display_anchor(p, g, ldr_linear, eps)
+        p_cmp, g_cmp = _anchor(p, g, ldr_linear, k)
     else:
         p_cmp, g_cmp = p * k, g
     return {

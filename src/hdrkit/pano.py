@@ -42,12 +42,16 @@ __all__ = [
     "crop_perspective",
     "crop_set",
     "DEFAULT_MERGE_TAU",
+    "MAX_PLANE_EXTENT",
     "CROP_YAWS_DEG",
     "CROP_ELEVATED_YAWS_DEG",
     "CROP_ELEVATED_PITCH_DEG",
 ]
 
 DEFAULT_MERGE_TAU = 0.13
+# the squared radius of a ceiling-plane corner, up to 2 * extent**2, must stay
+# finite, or the ceiling grid meets the sphere at NaN points
+MAX_PLANE_EXTENT = 1e150
 CROP_YAWS_DEG = (0.0, 60.0, 120.0, 180.0, 240.0, 300.0)
 CROP_ELEVATED_YAWS_DEG = (0.0, 120.0, 240.0)
 CROP_ELEVATED_PITCH_DEG = 45.0
@@ -71,8 +75,8 @@ class PanoProjection:
             raise ValueError("ceiling view must be square")
         if not 0 < self.camera_offset <= 1:
             raise ValueError("camera offset must lie in (0, 1]")
-        if self.plane_extent <= 0:
-            raise ValueError("plane extent must be positive")
+        if not 0 < self.plane_extent <= MAX_PLANE_EXTENT:
+            raise ValueError(f"plane extent must lie in (0, {MAX_PLANE_EXTENT:g}]")
 
 
 def equirect_dir(x, y, width: int, height: int) -> np.ndarray:
@@ -119,6 +123,8 @@ def bilinear_map(x, y, width: int, height: int, wrap_x: bool = True) -> tuple:
     width x height image at (x, y) with apply_bilinear_map."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("sampling coordinates must be finite")
     if wrap_x:
         x = np.mod(x, width)
         x0 = np.floor(x)

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -619,6 +620,21 @@ def test_real_option_closed_ends_are_accepted(workdir, capsys):
                workdir / "m.pfm", "--merge-tau", 0, "--d", 1)[0] == EXIT_OK
 
 
+@pytest.mark.parametrize("sub, extra", [("p2c", ["--ceil-size", 16]),
+                                        ("c2p", ["--pano-width", 32])])
+def test_huge_plane_extent_is_usage_error(workdir, capsys, sub, extra):
+    src = save_pfm(workdir / "in.pfm", np.random.default_rng(21).uniform(0.1, 2.0, (16, 32, 3)))
+    out = workdir / "out.pfm"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, sub, src, "-o", out, *extra, "--extent", "1e308")
+    assert code == EXIT_USAGE
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"]["type"] == "UsageError"
+    assert caught == []
+    assert not out.exists()
+
+
 def test_whole_number_config_values_are_accepted(workdir, capsys):
     hdr_path = save_hdr(workdir / "h.hdr", np.random.default_rng(17).lognormal(0, 1, (8, 8, 3)))
     assert run(capsys, "synth", hdr_path, "-o", workdir / "a.ppm", "--seed", 7,
@@ -676,3 +692,31 @@ def test_cli_import_leaves_scipy_out(workdir):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ssim"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_ssim_subcommands_leave_scipy_out(workdir):
+    rng = np.random.default_rng(22)
+    env = rng.uniform(0.02, 0.3, (16, 32, 3))
+    pred = save_pfm(workdir / "pred.pfm", env * rng.uniform(0.5, 2.0, env.shape))
+    gt = save_pfm(workdir / "gt.pfm", env)
+    ldr = save_ppm(workdir / "env.ppm", (np.clip(env * 2.0, 0, 1) * 255).astype(np.uint8))
+    scene = workdir / "scene.txt"
+    scene.write_text(default_scene_text(24, 18))
+    ref = workdir / "ref.pfm"
+    runs = [["render", scene, gt, "-o", ref],
+            ["metrics", pred, gt],
+            ["render", scene, pred, "-o", workdir / "r.pfm", "--reference", ref],
+            ["eval-ibl", pred, gt, ldr, scene]]
+    probe = ("import json, sys\n"
+             "from hdrkit.cli import main\n"
+             "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+             "print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith('scipy'))]))")
+    paths = [str(Path(hdrkit.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env_vars = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    argv = json.dumps([[str(a) for a in run_argv] for run_argv in runs])
+    proc = subprocess.run([sys.executable, "-c", probe, argv], capture_output=True, text=True,
+                          env=env_vars)
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert codes == [EXIT_OK] * len(runs)
+    assert scipy_modules == []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hdrkit import losses
 from hdrkit.image import HdrImage
 from hdrkit.losses import (
     LOG_PSNR_CAP_DB,
@@ -250,6 +251,22 @@ def test_display_anchor_black_ldr_rejected():
         display_anchor(gt, gt, np.zeros_like(gt))
 
 
+def test_anchored_report_takes_the_log_difference_once(monkeypatch):
+    pred, gt = random_pair(14, shape=(32, 32, 3))
+    ldr = np.clip(0.3 * gt, 0, 1)
+    calls = []
+    log = np.log
+
+    def counting_log(*args, **kwargs):
+        calls.append(1)
+        return log(*args, **kwargs)
+
+    monkeypatch.setattr(np, "log", counting_log)
+    metric_report(pred, gt, ldr)
+    # two for the log difference, two for log_psnr
+    assert len(calls) == 4
+
+
 # --- log PSNR and SSIM ----------------------------------------------------------
 
 def test_log_psnr_identical_capped():
@@ -314,6 +331,27 @@ def test_ssim_matches_reference_implementation():
     card = _test_card()
     neg = 255.0 - card
     assert ssim(card, neg) == pytest.approx(reference_ssim(card, neg), abs=1e-7)
+
+
+SSIM_SHAPES = [(512, 1024), (120, 160), (11, 11), (11, 300), (300, 11)]
+# taken with scipy.ndimage.correlate1d as the filter, before the numpy one
+SSIM_PINNED = [0.965453745352444, 0.9658535196210182, 0.9469383767791081,
+               0.9648279865051534, 0.964816841798957]
+
+
+@pytest.mark.parametrize("index", range(len(SSIM_SHAPES)),
+                         ids=["x".join(map(str, shape)) for shape in SSIM_SHAPES])
+def test_ssim_pinned(index):
+    rng = np.random.default_rng(700 + index)
+    a = rng.uniform(0, 255, SSIM_SHAPES[index])
+    b = np.clip(a + rng.normal(0, 20, a.shape), 0, 255)
+    assert ssim(a, b) == SSIM_PINNED[index]
+
+
+def test_gaussian_taps_are_exactly_symmetric():
+    # the filter sums mirrored taps in pairs, which needs w[i] == w[-1 - i]
+    taps = losses._gaussian_taps(11, 1.5)
+    assert np.array_equal(taps, taps[::-1])
 
 
 def test_metric_report_keys_and_self_values():

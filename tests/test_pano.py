@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from hdrkit.pano import (
+    MAX_PLANE_EXTENT,
     PanoProjection,
+    bilinear_map,
     bilinear_sample,
     ceiling_to_pano,
     crop_perspective,
@@ -39,6 +41,17 @@ def test_projection_validation():
         PanoProjection(128, 64, 64, 32)
     with pytest.raises(ValueError):
         PanoProjection(128, 64, 64, 64, camera_offset=1.5)
+    for extent in [0.0, -1.0, 1e308, math.inf, math.nan]:
+        with pytest.raises(ValueError, match="plane extent"):
+            PanoProjection(128, 64, 64, 64, plane_extent=extent)
+
+
+def test_largest_plane_extent_meets_no_float_error():
+    proj = PanoProjection(32, 16, 16, 16, plane_extent=MAX_PLANE_EXTENT)
+    with np.errstate(all="raise"):
+        out = pano_to_ceiling(np.ones((16, 32, 3)), proj)
+    # every pixel centre lies far outside the imaged unit disk
+    assert np.all(out == 0.0)
 
 
 def test_top_row_near_pole():
@@ -121,6 +134,16 @@ def test_bilinear_wraps_horizontally():
     # halfway between the last and first columns
     out = bilinear_sample(img, np.array([3.5]), np.array([0.0]))
     assert out[0, 0] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("wrap_x", [True, False])
+def test_bilinear_map_rejects_non_finite_coordinates(bad, wrap_x):
+    good = np.array([1.0, 2.0])
+    with pytest.raises(ValueError, match="finite"):
+        bilinear_map(np.array([1.0, bad]), good, 8, 4, wrap_x)
+    with pytest.raises(ValueError, match="finite"):
+        bilinear_map(good, np.array([bad, 1.0]), 8, 4, wrap_x)
 
 
 def test_bilinear_clamps_vertically():

@@ -1,10 +1,15 @@
 """Names that tooling outside the package relies on."""
 
+import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
-LAUNCHER = Path(__file__).resolve().parents[1] / "perfbench" / "launcher.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+LAUNCHER = ROOT / "perfbench" / "launcher.py"
 
 
 def test_benchmark_traced_names_exist():
@@ -17,3 +22,24 @@ def test_benchmark_traced_names_exist():
                for name in names
                if not callable(getattr(importlib.import_module(f"hdrkit.{layer}"), name, None))]
     assert missing == []
+
+
+def test_package_imports_no_scipy():
+    found = []
+    for path in sorted((ROOT / "src" / "hdrkit").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
+def test_runtime_dependencies_are_numpy_only():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [re.split(r"[\s<>=!~;\[]", dep)[0] for dep in project["dependencies"]] == ["numpy"]
