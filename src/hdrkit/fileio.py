@@ -85,33 +85,51 @@ _RGBE_RESOLUTION_RE = re.compile(rb"^-Y (\d+) \+X (\d+)$")
 # New-style RLE needs the scanline width to fit in the two-byte header.
 _RLE_MIN_WIDTH = 8
 _RLE_MAX_WIDTH = 32767
+# The codec converts, decodes and encodes about this many quadruple bytes at
+# a time, so its per-byte index arrays are O(band), not O(height*width).
+_BAND_BYTES = 1 << 18
 
 
-def _rgbe_to_float(rgbe: np.ndarray) -> np.ndarray:
+def _band_rows(width: int) -> int:
+    return max(1, _BAND_BYTES // (4 * width))
+
+
+def _rgbe_to_float(rgbe: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Decode (..., 4) uint8 quadruples to (..., 3) float32 radiance."""
-    mantissa = rgbe[..., :3].astype(np.float64)
-    exponent = rgbe[..., 3].astype(np.int32)
-    # value = mantissa * 2**(e-128) / 256; exponent byte 0 means black
-    scaled = np.ldexp(mantissa, (exponent - 136)[..., None])
-    scaled[exponent == 0] = 0.0
-    return scaled.astype(np.float32)
+    # value = mantissa * 2**(e-128) / 256, and exponent byte 0 means black.
+    # An 8-bit mantissa times a power of two >= 2**-135 is exact in float32.
+    scale = np.ldexp(1.0, np.arange(-136, 120)).astype(np.float32)
+    scale[0] = 0.0
+    return np.multiply(rgbe[..., :3], scale[rgbe[..., 3]][..., None], out=out, dtype=np.float32)
+
+
+def _encodable(rgb: np.ndarray) -> np.ndarray:
+    """rgb as float32 when that holds its values exactly, else float64;
+    raises unless every value is finite and below 2**127."""
+    rgb = np.asarray(rgb)
+    exact = rgb.dtype in (np.float16, np.float32)
+    rgb = rgb.astype(np.float32 if exact else np.float64, copy=False)
+    if not np.all(np.isfinite(rgb)):
+        raise ValueError("cannot encode non-finite values as RGBE")
+    if rgb.max(initial=0.0) >= 2.0 ** 127:  # frexp exponent above 127
+        raise ValueError("value too large for RGBE encoding (>= 2**127)")
+    return rgb
 
 
 def _float_to_rgbe(rgb: np.ndarray) -> np.ndarray:
-    """Encode (..., 3) float radiance to (..., 4) uint8 quadruples."""
-    rgb = np.asarray(rgb, dtype=np.float64)
-    if not np.all(np.isfinite(rgb)):
-        raise ValueError("cannot encode non-finite values as RGBE")
-    v = rgb.max(axis=-1)
+    """Encode (..., 3) radiance that _encodable returned to (..., 4) uint8
+    quadruples. Scaling by a power of two is exact, so float32 and float64
+    inputs quantize alike."""
+    v = np.maximum(np.maximum(rgb[..., 0], rgb[..., 1]), rgb[..., 2])
     _, exp = np.frexp(v)
-    if np.any(exp > 127):
-        raise ValueError("value too large for RGBE encoding (>= 2**127)")
-    out = np.zeros(rgb.shape[:-1] + (4,), dtype=np.uint8)
-    # Values below the representable exponent range encode as true black.
-    live = (v > 0) & (exp + 128 >= 1)
-    mant = np.floor(np.ldexp(rgb[live], (8 - exp[live])[..., None]))
-    out[live, :3] = np.clip(mant, 0, 255).astype(np.uint8)
-    out[live, 3] = (exp[live] + 128).astype(np.uint8)
+    # Values below the representable exponent range encode as true black:
+    # scaling by 2**-200 takes all their channels below 1.
+    live = (v > 0) & (exp >= -127)
+    mant = np.ldexp(rgb, np.where(live, 8 - exp, -200)[..., None])
+    np.maximum(mant, 0, out=mant)  # below 256 already; the cast truncates
+    out = np.empty(rgb.shape[:-1] + (4,), dtype=np.uint8)
+    out[..., :3] = mant
+    out[..., 3] = np.where(live, exp + 128, 0)
     return out
 
 
@@ -150,11 +168,11 @@ def read_rgbe(data: bytes) -> HdrImage:
     if len(payload) < _rgbe_min_payload(height, width):
         raise TruncatedDataError(
             f"RGBE payload of {len(payload)} bytes cannot hold {height}x{width} pixels")
-    pos = 0
-    rows = np.empty((height, width, 4), dtype=np.uint8)
-    for y in range(height):
-        pos = _read_scanline(payload, pos, rows[y], width)
-    return HdrImage(_rgbe_to_float(rows))
+    out = np.empty((height, width, 3), dtype=np.float32)
+    band = _band_rows(width)
+    for y, quads in _rgbe_bands(payload, height, width, band):
+        _rgbe_to_float(quads, out[y:y + band])
+    return HdrImage(out)
 
 
 def _rgbe_min_payload(height: int, width: int) -> int:
@@ -207,58 +225,187 @@ def _read_scanline(buf: memoryview, pos: int, out: np.ndarray, width: int) -> in
     return pos
 
 
+def _rgbe_bands(payload: memoryview, height: int, width: int, band: int):
+    """Yield (y, quadruples) for each band of `band` scanlines. All-RLE
+    payloads decode in bulk; anything else goes through _read_scanline."""
+    if not _RLE_MIN_WIDTH <= width <= _RLE_MAX_WIDTH:  # flat scanlines only
+        rows = np.frombuffer(payload, np.uint8, 4 * height * width).reshape(height, width, 4)
+    else:
+        # A 0 past the end reads as a zero-length block, which fails the
+        # lockstep parse, so reading a control byte needs no bound check.
+        buf = np.zeros(len(payload) + 1, dtype=np.uint8)
+        buf[:-1] = payload
+        blocks = _rle_blocks(buf, height, width)
+        if blocks is not None:
+            for y in range(0, height, band):
+                yield y, _expand_blocks(buf, blocks, y, min(y + band, height), width)
+            return
+        pos = 0
+        rows = np.empty((height, width, 4), dtype=np.uint8)
+        for y in range(height):
+            pos = _read_scanline(payload, pos, rows[y], width)
+    for y in range(0, height, band):
+        yield y, rows[y:y + band]
+
+
+def _rle_blocks(buf: np.ndarray, height: int, width: int):
+    """Locate the blocks of an all-RLE payload without a per-scanline loop.
+
+    Every (2, 2, width>>8, width&255) quadruple is taken as a candidate
+    scanline start, and all candidates are parsed in lockstep, one block
+    per step; the scanlines are then chained from offset 0. Returns
+    (control-byte offsets of the chained scanlines' blocks in decode order,
+    index of each scanline's first block), or None when the chain does not
+    explain the payload (a flat, malformed or unchained scanline): the
+    sequential parser then decodes it, or raises its error.
+    """
+    n = buf.size - 1
+    hit = buf[:n - 3] == 2
+    hit &= buf[1:n - 2] == 2
+    hit &= buf[2:n - 1] == width >> 8
+    hit &= buf[3:n] == width & 0xFF
+    cand = np.flatnonzero(hit)
+    del hit
+    if cand.size < height or cand[0] != 0:
+        return None
+    # State per live candidate: its index, next control byte, pixels done.
+    ids, pos, done = np.arange(cand.size), cand + 4, np.zeros(cand.size, dtype=np.int64)
+    end = np.full(cand.size, -1)
+    rec_ids, rec_pos, records = [], [], 0
+    while ids.size:
+        count = buf[pos]
+        run = count > 128
+        span = np.where(run, count - 128, count)
+        size = np.where(run, 2, count + 1)
+        ok = (count != 0) & (done % width + span <= width) & (pos + size <= n)
+        if not ok.all():
+            ids, pos, done, span, size = ids[ok], pos[ok], done[ok], span[ok], size[ok]
+        rec_ids.append(ids)
+        rec_pos.append(pos)
+        records += ids.size
+        # Valid scanlines spend 2 or more bytes per block, so more records
+        # than payload bytes come from false candidates. A step costs about
+        # a dozen blocks parsed sequentially, so a long tail of steps over
+        # few live candidates is cheaper in the sequential parser.
+        if records > n or 12 * len(rec_ids) > records + 4096:
+            return None
+        pos = pos + size
+        done = done + span
+        last = done == 4 * width
+        if last.any():
+            end[ids[last]] = pos[last]
+            live = ~last
+            ids, pos, done = ids[live], pos[live], done[live]
+
+    # Chain from candidate 0: doubling the successor map log2(height) times.
+    sink = cand.size
+    nxt = np.minimum(np.searchsorted(cand, end), sink - 1)
+    succ = np.append(np.where((end >= 0) & (cand[nxt] == end), nxt, sink), sink)
+    chain = np.zeros(1, dtype=np.intp)
+    while chain.size < height:
+        chain = np.concatenate((chain, succ[chain]))
+        succ = succ[succ]
+    chain = chain[:height]
+    if chain[-1] == sink or end[chain[-1]] < 0:
+        return None
+
+    # Blocks of the chained candidates, scanline by scanline in step order.
+    steps = np.array([len(r) for r in rec_ids])
+    rec_ids = np.concatenate(rec_ids)
+    rec_pos = np.concatenate(rec_pos)
+    rank = np.full(sink, -1)
+    rank[chain] = np.arange(height)
+    first = np.zeros(height + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rec_ids, minlength=sink)[chain], out=first[1:])
+    rec_rank = rank[rec_ids]
+    on = rec_rank >= 0
+    blocks = np.empty(first[-1], dtype=np.int64)
+    blocks[first[rec_rank[on]] + np.repeat(np.arange(steps.size), steps)[on]] = rec_pos[on]
+    return blocks, first
+
+
+def _expand_blocks(buf: np.ndarray, rle, y0: int, y1: int, width: int) -> np.ndarray:
+    """(y1-y0, width, 4) quadruples of scanlines y0..y1 from their blocks."""
+    blocks, first = rle
+    ctrl = blocks[first[y0]:first[y1]]
+    count = buf[ctrl]
+    lit = count <= 128
+    span = np.where(lit, count, count - 128)
+    # Source offset of each decoded byte: step 1 inside a literal, 0 inside
+    # a run, and a jump to the block's first data byte at its start.
+    src0 = ctrl + 1
+    last = src0 + lit * (span - 1)
+    step = np.repeat(lit.astype(np.int64), span)
+    step[np.cumsum(span) - span] = src0 - np.concatenate(([0], last[:-1]))
+    planes = buf[np.cumsum(step, out=step)]
+    return planes.reshape(y1 - y0, 4, width).transpose(0, 2, 1)
+
+
 def write_rgbe(h: HdrImage) -> bytes:
     """Encode an HDR image as Radiance RGBE, RLE-compressed when possible."""
-    arr = image_data(h)
+    arr = _encodable(image_data(h))
     height, width = arr.shape[:2]
-    rgbe = _float_to_rgbe(arr)
     parts = [b"#?RADIANCE\n", b"FORMAT=32-bit_rle_rgbe\n", b"\n",
              f"-Y {height} +X {width}\n".encode("ascii")]
     use_rle = _RLE_MIN_WIDTH <= width <= _RLE_MAX_WIDTH
-    for y in range(height):
-        row = rgbe[y]
-        if not use_rle:
-            parts.append(row.tobytes())
-            continue
-        parts.append(bytes((2, 2, width >> 8, width & 0xFF)))
-        for c in range(4):
-            parts.append(_encode_component(row[:, c]))
+    band = _band_rows(width)
+    for y in range(0, height, band):
+        quads = _float_to_rgbe(arr[y:y + band])
+        parts.append(_encode_scanlines(quads) if use_rle else quads.tobytes())
     return b"".join(parts)
 
 
-def _encode_component(values: np.ndarray) -> bytes:
-    """RLE-encode one scanline component (runs of >= 4, literals up to 128)."""
-    n = len(values)
-    boundaries = np.flatnonzero(np.diff(values)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [n]))
-    lengths = ends - starts
-    long_runs = np.flatnonzero(lengths >= 4)
-
-    out = bytearray()
-
-    def emit_literals(a: int, b: int) -> None:
-        for i in range(a, b, 128):
-            chunk = values[i:min(i + 128, b)]
-            out.append(len(chunk))
-            out.extend(chunk.tobytes())
-
-    cursor = 0
-    for idx in long_runs:
-        start, length = int(starts[idx]), int(lengths[idx])
-        if start > cursor:
-            emit_literals(cursor, start)
-        value = int(values[start])
-        remaining = length
-        while remaining > 0:
-            run = min(remaining, 127)
-            out.append(128 + run)
-            out.append(value)
-            remaining -= run
-        cursor = start + length
-    if cursor < n:
-        emit_literals(cursor, n)
-    return bytes(out)
+def _encode_scanlines(quads: np.ndarray) -> bytes:
+    """New-style RLE of (rows, width, 4) quadruples: per scanline a 4-byte
+    header, then each component as runs of >= 4 equal bytes (at most 127
+    per block) and the literal spans between them (at most 128 per block)."""
+    width = quads.shape[1]
+    flat = np.ascontiguousarray(quads.transpose(0, 2, 1)).reshape(-1)
+    n = flat.size
+    # same[i]: byte i repeats byte i-1 of its component row.
+    same = np.empty(n, dtype=bool)
+    np.equal(flat[1:], flat[:-1], out=same[1:])
+    same[::width] = False
+    # in_run[i]: byte i lies in a run of >= 4 equal bytes.
+    four = same[1:-2] & same[2:-1] & same[3:]  # bytes j..j+3 equal
+    in_run = np.zeros(n, dtype=bool)
+    for lag in range(4):
+        in_run[lag:n - 3 + lag] |= four
+    # Segments: each run of >= 4, and each literal span within a row.
+    cut = in_run.copy()
+    cut[1:] ^= in_run[:-1]
+    cut |= in_run & ~same
+    cut[::width] = True
+    seg_start = np.flatnonzero(cut)
+    seg_len = np.diff(seg_start, append=n)
+    seg_cap = np.where(in_run[seg_start], 127, 128)
+    # Blocks: each segment cut into pieces of at most its cap.
+    pieces = -(-seg_len // seg_cap)
+    seg = np.repeat(np.arange(seg_start.size), pieces)
+    cap = seg_cap[seg]
+    start = seg_start[seg] + (np.arange(seg.size) - (np.cumsum(pieces) - pieces)[seg]) * cap
+    length = np.minimum(cap, seg_start[seg] + seg_len[seg] - start)
+    run = cap == 127
+    # Byte offsets: a block is its control byte plus its data, and the first
+    # block of each scanline follows the 4-byte scanline header.
+    header = start % (4 * width) == 0
+    size = np.where(run, 2, 1 + length) + 4 * header
+    end = np.cumsum(size)
+    ctrl = end - size + 4 * header
+    out = np.empty(end[-1], dtype=np.uint8)
+    head = ctrl[header] - 4
+    for i, byte in enumerate((2, 2, width >> 8, width & 0xFF)):
+        out[head + i] = byte
+    out[ctrl] = np.where(run, 128 + length, length)
+    # Destination of every byte: step 1 inside a literal block, 0 inside a
+    # run (all of its bytes land on its one data byte), and a jump to the
+    # block's first data byte at its start.
+    first = ctrl + 1
+    last = first + ~run * (length - 1)
+    step = (~in_run).astype(np.int64)
+    step[start] = first - np.concatenate(([0], last[:-1]))
+    out[np.cumsum(step, out=step)] = flat
+    return out.tobytes()
 
 
 # ---------------------------------------------------------------------------

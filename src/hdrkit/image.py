@@ -154,9 +154,8 @@ def quantize_u8(x: np.ndarray) -> np.ndarray:
 
 def srgb_to_linear(img: LdrImage) -> LinearLdr:
     """Convert stored 8-bit sRGB codes to linear RGB in [0, 1]."""
-    codes = image_data(img)
-    lin = srgb_eotf(codes.astype(np.float64) / 255.0)
-    return LinearLdr(np.clip(lin, 0.0, 1.0).astype(np.float32))
+    lut = np.clip(srgb_eotf(np.arange(256) / 255.0), 0.0, 1.0).astype(np.float32)
+    return LinearLdr(lut[image_data(img)])
 
 
 def linear_to_srgb(img: LinearLdr) -> LdrImage:

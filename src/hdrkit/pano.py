@@ -233,10 +233,10 @@ def ceiling_to_pano(ceil, proj: PanoProjection) -> tuple[np.ndarray, np.ndarray]
     cx, cy = sphere_to_plane(px, py, np.where(valid, pz, 0.0), proj.camera_offset)
     ext = proj.plane_extent
     valid &= (np.abs(cx) <= ext) & (np.abs(cy) <= ext)
-    jc = (cx / ext + 1.0) / 2.0 * proj.ceil_width - 0.5
-    ic = (1.0 - cy / ext) / 2.0 * proj.ceil_height - 0.5
-    out = bilinear_sample(a, np.where(valid, jc, 0.0), np.where(valid, ic, 0.0),
-                          wrap_x=False)
+    # Divide only in-extent coordinates: the rest overflow for a tiny extent.
+    jc = (np.where(valid, cx, 0.0) / ext + 1.0) / 2.0 * proj.ceil_width - 0.5
+    ic = (1.0 - np.where(valid, cy, 0.0) / ext) / 2.0 * proj.ceil_height - 0.5
+    out = bilinear_sample(a, jc, ic, wrap_x=False)
     out[~valid] = 0.0
     return out, valid.astype(np.float64)
 

@@ -635,6 +635,18 @@ def test_huge_plane_extent_is_usage_error(workdir, capsys, sub, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extent", ["1e-310", "5e-324"])
+def test_c2p_subnormal_extent_is_silent(workdir, capsys, extent):
+    ceil = save_pfm(workdir / "ceil.pfm", np.random.default_rng(22).uniform(0.1, 2.0, (16, 16, 3)))
+    out = workdir / "p.pfm"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "c2p", ceil, "-o", out, "--pano-width", 32,
+                           "--extent", extent)
+    assert code == EXIT_OK and err == ""
+    assert load(out).width == 32
+
+
 def test_whole_number_config_values_are_accepted(workdir, capsys):
     hdr_path = save_hdr(workdir / "h.hdr", np.random.default_rng(17).lognormal(0, 1, (8, 8, 3)))
     assert run(capsys, "synth", hdr_path, "-o", workdir / "a.ppm", "--seed", 7,

@@ -63,6 +63,17 @@ def test_srgb_roundtrip_all_codes():
     assert np.array_equal(back.data, codes)
 
 
+def test_srgb_to_linear_matches_elementwise_formula():
+    # every code at unaligned offsets in each channel of an odd-sized image
+    codes = (np.arange(37 * 29 * 3).reshape(37, 29, 3) * 7 + 3) % 256
+    codes[5, 3:, 1] = np.arange(26) + 230
+    want = np.clip(srgb_eotf(codes.astype(np.float64) / 255.0), 0.0, 1.0).astype(np.float32)
+    got = srgb_to_linear(LdrImage(codes.astype(np.uint8))).data
+    assert got.dtype == np.float32
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    assert set(np.unique(codes)) == set(range(256))
+
+
 def test_srgb_eotf_monotone_over_codes():
     lin = srgb_eotf(np.arange(256) / 255.0)
     assert np.all(np.diff(lin) > 0)
