@@ -89,10 +89,6 @@ def luminance_seg_labels(
     if not 0 < t_low < t_high:
         raise ValueError("thresholds must satisfy 0 < t_low < t_high")
     mean = channel_mean(h_cal)
-    classes = np.full(mean.shape, 1, dtype=np.int64)
-    classes[mean <= t_low] = 0
-    classes[mean >= t_high] = 2
-    onehot = np.zeros(mean.shape + (3,), dtype=np.uint8)
-    rows, cols = np.indices(mean.shape)
-    onehot[rows, cols, classes] = 1
-    return SegMask(onehot)
+    dim = mean <= t_low
+    bright = mean >= t_high
+    return SegMask(np.stack((dim, ~(dim | bright), bright), axis=-1).view(np.uint8))

@@ -34,6 +34,8 @@ _SRGB_A = 1.055
 _SRGB_B = 0.055
 _SRGB_GAMMA = 2.4
 _SRGB_EOTF_BREAK = _SRGB_LINEAR_MAX / _SRGB_SLOPE  # 0.0031308...
+# values per row band of exposure_preview: 512 KiB per float64 temporary
+_PREVIEW_BAND_VALUES = 1 << 16
 
 
 @dataclass(eq=False)
@@ -164,8 +166,19 @@ def linear_to_srgb(img: LinearLdr) -> LdrImage:
 
 
 def channel_mean(img) -> np.ndarray:
-    """Per-pixel arithmetic mean of the three channels, as (H, W) float64."""
-    return image_data(img).astype(np.float64, copy=False).mean(axis=2)
+    """Per-pixel arithmetic mean of the three channels, as (H, W) float64.
+
+    Bit-identical to mean(axis=2), which sums from +0.0 in channel order
+    but runs as a slow strided reduction over the 3-long axis.
+    """
+    d = image_data(img)
+    if d.ndim != 3 or d.shape[2] != 3:
+        raise ValueError(f"expected (height, width, 3) array, got shape {d.shape}")
+    total = np.add(0.0, d[..., 0], dtype=np.float64)
+    total += d[..., 1]
+    total += d[..., 2]
+    total /= 3
+    return total
 
 
 def exposure_preview(h: HdrImage, exposure_ev: float, dr_window_ev: float) -> LdrImage:
@@ -177,7 +190,15 @@ def exposure_preview(h: HdrImage, exposure_ev: float, dr_window_ev: float) -> Ld
     """
     if not dr_window_ev > 0:
         raise ValueError("dr_window_ev must be positive")
-    scaled = image_data(h).astype(np.float64, copy=False) * (2.0 ** exposure_ev)
+    data = image_data(h)
+    gain = 2.0 ** exposure_ev
     floor = 2.0 ** (-dr_window_ev)
-    windowed = np.where(scaled < floor, 0.0, np.minimum(scaled, 1.0))
-    return LdrImage(quantize_u8(srgb_oetf(windowed)))
+    out = np.empty(data.shape, dtype=np.uint8)
+    # Row bands bound the float64 temporaries; every value is computed as
+    # it would be on the whole image.
+    band = max(1, _PREVIEW_BAND_VALUES // max(1, int(np.prod(data.shape[1:]))))
+    for r in range(0, data.shape[0], band):
+        scaled = data[r:r + band].astype(np.float64, copy=False) * gain
+        windowed = np.where(scaled < floor, 0.0, np.minimum(scaled, 1.0))
+        out[r:r + band] = quantize_u8(srgb_oetf(windowed))
+    return LdrImage(out)

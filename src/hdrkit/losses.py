@@ -286,12 +286,14 @@ def metric_report(pred, gt, ldr_linear=None, eps: float = 1e-6,
     p, g = _pair(pred, gt)
     d = _log_diff(p, g, eps)
     k = float(math.exp(-d.mean()))
+    si = float(d.var())
+    del d  # one image of float64 less during log_psnr and preview_ssim
     if ldr_linear is not None:
         p_cmp, g_cmp = _anchor(p, g, ldr_linear, k)
     else:
         p_cmp, g_cmp = p * k, g
     return {
-        "si_mse": float(d.var()),
+        "si_mse": si,
         "log_psnr": log_psnr(p_cmp, g_cmp, eps),
         "ssim": preview_ssim(p_cmp, g_cmp, preview_ev, preview_window_ev),
         "kappa": k,

@@ -14,16 +14,24 @@ Conventions, fixed throughout the toolkit:
 * Ceiling pixel (row 0, col 0) is the plane corner (-extent, +extent);
   columns increase +x, rows decrease +y.
 * Bilinear sampling wraps horizontally and clamps vertically.
+
+Resampling is split into an image-independent map (bilinear_map) and a
+gather (apply_bilinear_map). ceiling_to_pano keeps one cached plan per
+projection and ceiling size: the flat indices of the panorama pixels a
+ceiling view can fill, all on or above the equator, and the map over those
+pixels alone. merge_mask and merge_panorama share it, so one merge builds
+the geometry once and gathers only the valid half of the panorama.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .image import image_data
+from .image import channel_mean, image_data
 
 __all__ = [
     "PanoProjection",
@@ -218,6 +226,30 @@ def pano_to_ceiling(pano, proj: PanoProjection) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _ceiling_plan(proj: PanoProjection, ceil_height: int, ceil_width: int) -> tuple:
+    """The geometry of ceiling_to_pano for a ceil_height x ceil_width image:
+    the flat indices of the valid panorama pixels, then the bilinear_map
+    that samples the ceiling at them. Read-only, as every caller shares it.
+    """
+    w, h = proj.pano_width, proj.pano_height
+    # Rows y >= (h + 1) // 2 lie a half row or more below the equator.
+    xs, ys = np.meshgrid(np.arange(w), np.arange((h + 1) // 2))
+    dirs = equirect_dir(xs, ys, w, h)
+    pz = dirs[..., 2]
+    cx, cy = sphere_to_plane(dirs[..., 0], dirs[..., 1], pz, proj.camera_offset)
+    ext = proj.plane_extent
+    valid = (pz >= 0) & (np.abs(cx) <= ext) & (np.abs(cy) <= ext)
+    # Divide only in-extent coordinates: the rest overflow for a tiny extent.
+    jc = (cx[valid] / ext + 1.0) / 2.0 * proj.ceil_width - 0.5
+    ic = (1.0 - cy[valid] / ext) / 2.0 * proj.ceil_height - 0.5
+    plan = (np.flatnonzero(valid),) + bilinear_map(jc, ic, ceil_width, ceil_height,
+                                                   wrap_x=False)
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
+
+
 def ceiling_to_pano(ceil, proj: PanoProjection) -> tuple[np.ndarray, np.ndarray]:
     """Resample a ceiling-view image back into panorama coordinates.
 
@@ -225,20 +257,13 @@ def ceiling_to_pano(ceil, proj: PanoProjection) -> tuple[np.ndarray, np.ndarray]
     outside the imaged plane region are 0 with validity 0.
     """
     a = np.asarray(image_data(ceil), dtype=np.float64)
-    w, h = proj.pano_width, proj.pano_height
-    xs, ys = np.meshgrid(np.arange(w), np.arange(h))
-    dirs = equirect_dir(xs, ys, w, h)
-    px, py, pz = dirs[..., 0], dirs[..., 1], dirs[..., 2]
-    valid = pz >= 0
-    cx, cy = sphere_to_plane(px, py, np.where(valid, pz, 0.0), proj.camera_offset)
-    ext = proj.plane_extent
-    valid &= (np.abs(cx) <= ext) & (np.abs(cy) <= ext)
-    # Divide only in-extent coordinates: the rest overflow for a tiny extent.
-    jc = (np.where(valid, cx, 0.0) / ext + 1.0) / 2.0 * proj.ceil_width - 0.5
-    ic = (1.0 - np.where(valid, cy, 0.0) / ext) / 2.0 * proj.ceil_height - 0.5
-    out = bilinear_sample(a, jc, ic, wrap_x=False)
-    out[~valid] = 0.0
-    return out, valid.astype(np.float64)
+    idx, *smap = _ceiling_plan(proj, a.shape[0], a.shape[1])
+    h, w = proj.pano_height, proj.pano_width
+    out = np.zeros((h * w,) + a.shape[2:])
+    out[idx] = apply_bilinear_map(a, smap)
+    valid = np.zeros(h * w)
+    valid[idx] = 1.0
+    return out.reshape((h, w) + a.shape[2:]), valid.reshape(h, w)
 
 
 def merge_mask(i_ceil, proj: PanoProjection, tau: float = DEFAULT_MERGE_TAU) -> np.ndarray:
@@ -250,7 +275,7 @@ def merge_mask(i_ceil, proj: PanoProjection, tau: float = DEFAULT_MERGE_TAU) -> 
     if not 0 <= tau < 1:
         raise ValueError("tau must lie in [0, 1)")
     pano, _ = ceiling_to_pano(i_ceil, proj)
-    mean = pano.mean(axis=2) if pano.ndim == 3 else pano
+    mean = channel_mean(pano) if pano.ndim == 3 else pano
     return np.clip(np.maximum(0.0, mean - tau) / (1.0 - tau), 0.0, 1.0)
 
 
@@ -310,12 +335,13 @@ def crop_set(pano, out_width: int = 320, out_height: int = 240,
     45 degrees elevation (omitted for outdoor scenes). Returns a list of
     (image, params) pairs where params records yaw/pitch in degrees.
     """
+    a = np.asarray(image_data(pano), dtype=np.float64)
     views = [(yaw, 0.0) for yaw in CROP_YAWS_DEG]
     if not outdoor:
         views += [(yaw, CROP_ELEVATED_PITCH_DEG) for yaw in CROP_ELEVATED_YAWS_DEG]
     crops = []
     for yaw_deg, pitch_deg in views:
-        img = crop_perspective(pano, math.radians(yaw_deg), math.radians(pitch_deg),
+        img = crop_perspective(a, math.radians(yaw_deg), math.radians(pitch_deg),
                                math.radians(hfov_deg), out_width, out_height)
         crops.append((img, {"yaw_deg": yaw_deg, "pitch_deg": pitch_deg,
                             "hfov_deg": hfov_deg,

@@ -122,6 +122,23 @@ def test_seg_channels_sum_to_one():
     assert np.all(mask.data.sum(axis=2) == 1)
 
 
+def test_seg_labels_match_fancy_index_one_hot():
+    rng = np.random.default_rng(6)
+    data = rng.lognormal(-2.0, 3.0, (37, 53, 3)).astype(np.float32)
+    data[0, :3] = [[0.25] * 3, [1.5] * 3, [0.0] * 3]  # on both thresholds, and zero
+    mean = data.astype(np.float64).mean(axis=2)
+    for t_low, t_high in [(DEFAULT_T_LOW, DEFAULT_T_HIGH), (0.25, 1.5)]:
+        classes = np.full(mean.shape, 1, dtype=np.int64)
+        classes[mean <= t_low] = 0
+        classes[mean >= t_high] = 2
+        want = np.zeros(mean.shape + (3,), dtype=np.uint8)
+        rows, cols = np.indices(mean.shape)
+        want[rows, cols, classes] = 1
+        got = luminance_seg_labels(HdrImage(data), t_low, t_high).data
+        assert got.dtype == np.uint8 and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+
 def test_seg_threshold_validation():
     img = HdrImage(np.ones((1, 1, 3), dtype=np.float32))
     with pytest.raises(ValueError):

@@ -98,6 +98,39 @@ def test_channel_mean_constant():
     assert np.allclose(channel_mean(img), 2.5)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_channel_mean_equals_numpy_mean_bitwise(dtype):
+    rng = np.random.default_rng(12)
+    img = rng.lognormal(0.0, 2.0, (33, 47, 3)) * rng.choice([-1.0, 1.0], (33, 47, 3))
+    img[rng.uniform(size=img.shape) < 0.2] = 0.0
+    img[rng.uniform(size=img.shape) < 0.2] = -0.0
+    img[0, 0] = -0.0  # mean gives +0.0 here, a plain three-plane sum -0.0
+    img = img.astype(dtype)
+    want = img.astype(np.float64).mean(axis=2)
+    got = channel_mean(img)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_channel_mean_rejects_other_channel_counts():
+    with pytest.raises(ValueError, match="height, width, 3"):
+        channel_mean(np.ones((2, 2, 4)))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 3), (7, 5, 3), (203, 97, 3), (40, 1024, 3)])
+def test_exposure_preview_matches_whole_image_formula(shape):
+    # several row bands, with a partial last band, must give the bytes of
+    # the formula applied to the whole image at once
+    rng = np.random.default_rng(shape[0])
+    for data in (rng.lognormal(-3.0, 3.0, shape), rng.lognormal(-3.0, 3.0, shape).astype(np.float32)):
+        for ev, window in [(0.0, 10.0), (2.5, 4.0), (-1.0, 12.0)]:
+            scaled = data.astype(np.float64) * (2.0 ** ev)
+            windowed = np.where(scaled < 2.0 ** -window, 0.0, np.minimum(scaled, 1.0))
+            want = quantize_u8(srgb_oetf(windowed))
+            assert np.array_equal(exposure_preview(HdrImage(data), ev, window).data, want)
+
+
 def test_exposure_preview_saturation():
     h = HdrImage(np.ones((2, 2, 3), dtype=np.float32))
     out = exposure_preview(h, 0.0, 8.0)

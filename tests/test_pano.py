@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from hdrkit import pano as pano_module
 from hdrkit.pano import (
     MAX_PLANE_EXTENT,
     PanoProjection,
@@ -215,6 +217,88 @@ def test_p2c_sample_positions_rotate_with_panorama_roll():
     expected = np.mod(x + W / 4 + 0.5, W) - 0.5
     diff = np.mod(x_rot - expected + W / 2, W) - W / 2
     assert np.abs(diff[v_rot & valid]).max() < 1e-9
+
+
+def full_grid_ceiling_to_pano(ceil, proj):
+    """ceiling_to_pano as it was before the cached valid-pixel plan: the
+    whole panorama's geometry and gather, then invalid pixels zeroed."""
+    a = np.asarray(ceil, dtype=np.float64)
+    w, h = proj.pano_width, proj.pano_height
+    xs, ys = np.meshgrid(np.arange(w), np.arange(h))
+    dirs = equirect_dir(xs, ys, w, h)
+    px, py, pz = dirs[..., 0], dirs[..., 1], dirs[..., 2]
+    valid = pz >= 0
+    cx, cy = sphere_to_plane(px, py, np.where(valid, pz, 0.0), proj.camera_offset)
+    ext = proj.plane_extent
+    valid &= (np.abs(cx) <= ext) & (np.abs(cy) <= ext)
+    jc = (np.where(valid, cx, 0.0) / ext + 1.0) / 2.0 * proj.ceil_width - 0.5
+    ic = (1.0 - np.where(valid, cy, 0.0) / ext) / 2.0 * proj.ceil_height - 0.5
+    out = bilinear_sample(a, jc, ic, wrap_x=False)
+    out[~valid] = 0.0
+    return out, valid.astype(np.float64)
+
+
+@pytest.mark.parametrize("pano_width", [32, 64, 30])
+@pytest.mark.parametrize("ceil_size", [7, 16, 64])
+@pytest.mark.parametrize("camera_d", [1.0, 0.5])
+@pytest.mark.parametrize("extent", [0.5, 1.0, 3.0])
+def test_c2p_matches_full_grid_oracle(pano_width, ceil_size, camera_d, extent):
+    proj = PanoProjection(pano_width, pano_width // 2, ceil_size, ceil_size,
+                          camera_offset=camera_d, plane_extent=extent)
+    rng = np.random.default_rng(ceil_size)
+    # the last ceiling is larger than proj's: the sampler clamps to the
+    # image, the coordinates come from proj
+    for ceil in (rng.lognormal(0.0, 1.0, (ceil_size, ceil_size, 3)),
+                 rng.uniform(0.0, 1.0, (ceil_size, ceil_size)).astype(np.float32),
+                 rng.uniform(0.0, 2.0, (ceil_size + 5, ceil_size + 5, 3))):
+        got, got_valid = ceiling_to_pano(ceil, proj)
+        want, want_valid = full_grid_ceiling_to_pano(ceil, proj)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_valid, want_valid)
+
+
+def test_merge_builds_the_geometry_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return equirect_dir(*args, **kwargs)
+
+    monkeypatch.setattr(pano_module, "equirect_dir", counted)
+    pano_module._ceiling_plan.cache_clear()
+    proj = PanoProjection(64, 32, 32, 32)
+    ceil = np.full((32, 32, 3), 0.5)
+    m = merge_mask(ceil, proj)
+    merge_panorama(ceil, np.ones((32, 64, 3)), m, proj)
+    assert len(calls) == 1
+
+
+def test_cached_plan_is_read_only():
+    proj = PanoProjection(64, 32, 16, 16)
+    ceiling_to_pano(np.ones((16, 16, 3)), proj)
+    plan = pano_module._ceiling_plan(proj, 16, 16)
+    for arr in plan:
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
+def test_merge_memory_at_dataset_size():
+    # Measured here: 96 MiB with the valid-pixel plan against 179 MiB for
+    # two full-grid conversions. The bound leaves 15% over the measured peak.
+    proj = PanoProjection(1024, 512, 512, 512)
+    rng = np.random.default_rng(9)
+    ldr = rng.uniform(0.0, 1.0, (512, 512, 3)).astype(np.float32)
+    h_c = rng.uniform(0.1, 5.0, (512, 512, 3)).astype(np.float32)
+    h_p = rng.uniform(0.1, 5.0, (512, 1024, 3)).astype(np.float32)
+    pano_module._ceiling_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        merge_panorama(h_c, h_p, merge_mask(ldr, proj), proj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 110 * 2 ** 20
 
 
 # --- merge ------------------------------------------------------------------------
