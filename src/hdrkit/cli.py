@@ -71,7 +71,7 @@ from .pano import (
     merge_panorama,
     pano_to_ceiling,
 )
-from .render import compare_renders, parse_scene, render, render_many
+from .render import SceneParseError, compare_renders, parse_scene, render, render_many
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -373,10 +373,8 @@ def _cmd_crop_set(args, params) -> int:
     return EXIT_OK
 
 
-def _render_one(env_path: Path, out_path: Path, scene_text: str, scene_path: str) -> dict:
-    scene = parse_scene(scene_text)
-    env = _read_hdr(env_path)
-    image = render(scene, env)
+def _render_one(env_path: Path, out_path: Path, scene, scene_path: str) -> dict:
+    image = render(scene, _read_hdr(env_path))
     _write_output(out_path, image, {
         "subcommand": "render",
         "inputs": [scene_path, str(env_path)],
@@ -386,15 +384,22 @@ def _render_one(env_path: Path, out_path: Path, scene_text: str, scene_path: str
 
 
 def _cmd_render(args, params) -> int:
-    with open(args.scene, "r", encoding="utf-8") as fh:
-        scene_text = fh.read()
     envs = [Path(p) for p in args.envs]
     if args.output and len(envs) > 1:
         raise UsageError("use --out-dir when rendering multiple environments")
+    if args.reference and len(envs) > 1:
+        raise UsageError("--reference compares a single render; give one environment")
     outs = _batch_outputs(envs, args.output, args.out_dir, "_render.pfm")
-    code = _run_batch(envs, lambda p, i: _render_one(p, outs[i], scene_text, args.scene),
+    with open(args.scene, "r", encoding="utf-8") as fh:
+        scene_text = fh.read()
+    try:
+        scene = parse_scene(scene_text)
+    except SceneParseError as exc:
+        _emit_error(type(exc).__name__, str(exc), file=args.scene)
+        return EXIT_NUMERIC
+    code = _run_batch(envs, lambda p, i: _render_one(p, outs[i], scene, args.scene),
                       params["jobs"])
-    if code == EXIT_OK and args.reference and len(envs) == 1:
+    if code == EXIT_OK and args.reference:
         ref = _read_hdr(args.reference)
         made = _read_hdr(outs[0])
         _print_json(compare_renders(made, ref))

@@ -163,13 +163,30 @@ def apply_bilinear_map(img: np.ndarray, smap: tuple) -> np.ndarray:
     if a.ndim == 3:
         fx = fx[..., None]
         fy = fy[..., None]
+    # The lerps top = v00 + fx * (v10 - v00), bottom likewise, and
+    # top + fy * (bottom - top), in place on the gathered copies: each
+    # difference of two neighbours in the image's dtype, the rest in the
+    # promoted dtype. + and * commute exactly, so the values are those of
+    # the three expressions, with fewer full-size temporaries.
+    dtype = np.result_type(flat, fx)
     v00 = np.take(flat, i00, axis=0)
-    v10 = np.take(flat, i10, axis=0)
+    top = np.take(flat, i10, axis=0)
+    top -= v00
+    top = top.astype(dtype, copy=False)
+    top *= fx
+    top += v00
+    del v00
     v01 = np.take(flat, i01, axis=0)
-    v11 = np.take(flat, i11, axis=0)
-    top = v00 + fx * (v10 - v00)
-    bottom = v01 + fx * (v11 - v01)
-    return top + fy * (bottom - top)
+    bottom = np.take(flat, i11, axis=0)
+    bottom -= v01
+    bottom = bottom.astype(dtype, copy=False)
+    bottom *= fx
+    bottom += v01
+    del v01
+    bottom -= top
+    bottom *= fy
+    bottom += top
+    return bottom
 
 
 def plane_to_sphere(cx, cy, offset: float = 1.0):

@@ -12,6 +12,10 @@ environment value. Glossy lobes use a fixed stratified sample grid.
 
 from __future__ import annotations
 
+import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +44,7 @@ GLOSSY_GRID = (16, 16)  # stratified samples per glossy shading point
 # 2 MiB L2 cache while it is reduced against each environment.
 _NORMAL_TILE = 512
 _TEXEL_TILE = 256
+_VIEW_DIR = np.array([0.0, -1.0, 0.0])  # the orthographic camera looks along -y
 
 
 @dataclass(frozen=True)
@@ -53,8 +58,8 @@ class Material:
             raise ValueError(f"unknown material kind {self.kind!r}")
         if any(not 0 <= a <= 1 for a in self.albedo):
             raise ValueError("albedo components must lie in [0, 1]")
-        if self.kind == "glossy" and self.exponent < 1:
-            raise ValueError("glossy exponent must be >= 1")
+        if self.kind == "glossy" and not (math.isfinite(self.exponent) and self.exponent >= 1):
+            raise ValueError("glossy exponent must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -64,8 +69,10 @@ class Sphere:
     material: Material
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("sphere radius must be positive")
+        if not all(math.isfinite(c) for c in self.center):
+            raise ValueError("sphere center must be finite")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError("sphere radius must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -80,8 +87,10 @@ class OrthoCamera:
     center_z: float = 1.0
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1 or self.span <= 0:
+        if self.width < 1 or self.height < 1 or not self.span > 0:
             raise ValueError("camera needs positive dimensions and span")
+        if not all(math.isfinite(v) for v in (self.span, self.center_x, self.center_z)):
+            raise ValueError("camera span and center must be finite")
 
 
 @dataclass(frozen=True)
@@ -239,10 +248,9 @@ def _glossy_dirs(reflect: np.ndarray, exponent: float) -> np.ndarray:
 class _SpherePlan:
     """What shading one sphere needs, independent of the environment."""
 
-    mask: np.ndarray     # (h, w) pixels where this sphere is the nearest hit
+    pixels: np.ndarray   # (N,) flat indices of the pixels where it is the nearest hit
     material: Material
     normals: np.ndarray  # (N, 3) unit normals at those pixels
-    lookup: tuple        # equirect_map of the mirror/glossy directions
 
 
 def _plan_scene(scene: SceneConfig, env_w: int, env_h: int):
@@ -269,8 +277,7 @@ def _plan_scene(scene: SceneConfig, env_w: int, env_h: int):
         hit_y[closer] = y[closer]
         hit_index[closer] = si
 
-    view_dir = np.array([0.0, -1.0, 0.0])
-    background = equirect_map(view_dir, env_w, env_h) if scene.background else None
+    background = equirect_map(_VIEW_DIR, env_w, env_h) if scene.background else None
     spheres = []
     for si, sphere in enumerate(scene.spheres):
         mask = hit_index == si
@@ -279,26 +286,63 @@ def _plan_scene(scene: SceneConfig, env_w: int, env_h: int):
         cx, cy, cz = sphere.center
         normals = np.stack([(X[mask] - cx), (hit_y[mask] - cy), (Z[mask] - cz)],
                            axis=-1) / sphere.radius
-        mat = sphere.material
-        lookup = ()
-        if mat.kind != "diffuse":
-            # reflect the view direction about the normal
-            dot = normals @ view_dir
-            reflect = view_dir[None, :] - 2.0 * dot[:, None] * normals
-            reflect /= np.linalg.norm(reflect, axis=-1, keepdims=True)
-            dirs = reflect if mat.kind == "mirror" else _glossy_dirs(reflect, mat.exponent)
-            lookup = equirect_map(dirs, env_w, env_h)
-        spheres.append(_SpherePlan(mask, mat, normals, lookup))
+        spheres.append(_SpherePlan(np.flatnonzero(mask), sphere.material, normals))
     return background, spheres
+
+
+def _shade(sp: _SpherePlan, part: slice, stack: np.ndarray) -> np.ndarray:
+    """(K, n, 3) radiance of the pixels `part` of one sphere under each of
+    the K environments in `stack`. Mirror and glossy values are per pixel.
+    A diffuse part that starts at a multiple of _NORMAL_TILE runs the same
+    irradiance tiles as the whole sphere, so it gets the same bytes; other
+    cuts may not (a one-row matrix product rounds differently)."""
+    mat = sp.material
+    albedo = np.asarray(mat.albedo)
+    normals = sp.normals[part]
+    if mat.kind == "diffuse":
+        return albedo * diffuse_irradiance(normals, stack) / np.pi
+    env_h, env_w = stack.shape[1:3]
+    # reflect the view direction about the normal
+    dot = normals @ _VIEW_DIR
+    reflect = _VIEW_DIR[None, :] - 2.0 * dot[:, None] * normals
+    reflect /= np.linalg.norm(reflect, axis=-1, keepdims=True)
+    if mat.kind == "mirror":
+        lookup = equirect_map(reflect, env_w, env_h)
+        return np.stack([apply_bilinear_map(arr, lookup) for arr in stack])
+    lookup = equirect_map(_glossy_dirs(reflect, mat.exponent), env_w, env_h)
+    return np.stack([albedo * apply_bilinear_map(arr, lookup).mean(axis=1)
+                     for arr in stack])
+
+
+# Shading tasks of every render in the process run on this one pool, sized
+# to the usable CPUs when first needed. Tasks never submit tasks, so
+# renders on several threads at once share it without deadlock.
+_POOL = None
+_POOL_LOCK = threading.Lock()
+
+
+def _shading_pool() -> ThreadPoolExecutor:
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            if hasattr(os, "sched_getaffinity"):
+                workers = len(os.sched_getaffinity(0))
+            else:
+                workers = os.cpu_count() or 1
+            _POOL = ThreadPoolExecutor(max_workers=workers,
+                                       thread_name_prefix="hdrkit-render")
+        return _POOL
 
 
 def render_many(scene: SceneConfig, envs) -> list[HdrImage]:
     """Render the scene under each environment map; deterministic.
 
-    The scene is planned once and every diffuse sphere's irradiance is one
-    diffuse_irradiance call over the stacked environments. Each result is
-    byte-identical to rendering its environment alone. The environments
-    must share one shape.
+    The scene is hit-tested once. Each visible sphere's pixels are cut into
+    chunks of at most _NORMAL_TILE, one irradiance tile, and each chunk is
+    shaded under every environment as one task on a shared thread pool.
+    Results are written back in task order, so no byte depends on the
+    number of workers, and each result is byte-identical to rendering its
+    environment alone. The environments must share one shape.
     """
     arrs = [np.asarray(image_data(e), dtype=np.float64) for e in envs]
     if not arrs:
@@ -314,19 +358,12 @@ def render_many(scene: SceneConfig, envs) -> list[HdrImage]:
     if background is not None:
         for out, arr in zip(outs, stack):
             out[:, :] = apply_bilinear_map(arr, background)
-    for sp in spheres:
-        albedo = np.asarray(sp.material.albedo)
-        if sp.material.kind == "diffuse":
-            irradiance = diffuse_irradiance(sp.normals, stack)
-            for out, e in zip(outs, irradiance):
-                out[sp.mask] = albedo * e / np.pi
-        elif sp.material.kind == "mirror":
-            for out, arr in zip(outs, stack):
-                out[sp.mask] = apply_bilinear_map(arr, sp.lookup)
-        else:
-            for out, arr in zip(outs, stack):
-                radiance = apply_bilinear_map(arr, sp.lookup)
-                out[sp.mask] = albedo * radiance.mean(axis=1)
+    tasks = [(sp, slice(n0, n0 + _NORMAL_TILE))
+             for sp in spheres for n0 in range(0, len(sp.pixels), _NORMAL_TILE)]
+    shaded = _shading_pool().map(lambda task: _shade(*task, stack), tasks)
+    flat = outs.reshape(len(stack), -1, 3)
+    for (sp, part), radiance in zip(tasks, shaded):
+        flat[:, sp.pixels[part]] = radiance
     return [HdrImage(np.maximum(out, 0.0).astype(np.float32)) for out in outs]
 
 

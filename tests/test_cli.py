@@ -314,6 +314,55 @@ def test_render_batch_jobs_identical(workdir, capsys):
         assert (d1 / f"e{i}_render.pfm").read_bytes() == (d8 / f"e{i}_render.pfm").read_bytes()
 
 
+def test_render_jobs_identical_on_multi_chunk_scene(workdir, capsys):
+    # every sphere spans more than one 512-pixel shading chunk
+    rng = np.random.default_rng(17)
+    envs = [save_hdr(workdir / f"e{i}.hdr", rng.uniform(0.05, 3.0, (32, 64, 3)))
+            for i in range(4)]
+    scene_path = workdir / "scene.txt"
+    scene_path.write_text("camera 96 72 3 0 1\n"
+                          "sphere -1.9 0 0.1 1 diffuse 0.8 0.7 0.6\n"
+                          "sphere 0 0 0.1 1 glossy 16 0.9 0.9 0.9\n"
+                          "sphere 1.9 0 0.1 1 mirror\n"
+                          "sphere -1.1 1 2.1 1 diffuse 0.5 0.6 0.7\n"
+                          "sphere 0.3 0 2.1 1 glossy 4 0.7 0.8 0.9\n")
+    d1, d4 = workdir / "r1", workdir / "r4"
+    assert run(capsys, "render", scene_path, *envs, "--out-dir", d1, "--jobs", 1)[0] == EXIT_OK
+    assert run(capsys, "render", scene_path, *envs, "--out-dir", d4, "--jobs", 4)[0] == EXIT_OK
+    for i in range(4):
+        assert (d1 / f"e{i}_render.pfm").read_bytes() == (d4 / f"e{i}_render.pfm").read_bytes()
+
+
+@pytest.mark.parametrize("line", ["sphere 0 0 0.9 0.9 velvet",
+                                  "sphere 0 0 0.9 0.9 glossy nan 0.9 0.9 0.9",
+                                  "sphere 1.1 0 0.9 nan diffuse 0.5 0.5 0.5"])
+def test_render_bad_scene_is_one_error_naming_the_scene(workdir, capsys, line):
+    rng = np.random.default_rng(18)
+    envs = [save_hdr(workdir / f"e{i}.hdr", rng.uniform(0.05, 3.0, (16, 32, 3)))
+            for i in range(2)]
+    scene_path = workdir / "scene.txt"
+    scene_path.write_text(f"camera 16 12 4.5 0 0.9\n{line}\n")
+    out = workdir / "o"
+    code, _, err = run(capsys, "render", scene_path, *envs, "--out-dir", out)
+    assert code == EXIT_NUMERIC
+    (error_line,) = err.strip().splitlines()
+    error = json.loads(error_line)["error"]
+    assert error["type"] == "SceneParseError" and error["file"] == str(scene_path)
+    assert error["message"].startswith("line 2: ")
+    assert not out.exists()
+
+
+def test_render_reference_with_several_environments_is_a_usage_error(workdir, capsys):
+    # refused before any input is read: none of these files exists
+    code, out, err = run(capsys, "render", workdir / "s.txt", workdir / "a.hdr",
+                         workdir / "b.hdr", "--out-dir", workdir / "o",
+                         "--reference", workdir / "ref.pfm")
+    assert code == EXIT_USAGE and out == ""
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"]["type"] == "UsageError"
+    assert not (workdir / "o").exists()
+
+
 def test_preview_cli(workdir, capsys):
     hdr_path = save_hdr(workdir / "h.hdr", np.full((8, 8, 3), 1.0))
     out = workdir / "prev.ppm"

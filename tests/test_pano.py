@@ -8,6 +8,7 @@ from hdrkit import pano as pano_module
 from hdrkit.pano import (
     MAX_PLANE_EXTENT,
     PanoProjection,
+    apply_bilinear_map,
     bilinear_map,
     bilinear_sample,
     ceiling_to_pano,
@@ -146,6 +147,33 @@ def test_bilinear_map_rejects_non_finite_coordinates(bad, wrap_x):
         bilinear_map(np.array([1.0, bad]), good, 8, 4, wrap_x)
     with pytest.raises(ValueError, match="finite"):
         bilinear_map(good, np.array([bad, 1.0]), 8, 4, wrap_x)
+
+
+def lerp_gather(img, smap):
+    """apply_bilinear_map as three out-of-place lerps."""
+    a = np.asarray(img)
+    i00, i10, i01, i11, fx, fy = smap
+    flat = a.reshape((a.shape[0] * a.shape[1],) + a.shape[2:])
+    if a.ndim == 3:
+        fx = fx[..., None]
+        fy = fy[..., None]
+    v00, v10, v01, v11 = (np.take(flat, i, axis=0) for i in (i00, i10, i01, i11))
+    top = v00 + fx * (v10 - v00)
+    bottom = v01 + fx * (v11 - v01)
+    return top + fy * (bottom - top)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("channels", [(3,), ()])
+def test_apply_bilinear_map_matches_out_of_place_lerps(dtype, channels):
+    rng = np.random.default_rng(12)
+    img = (rng.uniform(-3.0, 3.0, (9, 14) + channels) * 40).astype(dtype)
+    for x, y in [(rng.uniform(-2, 16, (5, 7)), rng.uniform(-2, 10, (5, 7))),
+                 (np.float64(3.3), np.float64(4.6))]:
+        smap = bilinear_map(x, y, 14, 9)
+        got, want = apply_bilinear_map(img, smap), lerp_gather(img, smap)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_bilinear_clamps_vertically():

@@ -1,10 +1,16 @@
 import inspect
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import hdrkit.render as render_mod
 from hdrkit.image import HdrImage
+from hdrkit.pano import apply_bilinear_map
 from hdrkit.render import (
     Material,
     OrthoCamera,
@@ -65,6 +71,25 @@ def test_parse_errors():
         parse_scene("camera 8 8 1\nwobble 3\n")
     with pytest.raises(SceneParseError):
         parse_scene("camera 8 8 1\nsphere 0 0\n")
+
+
+@pytest.mark.parametrize("line", [
+    "sphere 1.1 0 0.9 nan diffuse 0.5 0.5 0.5",
+    "sphere 1.1 0 0.9 inf diffuse 0.5 0.5 0.5",
+    "sphere nan 0 0.9 0.9 mirror",
+    "sphere 0 -inf 0.9 0.9 mirror",
+    "sphere 0 0 inf 0.9 mirror",
+    "sphere 0 0 0.9 0.9 glossy nan 0.9 0.9 0.9",
+    "sphere 0 0 0.9 0.9 glossy inf 0.9 0.9 0.9",
+    "camera 16 12 nan 0 0.9",
+    "camera 16 12 inf 0 0.9",
+    "camera 16 12 4.5 nan 0.9",
+    "camera 16 12 4.5 0 -inf",
+])
+def test_parse_rejects_non_finite_numbers(line):
+    text = f"camera 16 12 4.5 0 0.9\n{line}\n"
+    with pytest.raises(SceneParseError, match="^line 2: "):
+        parse_scene(text)
 
 
 def test_material_validation():
@@ -236,6 +261,103 @@ def test_render_many_matches_single_renders():
     assert len(both) == 2
     for made, env in zip(both, (e1, e2)):
         assert made.data.tobytes() == render(scene, env).data.tobytes()
+
+
+# every sphere covers more than one 512-pixel chunk; the last glossy sphere
+# is cut by the diffuse sphere in front of it
+MULTI_CHUNK_SCENE = """camera 96 72 3 0 1
+sphere -1.9 0 0.1 1 diffuse 0.8 0.7 0.6
+sphere 0 0 0.1 1 glossy 16 0.9 0.9 0.9
+sphere 1.9 0 0.1 1 mirror
+sphere -1.1 1 2.1 1 diffuse 0.5 0.6 0.7
+sphere 0.3 0 2.1 1 glossy 4 0.7 0.8 0.9
+"""
+
+
+def random_envs(seed, count=2, shape=(32, 64, 3)):
+    rng = np.random.default_rng(seed)
+    envs = [rng.uniform(0.05, 4.0, shape).astype(np.float32) for _ in range(count)]
+    envs[0][2:5, 10:20] = 60.0
+    return [HdrImage(e) for e in envs]
+
+
+def test_render_many_matches_unchunked_shading():
+    # the oracle shades each sphere whole, in one piece
+    scene = parse_scene(MULTI_CHUNK_SCENE)
+    envs = random_envs(21)
+    stack = np.stack([e.data.astype(np.float64) for e in envs])
+    background, plans = render_mod._plan_scene(scene, 64, 32)
+    sizes = [len(sp.pixels) for sp in plans]
+    assert len(sizes) == 5 and min(sizes) > render_mod._NORMAL_TILE
+    assert sizes[4] < sizes[1]  # cut by the sphere in front
+    want = np.zeros((2, 72 * 96, 3))
+    want[:] = np.stack([apply_bilinear_map(arr, background) for arr in stack])[:, None]
+    for sp in plans:
+        want[:, sp.pixels] = render_mod._shade(sp, slice(None), stack)
+    want = np.maximum(want, 0.0).astype(np.float32).reshape(2, 72, 96, 3)
+    for made, expected in zip(render_many(scene, envs), want):
+        assert made.data.tobytes() == expected.tobytes()
+
+
+def test_render_many_independent_of_pool_size(monkeypatch):
+    scene = parse_scene(MULTI_CHUNK_SCENE)
+    envs = random_envs(22)
+    results = []
+    for workers in (1, 4):
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            monkeypatch.setattr(render_mod, "_POOL", pool)
+            results.append([r.data.tobytes() for r in render_many(scene, envs)])
+    assert results[0] == results[1]
+
+
+def test_render_many_reuses_one_pool():
+    scene = parse_scene(MULTI_CHUNK_SCENE)
+    envs = random_envs(23)
+    render_many(scene, envs)
+    after_first = threading.active_count()
+    render_many(scene, envs)
+    render_many(scene, envs)
+    assert threading.active_count() <= after_first
+
+
+def test_concurrent_renders_create_one_pool(monkeypatch):
+    # renders on several threads at once, as render --jobs runs them, with
+    # frequent thread switches: one pool is made and every result is exact
+    scene = parse_scene(default_scene_text(32, 24))
+    env = random_envs(24, count=1, shape=(16, 32, 3))
+    want = render(scene, env[0]).data.tobytes()
+    created = []
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            time.sleep(0.05)  # widen the window between the check and the store
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    monkeypatch.setattr(render_mod, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(render_mod, "_POOL", None)
+    start = threading.Barrier(6)
+    results = []
+
+    def worker():
+        start.wait(timeout=10)
+        results.append(render_many(scene, env)[0].data.tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        for pool in created:
+            pool.shutdown()
+    assert not any(t.is_alive() for t in threads)
+    assert len(created) == 1
+    assert results == [want] * 6
 
 
 def test_render_many_rejects_mixed_shapes():
