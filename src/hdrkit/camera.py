@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .image import HdrImage, LdrImage, image_data, quantize_u8
+from .image import HdrImage, LdrImage, _row_bands, image_data, quantize_u8
 
 __all__ = [
     "DYNAMIC_RANGE_EV",
@@ -225,15 +225,24 @@ def synth_ldr(
     no extra transfer function: the curve itself plays the role of the
     camera nonlinearity. Returns the LDR image and the sample with its
     resolved exposure.
+
+    The per-pixel stages run one row band at a time, so their temporaries
+    stay band-sized and every code is the one the whole image would get;
+    auto-exposure, whose mean is one reduction over the whole image, sets
+    the peak memory at about two float64 copies of the image.
     """
     exposure = auto_expose(h, target_mean)
-    exposed = image_data(h).astype(np.float64, copy=False) * exposure
-    linear = apply_dynamic_range(exposed, sample.dynamic_range_ev)
-    if sample.is_identity_crf:
-        signal = linear
-    else:
-        signal = apply_crf(linear, sample.crf_sigma, sample.crf_n)
-    return LdrImage(quantize_u8(signal)), replace(sample, exposure=exposure)
+    data = image_data(h)
+    out = np.empty(data.shape, dtype=np.uint8)
+    for rows in _row_bands(data.shape):
+        exposed = data[rows].astype(np.float64, copy=False) * exposure
+        linear = apply_dynamic_range(exposed, sample.dynamic_range_ev)
+        if sample.is_identity_crf:
+            signal = linear
+        else:
+            signal = apply_crf(linear, sample.crf_sigma, sample.crf_n)
+        out[rows] = quantize_u8(signal)
+    return LdrImage(out), replace(sample, exposure=exposure)
 
 
 def split_seeds(master_seed: int, count: int) -> list[int]:

@@ -71,7 +71,14 @@ from .pano import (
     merge_panorama,
     pano_to_ceiling,
 )
-from .render import SceneParseError, compare_renders, parse_scene, render, render_many
+from .render import (
+    SceneConfig,
+    SceneParseError,
+    compare_renders,
+    parse_scene,
+    render,
+    render_many,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -390,13 +397,7 @@ def _cmd_render(args, params) -> int:
     if args.reference and len(envs) > 1:
         raise UsageError("--reference compares a single render; give one environment")
     outs = _batch_outputs(envs, args.output, args.out_dir, "_render.pfm")
-    with open(args.scene, "r", encoding="utf-8") as fh:
-        scene_text = fh.read()
-    try:
-        scene = parse_scene(scene_text)
-    except SceneParseError as exc:
-        _emit_error(type(exc).__name__, str(exc), file=args.scene)
-        return EXIT_NUMERIC
+    scene = _read_scene(args.scene)
     code = _run_batch(envs, lambda p, i: _render_one(p, outs[i], scene, args.scene),
                       params["jobs"])
     if code == EXIT_OK and args.reference:
@@ -406,9 +407,20 @@ def _cmd_render(args, params) -> int:
     return code
 
 
+def _read_scene(path) -> SceneConfig:
+    """The parsed scene file; a parse error carries the file's name to the
+    error line that main prints."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return parse_scene(text)
+    except SceneParseError as exc:
+        exc.file = str(path)
+        raise
+
+
 def _cmd_eval_ibl(args, params) -> int:
-    with open(args.scene, "r", encoding="utf-8") as fh:
-        scene = parse_scene(fh.read())
+    scene = _read_scene(args.scene)
     ldr = _read_linear_ldr(args.ldr_env, params["ldr_space"])
     pred = calibrate_hdr(_read_hdr(args.pred_env), ldr, params["tau"]).calibrated
     gt = calibrate_hdr(_read_hdr(args.gt_env), ldr, params["tau"]).calibrated
@@ -651,11 +663,11 @@ def main(argv=None) -> int:
     except UsageError as exc:
         _emit_error("UsageError", str(exc))
         return EXIT_USAGE
-    except (HdrIoError, OSError) as exc:
+    except (HdrIoError, OSError, MemoryError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return EXIT_IO
-    except (UncalibratableError, AutoExposureError, ValueError) as exc:
-        _emit_error(type(exc).__name__, str(exc))
+    except (UncalibratableError, AutoExposureError, ValueError, ArithmeticError) as exc:
+        _emit_error(type(exc).__name__, str(exc), getattr(exc, "file", None))
         return EXIT_NUMERIC
 
 

@@ -8,6 +8,7 @@ linearized [0, 1] float counterpart of an LDR image.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,8 @@ _SRGB_A = 1.055
 _SRGB_B = 0.055
 _SRGB_GAMMA = 2.4
 _SRGB_EOTF_BREAK = _SRGB_LINEAR_MAX / _SRGB_SLOPE  # 0.0031308...
-# values per row band of exposure_preview: 512 KiB per float64 temporary
-_PREVIEW_BAND_VALUES = 1 << 16
+# values per row band of a per-pixel stage: 512 KiB per float64 temporary
+_BAND_VALUES = 1 << 16
 
 
 @dataclass(eq=False)
@@ -47,10 +48,7 @@ class _Image:
 
     def __post_init__(self):
         arr = np.asarray(self.data)
-        if arr.ndim != 3 or arr.shape[2] != 3:
-            raise ValueError(f"expected (height, width, 3) array, got shape {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("image must be at least 1x1")
+        _check_shape(arr.shape)
         self.data = self._checked(np.ascontiguousarray(arr))
 
     @property
@@ -60,6 +58,13 @@ class _Image:
     @property
     def height(self) -> int:
         return self.data.shape[0]
+
+
+def _check_shape(shape: tuple) -> None:
+    if len(shape) != 3 or shape[2] != 3:
+        raise ValueError(f"expected (height, width, 3) array, got shape {shape}")
+    if shape[0] < 1 or shape[1] < 1:
+        raise ValueError("image must be at least 1x1")
 
 
 def _float_finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -117,6 +122,29 @@ class SegMask(_Image):
         if not np.all(arr.sum(axis=2) == 1):
             raise ValueError("segmentation mask channels must sum to 1 per pixel")
         return arr
+
+
+def _row_bands(shape: tuple):
+    """Row slices covering an (H, W, 3) shape, each of at most _BAND_VALUES
+    values but at least one row. A per-pixel stage run band by band gives
+    every value the bits it gets on the whole image, and its temporaries
+    stay band-sized."""
+    band = max(1, _BAND_VALUES // max(1, math.prod(shape[1:])))
+    for r in range(0, shape[0], band):
+        yield slice(r, r + band)
+
+
+def _check_hdr_bands(shape: tuple, values) -> None:
+    """Raise what HdrImage raises for the image whose rows `rows` are
+    values(rows), made one row band at a time: a bad shape, then a
+    non-finite value anywhere, then a negative one."""
+    _check_shape(shape)
+    negative = False
+    for rows in _row_bands(shape):
+        band = _float_finite(values(rows), "HDR image")
+        negative = negative or bool(band.min() < 0)
+    if negative:
+        raise ValueError("HDR image contains negative values")
 
 
 def image_data(img) -> np.ndarray:
@@ -188,17 +216,20 @@ def exposure_preview(h: HdrImage, exposure_ev: float, dr_window_ev: float) -> Ld
     are floored to 0, the rest are clamped to [0, 1], and the result is
     sRGB-encoded. Deterministic; useful for visual inspection only.
     """
+    data = image_data(h)
+    return _banded_preview(data.shape, lambda rows: data[rows], exposure_ev, dr_window_ev)
+
+
+def _banded_preview(shape: tuple, values, exposure_ev: float, dr_window_ev: float) -> LdrImage:
+    """exposure_preview of the image whose rows `rows` are values(rows),
+    made one row band at a time."""
     if not dr_window_ev > 0:
         raise ValueError("dr_window_ev must be positive")
-    data = image_data(h)
     gain = 2.0 ** exposure_ev
     floor = 2.0 ** (-dr_window_ev)
-    out = np.empty(data.shape, dtype=np.uint8)
-    # Row bands bound the float64 temporaries; every value is computed as
-    # it would be on the whole image.
-    band = max(1, _PREVIEW_BAND_VALUES // max(1, int(np.prod(data.shape[1:]))))
-    for r in range(0, data.shape[0], band):
-        scaled = data[r:r + band].astype(np.float64, copy=False) * gain
+    out = np.empty(shape, dtype=np.uint8)
+    for rows in _row_bands(shape):
+        scaled = values(rows).astype(np.float64, copy=False) * gain
         windowed = np.where(scaled < floor, 0.0, np.minimum(scaled, 1.0))
-        out[r:r + band] = quantize_u8(srgb_oetf(windowed))
+        out[rows] = quantize_u8(srgb_oetf(windowed))
     return LdrImage(out)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import HdrImage, channel_mean, exposure_preview, image_data
+from .image import _banded_preview, _check_hdr_bands, channel_mean, image_data
 
 __all__ = [
     "LossConfig",
@@ -174,13 +174,22 @@ def log_psnr(pred, gt, eps: float = 1e-6, cap_db: float = LOG_PSNR_CAP_DB) -> fl
     (empty log-range) falls back to unit span.
     """
     p, g = _pair(pred, gt)
-    lp = np.log(p + eps)
-    lg = np.log(g + eps)
+    # in place, so that two float64 images are alive at a time
+    lg = np.add(g, eps)
+    np.log(lg, out=lg)
     lo = float(lg.min())
     span = float(lg.max()) - lo
     if span <= 0:
         span = 1.0
-    mse = float((((lp - lo) / span - (lg - lo) / span) ** 2).mean())
+    lp = np.add(p, eps)
+    np.log(lp, out=lp)
+    lp -= lo
+    lp /= span
+    lg -= lo
+    lg /= span
+    lp -= lg
+    del lg
+    mse = float(np.square(lp, out=lp).mean())
     if mse == 0.0:
         return cap_db
     return min(-10.0 * math.log10(mse), cap_db)
@@ -269,9 +278,24 @@ def preview_ssim(a, b, preview_ev: float = 0.0, preview_window_ev: float = 10.0)
     """
     x, y = _pair(a, b)
     scale = 1.0 / max(float(y.max()), 1e-30)
-    pa = exposure_preview(HdrImage(np.clip(x * scale, 0, None)), preview_ev, preview_window_ev)
-    pb = exposure_preview(HdrImage(y * scale), preview_ev, preview_window_ev)
+    pa = _scaled_preview(x, scale, True, preview_ev, preview_window_ev)
+    pb = _scaled_preview(y, scale, False, preview_ev, preview_window_ev)
     return ssim(channel_mean(pa), channel_mean(pb))
+
+
+def _scaled_preview(x: np.ndarray, scale: float, clamp: bool,
+                    preview_ev: float, preview_window_ev: float):
+    """exposure_preview(HdrImage(s), ...) of s = x * scale, clamped at 0
+    first when clamp, without a full-size s: each row band of s is made
+    once for HdrImage's checks (the same errors in the same order) and
+    once for the preview."""
+
+    def scaled(rows):
+        s = x[rows] * scale
+        return np.clip(s, 0, None, out=s) if clamp else s
+
+    _check_hdr_bands(x.shape, scaled)
+    return _banded_preview(x.shape, scaled, preview_ev, preview_window_ev)
 
 
 def metric_report(pred, gt, ldr_linear=None, eps: float = 1e-6,

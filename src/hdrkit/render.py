@@ -37,9 +37,21 @@ __all__ = [
     "render_many",
     "compare_renders",
     "GLOSSY_GRID",
+    "MAX_CAMERA_PIXELS",
+    "MAX_SCENE_LENGTH",
 ]
 
 GLOSSY_GRID = (16, 16)  # stratified samples per glossy shading point
+# Rendering two environments peaks at about 175 MiB per million camera
+# pixels (tracemalloc, default scene), so this cap (2048 x 2048) bounds a
+# render near 0.75 GB whatever size a scene file claims.
+MAX_CAMERA_PIXELS = 1 << 22
+# Bound on every scene length: sphere centres and radii, camera span and
+# centre. Hit-testing squares coordinates up to span * height / width, which
+# stays finite for lengths within this bound and cameras within the cap. A
+# radius is also at least 1 / MAX_SCENE_LENGTH, so that its square does not
+# underflow and the normals (hit offset / radius) stay unit length.
+MAX_SCENE_LENGTH = 1e100
 # One clamped-cosine tile is 512 x 256 float64 = 1 MiB, which stays in a
 # 2 MiB L2 cache while it is reduced against each environment.
 _NORMAL_TILE = 512
@@ -69,10 +81,12 @@ class Sphere:
     material: Material
 
     def __post_init__(self):
-        if not all(math.isfinite(c) for c in self.center):
-            raise ValueError("sphere center must be finite")
-        if not (math.isfinite(self.radius) and self.radius > 0):
-            raise ValueError("sphere radius must be finite and positive")
+        if not all(abs(c) <= MAX_SCENE_LENGTH for c in self.center):
+            raise ValueError("sphere center coordinates must be at most "
+                             f"{MAX_SCENE_LENGTH:g} in magnitude")
+        if not 1 / MAX_SCENE_LENGTH <= self.radius <= MAX_SCENE_LENGTH:
+            raise ValueError("sphere radius must lie in "
+                             f"[{1 / MAX_SCENE_LENGTH:g}, {MAX_SCENE_LENGTH:g}]")
 
 
 @dataclass(frozen=True)
@@ -89,8 +103,12 @@ class OrthoCamera:
     def __post_init__(self):
         if self.width < 1 or self.height < 1 or not self.span > 0:
             raise ValueError("camera needs positive dimensions and span")
-        if not all(math.isfinite(v) for v in (self.span, self.center_x, self.center_z)):
-            raise ValueError("camera span and center must be finite")
+        if self.width * self.height > MAX_CAMERA_PIXELS:
+            raise ValueError(f"camera has {self.width * self.height} pixels, "
+                             f"more than the {MAX_CAMERA_PIXELS} allowed")
+        if not all(abs(v) <= MAX_SCENE_LENGTH for v in (self.span, self.center_x, self.center_z)):
+            raise ValueError("camera span and center must be at most "
+                             f"{MAX_SCENE_LENGTH:g} in magnitude")
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,20 @@ def test_synth_batch_jobs_identical(workdir, capsys):
     assert len(seeds) == 5
 
 
+def test_synth_jobs_identical_on_multi_band_images(workdir, capsys):
+    # 48 rows of 700 pixels are three row bands of the camera's stages
+    rng = np.random.default_rng(21)
+    paths = [save_hdr(workdir / f"h{i}.hdr", rng.lognormal(-1.0, 2.5, (48, 700, 3)))
+             for i in range(3)]
+    d1, d2 = workdir / "j1", workdir / "j2"
+    assert run(capsys, "synth", *paths, "--seed", 5, "--out-dir", d1, "--jobs", 1)[0] == EXIT_OK
+    assert run(capsys, "synth", *paths, "--seed", 5, "--out-dir", d2, "--jobs", 2)[0] == EXIT_OK
+    for i in range(3):
+        assert (d1 / f"h{i}.ppm").read_bytes() == (d2 / f"h{i}.ppm").read_bytes()
+        m1, m2 = (json.loads((d / f"h{i}.ppm.json").read_text()) for d in (d1, d2))
+        assert m1.pop("output") != m2.pop("output") and m1 == m2
+
+
 def test_synth_batch_partial_failure(workdir, capsys):
     rng = np.random.default_rng(3)
     good = save_hdr(workdir / "good.hdr", rng.lognormal(0, 1.0, (8, 8, 3)))
@@ -350,6 +364,46 @@ def test_render_bad_scene_is_one_error_naming_the_scene(workdir, capsys, line):
     assert error["type"] == "SceneParseError" and error["file"] == str(scene_path)
     assert error["message"].startswith("line 2: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["sphere 0 0 0.9 0.9 velvet", "sphere 0 0 0.9 1e200 mirror"])
+def test_eval_ibl_bad_scene_is_one_error_naming_the_scene(workdir, capsys, line):
+    rng = np.random.default_rng(20)
+    env = rng.uniform(0.05, 3.0, (16, 32, 3))
+    gt_path = save_hdr(workdir / "gt.hdr", env)
+    ldr_path = save_ppm(workdir / "env.ppm", (np.clip(env, 0, 1) * 255).astype(np.uint8))
+    scene_path = workdir / "scene.txt"
+    scene_path.write_text(f"camera 16 12 4.5 0 0.9\n{line}\n")
+    code, out, err = run(capsys, "eval-ibl", gt_path, gt_path, ldr_path, scene_path)
+    assert code == EXIT_NUMERIC and out == ""
+    (error_line,) = err.strip().splitlines()
+    error = json.loads(error_line)["error"]
+    assert error["type"] == "SceneParseError" and error["file"] == str(scene_path)
+    assert error["message"].startswith("line 2: ")
+
+
+@pytest.mark.parametrize("exc_type, code", [
+    (MemoryError, EXIT_IO),
+    (OverflowError, EXIT_NUMERIC),
+    (ZeroDivisionError, EXIT_NUMERIC),
+    (FloatingPointError, EXIT_NUMERIC),
+])
+def test_main_reports_memory_and_arithmetic_errors(workdir, capsys, monkeypatch, exc_type, code):
+    from hdrkit import cli
+
+    rng = np.random.default_rng(22)
+    path = save_pfm(workdir / "a.pfm", rng.uniform(0.5, 2.0, (12, 12, 3)))
+
+    def failing(*args, **kwargs):
+        raise exc_type("boom")
+
+    monkeypatch.setattr(cli, "metric_report", failing)
+    got, out, err = run(capsys, "metrics", path, path)
+    assert got == code and out == ""
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"] == {"type": exc_type.__name__, "message": "boom",
+                                         "file": None}
 
 
 def test_render_reference_with_several_environments_is_a_usage_error(workdir, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hdrkit import losses
-from hdrkit.image import HdrImage
+from hdrkit.image import HdrImage, channel_mean, exposure_preview
 from hdrkit.losses import (
     LOG_PSNR_CAP_DB,
     LossConfig,
@@ -14,6 +14,7 @@ from hdrkit.losses import (
     metric_report,
     optimal_scale,
     pano_loss,
+    preview_ssim,
     scale_invariant_loss,
     seg_cross_entropy,
     si_mse,
@@ -283,6 +284,29 @@ def test_log_psnr_decreases_with_noise():
     assert log_psnr(small, gt) > log_psnr(big, gt)
 
 
+def whole_image_log_psnr(pred, gt, eps=1e-6, cap_db=LOG_PSNR_CAP_DB):
+    """log_psnr written out with every step a new full-size array."""
+    p, g = (np.asarray(a, dtype=np.float64) for a in (pred, gt))
+    lp = np.log(p + eps)
+    lg = np.log(g + eps)
+    lo = float(lg.min())
+    span = float(lg.max()) - lo
+    if span <= 0:
+        span = 1.0
+    mse = float((((lp - lo) / span - (lg - lo) / span) ** 2).mean())
+    if mse == 0.0:
+        return cap_db
+    return min(-10.0 * math.log10(mse), cap_db)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 3), (8, 8, 3), (64, 1024, 3)])
+def test_log_psnr_in_place_matches_whole_image_formula(shape):
+    pred, gt = random_pair(shape[1], shape)
+    for p, g in [(pred, gt), (pred.astype(np.float32), gt.astype(np.float32)),
+                 (pred, np.full(shape, 0.5)), (pred, pred * 2.0)]:
+        assert log_psnr(p, g) == whole_image_log_psnr(p, g)
+
+
 def _test_card(shape=(64, 64)):
     ys, xs = np.mgrid[0:shape[0], 0:shape[1]]
     card = 128 + 100 * np.sin(xs / 3.0) * np.cos(ys / 5.0)
@@ -353,6 +377,68 @@ def test_gaussian_taps_are_exactly_symmetric():
     # the filter sums mirrored taps in pairs, which needs w[i] == w[-1 - i]
     taps = losses._gaussian_taps(11, 1.5)
     assert np.array_equal(taps, taps[::-1])
+
+
+def full_copy_preview_ssim(a, b, preview_ev=0.0, preview_window_ev=10.0):
+    """preview_ssim with the scaled and clamped images as full-size copies."""
+    x, y = (np.asarray(v, dtype=np.float64) for v in (a, b))
+    scale = 1.0 / max(float(y.max()), 1e-30)
+    pa = exposure_preview(HdrImage(np.clip(x * scale, 0, None)), preview_ev, preview_window_ev)
+    pb = exposure_preview(HdrImage(y * scale), preview_ev, preview_window_ev)
+    return ssim(channel_mean(pa), channel_mean(pb))
+
+
+def _outcome(fn, *args):
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return fn(*args)
+        except (ValueError, OverflowError) as exc:
+            return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("shape", [(11, 11, 3), (40, 300, 3), (64, 1024, 3)])
+def test_preview_ssim_matches_full_copy_recipe(shape):
+    # a has negative values to clamp; (64, 1024) runs four row bands
+    rng = np.random.default_rng(shape[0])
+    a = rng.normal(0.3, 1.0, shape) * rng.lognormal(0.0, 2.0, shape)
+    b = rng.lognormal(0.0, 2.0, shape)
+    for ev, window in [(0.0, 10.0), (2.5, 4.0), (-1.0, 12.0)]:
+        assert preview_ssim(a, b, ev, window) == full_copy_preview_ssim(a, b, ev, window)
+
+
+def _bad_pair(case):
+    rng = np.random.default_rng(31)
+    a, b = rng.lognormal(0.0, 1.0, (2, 50, 1024, 3))  # three row bands
+    if case == "a-nan-last-band":
+        a[-1, -1, 0] = np.nan
+    elif case == "a-inf":
+        a[30, 5, 1] = np.inf
+    elif case == "a-overflows-when-scaled":
+        a[45, 0, 0] = 1e300
+        b *= 1e-20
+    elif case == "b-negative-first-nan-last-band":
+        b[0, 0, 0] = -1.0
+        b[-1, 3, 2] = np.nan
+    elif case == "b-negative-last-band":
+        b[-1, -1, 2] = -0.5
+    elif case == "two-dimensional":
+        a, b = a[..., 0], b[..., 0]
+    return a, b
+
+
+@pytest.mark.parametrize("case", ["valid", "a-nan-last-band", "a-inf", "a-overflows-when-scaled",
+                                  "b-negative-first-nan-last-band", "b-negative-last-band",
+                                  "two-dimensional"])
+@pytest.mark.parametrize("ev, window", [(0.0, 10.0), (0.0, 0.0), (2000.0, 10.0),
+                                        (0.0, -1e308)])
+def test_preview_ssim_errors_match_full_copy_recipe(case, ev, window):
+    # the same exception and message, checked in the same order: shape, the
+    # scaled a, the preview window, then the scaled b
+    a, b = _bad_pair(case)
+    got = _outcome(preview_ssim, a, b, ev, window)
+    assert got == _outcome(full_copy_preview_ssim, a, b, ev, window)
+    if case != "valid":
+        assert isinstance(got, tuple)
 
 
 def test_metric_report_keys_and_self_values():

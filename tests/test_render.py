@@ -12,6 +12,8 @@ import hdrkit.render as render_mod
 from hdrkit.image import HdrImage
 from hdrkit.pano import apply_bilinear_map
 from hdrkit.render import (
+    MAX_CAMERA_PIXELS,
+    MAX_SCENE_LENGTH,
     Material,
     OrthoCamera,
     SceneParseError,
@@ -101,6 +103,50 @@ def test_material_validation():
         Sphere((0, 0, 0), -1.0, Material("mirror"))
     with pytest.raises(ValueError):
         OrthoCamera(0, 8)
+
+
+@pytest.mark.parametrize("camera", ["camera 1000000000 1000000000 1 0 0.9",
+                                    "camera 2049 2048 1 0 0.9",
+                                    "camera 4194305 1 1 0 0.9"])
+def test_parse_caps_the_camera_pixel_count(camera):
+    # refused by the parser, before anything the size of the camera exists
+    assert MAX_CAMERA_PIXELS == 2048 * 2048
+    with pytest.raises(SceneParseError, match="^line 2: .*more than the 4194304 allowed"):
+        parse_scene(f"background on\n{camera}\n")
+
+
+def test_camera_at_the_pixel_cap_parses():
+    assert parse_scene("camera 2048 2048 1 0 0.9\n").camera.width == 2048
+    assert parse_scene("camera 1 4194304 1 0 0.9\n").camera.height == 4194304
+
+
+@pytest.mark.parametrize("line", [
+    "sphere 0 0 0.9 1e200 mirror",
+    "sphere 0 0 0.9 1.1e100 mirror",
+    "sphere -1e-170 0 0 1e-300 diffuse 1 1 1",
+    "sphere 0 0 0.9 9e-101 mirror",
+    "sphere 1e101 0 0.9 1 mirror",
+    "sphere 0 -2e100 0.9 1 mirror",
+    "camera 16 12 1e300 0 0.9",
+    "camera 16 12 4.5 -1e200 0.9",
+    "camera 16 12 4.5 0 1.5e100",
+])
+def test_parse_bounds_scene_lengths(line):
+    with pytest.raises(SceneParseError, match="^line 2: "):
+        parse_scene(f"camera 16 12 4.5 0 0.9\n{line}\n")
+
+
+def test_scene_lengths_at_the_bounds_render_finite():
+    big, small = MAX_SCENE_LENGTH, 1 / MAX_SCENE_LENGTH
+    scenes = [
+        f"camera 1 2048 {big} {-big} {big}\nsphere {big} {big} {-big} {big} diffuse 1 1 1\n",
+        f"camera 2048 1 {big} {big} {-big}\nsphere {-big} 0 {big} {big} glossy 8 1 1 1\n",
+        f"camera 1 1 1 0 0\nsphere -1e-170 0 0 {small} diffuse 1 1 1\n",
+    ]
+    env = uniform_env(shape=(8, 16, 3))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for text in scenes:
+            assert np.isfinite(render(parse_scene(text), env).data).all()
 
 
 # --- irradiance ------------------------------------------------------------------
