@@ -355,8 +355,9 @@ def _cmd_merge(args, params) -> int:
     ceil_ldr = _read_linear_ldr(args.ceil_ldr, params["ldr_space"])
     proj = _projection(params, pano_hdr.width, pano_hdr.height, ceil_hdr.width)
     m_p = merge_mask(ceil_ldr, proj, params["merge_tau"])
-    merged = merge_panorama(ceil_hdr, pano_hdr, m_p, proj)
-    _write_output(Path(args.output), HdrImage(merged.astype(np.float32)), {
+    del ceil_ldr  # one input image less during the blend
+    merged = merge_panorama(ceil_hdr, pano_hdr, m_p, proj).astype(np.float32)
+    _write_output(Path(args.output), HdrImage(merged), {
         "subcommand": "merge",
         "inputs": [str(args.ceil_hdr), str(args.pano_hdr), str(args.ceil_ldr)],
         "params": {**params, **_geometry_params(proj)},

@@ -430,22 +430,26 @@ def read_pfm(data: bytes) -> HdrImage:
         raise MalformedHeaderError("PFM scale must be nonzero")
     dtype = np.dtype("<f4") if scale < 0 else np.dtype(">f4")
     count = width * height * 3
-    payload = data[m.end():]
-    if len(payload) < count * 4:
+    if len(data) - m.end() < count * 4:
         raise TruncatedDataError("truncated PFM payload")
-    arr = np.frombuffer(payload[:count * 4], dtype=dtype).reshape(height, width, 3)
-    arr = arr.astype(np.float32)  # native byte order
+    rows = np.frombuffer(data, dtype, count, offset=m.end()).reshape(height, width, 3)
+    # the one copy: bottom-up -> top-down, in native byte order
+    arr = np.array(rows[::-1], dtype=np.float32, order="C")
     if not np.all(np.isfinite(arr)) or arr.min(initial=0.0) < 0:
         raise InvalidPixelValueError("PFM holds NaN, infinite or negative values")
-    return HdrImage(np.ascontiguousarray(arr[::-1]))  # bottom-up -> top-down
+    return HdrImage(arr)
 
 
-def write_pfm(h: HdrImage) -> bytes:
+def write_pfm(h: HdrImage) -> bytearray:
     """Encode an HDR image as little-endian color PFM."""
-    arr = image_data(h).astype(np.float32, copy=False)
+    arr = image_data(h)
     height, width = arr.shape[:2]
     header = f"PF\n{width} {height}\n-1.0\n".encode("ascii")
-    return header + arr[::-1].astype("<f4").tobytes()
+    out = bytearray(len(header) + 4 * arr.size)
+    out[:len(header)] = header
+    payload = np.frombuffer(out, dtype="<f4", offset=len(header)).reshape(arr.shape)
+    payload[...] = arr[::-1]  # the cast of astype(np.float32), straight into the stream
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -125,10 +125,10 @@ class SegMask(_Image):
 
 
 def _row_bands(shape: tuple):
-    """Row slices covering an (H, W, 3) shape, each of at most _BAND_VALUES
-    values but at least one row. A per-pixel stage run band by band gives
-    every value the bits it gets on the whole image, and its temporaries
-    stay band-sized."""
+    """Row slices covering an (H, W) or (H, W, 3) shape, each of at most
+    _BAND_VALUES values but at least one row. A per-pixel stage run band
+    by band gives every value the bits it gets on the whole image, and its
+    temporaries stay band-sized."""
     band = max(1, _BAND_VALUES // max(1, math.prod(shape[1:])))
     for r in range(0, shape[0], band):
         yield slice(r, r + band)

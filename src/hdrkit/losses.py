@@ -5,6 +5,11 @@ images in relative luminance are defined only up to a positive factor, the
 error between two images is measured after the optimal global log-offset,
 which has a closed form. All reductions accumulate in double precision and
 reduce sequentially per image, so results do not depend on chunking.
+
+Inputs of any dtype are read as they are: each ufunc that first touches an
+input promotes it with dtype=np.float64, so a float32 image gets the values
+a float64 copy would give without that copy. (A float32 array times a
+Python float stays float32, so the promotion must be explicit.)
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import _banded_preview, _check_hdr_bands, channel_mean, image_data
+from .image import _banded_preview, _check_hdr_bands, _row_bands, channel_mean, image_data
 
 __all__ = [
     "LossConfig",
@@ -58,16 +63,21 @@ class LossConfig:
 
 
 def _pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
-    p = image_data(pred).astype(np.float64, copy=False)
-    g = image_data(gt).astype(np.float64, copy=False)
+    """The pixel buffers of pred and gt, uncopied, of one shape."""
+    p, g = image_data(pred), image_data(gt)
     if p.shape != g.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
     return p, g
 
 
 def _log_diff(pred, gt, eps: float) -> np.ndarray:
+    """log(pred + eps) - log(gt + eps) in float64, built in place."""
     p, g = _pair(pred, gt)
-    return np.log(p + eps) - np.log(g + eps)
+    d = np.add(p, eps, dtype=np.float64)
+    np.log(d, out=d)
+    lg = np.add(g, eps, dtype=np.float64)
+    d -= np.log(lg, out=lg)
+    return d
 
 
 def optimal_scale(pred, gt, eps: float = 1e-6) -> float:
@@ -104,7 +114,7 @@ def seg_cross_entropy(pred, gt, eps: float = 1e-6) -> float:
     pred holds per-channel probabilities and is clamped into
     [eps, 1 - eps]; gt is a one-hot mask.
     """
-    p, g = _pair(pred, gt)
+    p, g = (a.astype(np.float64, copy=False) for a in _pair(pred, gt))
     p = np.clip(p, eps, 1.0 - eps)
     ce = -(g * np.log(p) + (1.0 - g) * np.log(1.0 - p))
     return float(ce.sum())
@@ -147,13 +157,15 @@ def display_anchor(pred, gt, ldr_linear, eps: float = 1e-6, peak: float = 255.0)
     Returns (pred_anchored, gt_anchored) as float64 arrays.
     """
     p, g = _pair(pred, gt)
-    return _anchor(p, g, ldr_linear, optimal_scale(p, g, eps), peak)
+    k = optimal_scale(p, g, eps)
+    s = _anchor_scale(g, ldr_linear, peak)
+    return np.multiply(p, k * s, dtype=np.float64), np.multiply(g, s, dtype=np.float64)
 
 
-def _anchor(p, g, ldr_linear, k: float, peak: float = 255.0):
-    """display_anchor of the float64 pair (p, g), given pred's alignment
-    scale k."""
-    ldr = image_data(ldr_linear).astype(np.float64, copy=False)
+def _anchor_scale(g, ldr_linear, peak: float = 255.0) -> float:
+    """The factor of display_anchor: peak over g at the LDR's brightest
+    element (the first one, as np.argmax finds it)."""
+    ldr = image_data(ldr_linear)
     if ldr.shape != g.shape:
         raise ValueError("LDR anchor shape differs from the HDR pair")
     if float(ldr.max()) <= 0:
@@ -161,8 +173,7 @@ def _anchor(p, g, ldr_linear, k: float, peak: float = 255.0):
     ref = float(g.flat[int(np.argmax(ldr))])
     if ref <= 0:
         raise ValueError("ground truth is zero at the LDR's brightest element")
-    s = peak / ref
-    return p * (k * s), g * s
+    return peak / ref
 
 
 def log_psnr(pred, gt, eps: float = 1e-6, cap_db: float = LOG_PSNR_CAP_DB) -> float:
@@ -175,13 +186,13 @@ def log_psnr(pred, gt, eps: float = 1e-6, cap_db: float = LOG_PSNR_CAP_DB) -> fl
     """
     p, g = _pair(pred, gt)
     # in place, so that two float64 images are alive at a time
-    lg = np.add(g, eps)
+    lg = np.add(g, eps, dtype=np.float64)
     np.log(lg, out=lg)
     lo = float(lg.min())
     span = float(lg.max()) - lo
     if span <= 0:
         span = 1.0
-    lp = np.add(p, eps)
+    lp = np.add(p, eps, dtype=np.float64)
     np.log(lp, out=lp)
     lp -= lo
     lp /= span
@@ -201,23 +212,20 @@ def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
     return k / k.sum()
 
 
-def _correlate_nearest(img: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
-    """Correlate img with the symmetric taps along axis, edge values
-    repeated past the border.
+def _correlate_valid(img: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray:
+    """Correlate img with the symmetric taps along axis, at the positions
+    where every tap falls inside img: len(taps) - 1 fewer along axis.
 
     The sum runs in the order of ndimage's correlate1d for symmetric taps:
     the centre first, then each mirrored pair added before it is weighted,
-    farthest pair first. The result is bit-identical to correlate1d with
-    mode="nearest", and so is every SSIM taken with it.
+    farthest pair first. Each value is bit-identical to correlate1d's at
+    the same position, whatever its mode, since no tap reaches the border.
     """
     half = len(taps) // 2
-    n = img.shape[axis]
-    widths = [(0, 0)] * img.ndim
-    widths[axis] = (half, half)
-    padded = np.pad(img, widths, mode="edge")
+    n = img.shape[axis] - 2 * half
 
     def shifted(offset):
-        return padded[(slice(None),) * axis + (slice(half + offset, half + offset + n),)]
+        return img[(slice(None),) * axis + (slice(half + offset, half + offset + n),)]
 
     out = shifted(0) * taps[half]
     pair = np.empty_like(out)
@@ -242,6 +250,11 @@ def ssim(
     Gaussian-weighted 11x11 local statistics (sigma 1.5), stabilizers
     (k1*L)^2 and (k2*L)^2, averaged over the region where the window fits
     entirely inside the image.
+
+    Only that region of the SSIM map is computed, one row band at a time,
+    each band read with a halo of win_size // 2 rows, so the statistics
+    stay band-sized. The values are those of filtering the whole image
+    with edge padding: no window in the region reaches the padding.
     """
     x = np.asarray(image_data(a), dtype=np.float64)
     y = np.asarray(image_data(b), dtype=np.float64)
@@ -253,20 +266,29 @@ def ssim(
     if min(x.shape) < win_size:
         raise ValueError(f"image smaller than the {win_size}x{win_size} window")
     taps = _gaussian_taps(win_size, sigma)
-
-    def smooth(img):
-        return _correlate_nearest(_correlate_nearest(img, taps, 0), taps, 1)
-
-    mu_x = smooth(x)
-    mu_y = smooth(y)
-    var_x = smooth(x * x) - mu_x ** 2
-    var_y = smooth(y * y) - mu_y ** 2
-    cov = smooth(x * y) - mu_x * mu_y
     c1 = (k1 * data_range) ** 2
     c2 = (k2 * data_range) ** 2
-    s = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / (
-        (mu_x ** 2 + mu_y ** 2 + c1) * (var_x + var_y + c2)
-    )
+
+    def smooth(img):
+        return _correlate_valid(_correlate_valid(img, taps, 0), taps, 1)
+
+    h, w = x.shape
+    inner = h - 2 * pad
+    # The mean is taken over the same view of an (H, W) map as a whole-image
+    # SSIM's: a contiguous (H - 2 pad, W - 2 pad) map sums in another order.
+    s = np.zeros((h, w))
+    for rows in _row_bands((inner, w)):
+        lo, hi = rows.start, min(rows.stop, inner)
+        xb = x[lo:hi + 2 * pad]
+        yb = y[lo:hi + 2 * pad]
+        mu_x = smooth(xb)
+        mu_y = smooth(yb)
+        var_x = smooth(xb * xb) - mu_x ** 2
+        var_y = smooth(yb * yb) - mu_y ** 2
+        cov = smooth(xb * yb) - mu_x * mu_y
+        s[lo + pad:hi + pad, pad:w - pad] = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / (
+            (mu_x ** 2 + mu_y ** 2 + c1) * (var_x + var_y + c2)
+        )
     return float(s[pad:-pad, pad:-pad].mean())
 
 
@@ -291,7 +313,7 @@ def _scaled_preview(x: np.ndarray, scale: float, clamp: bool,
     once for the preview."""
 
     def scaled(rows):
-        s = x[rows] * scale
+        s = np.multiply(x[rows], scale, dtype=np.float64)
         return np.clip(s, 0, None, out=s) if clamp else s
 
     _check_hdr_bands(x.shape, scaled)
@@ -311,11 +333,14 @@ def metric_report(pred, gt, ldr_linear=None, eps: float = 1e-6,
     d = _log_diff(p, g, eps)
     k = float(math.exp(-d.mean()))
     si = float(d.var())
-    del d  # one image of float64 less during log_psnr and preview_ssim
+    # d's buffer takes the aligned pred, the one float64 image kept alive
+    # through log_psnr and preview_ssim
     if ldr_linear is not None:
-        p_cmp, g_cmp = _anchor(p, g, ldr_linear, k)
+        s = _anchor_scale(g, ldr_linear)
+        p_cmp = np.multiply(p, k * s, out=d, dtype=np.float64)
+        g_cmp = np.multiply(g, s, dtype=np.float64)
     else:
-        p_cmp, g_cmp = p * k, g
+        p_cmp, g_cmp = np.multiply(p, k, out=d, dtype=np.float64), g
     return {
         "si_mse": si,
         "log_psnr": log_psnr(p_cmp, g_cmp, eps),

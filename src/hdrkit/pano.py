@@ -16,11 +16,15 @@ Conventions, fixed throughout the toolkit:
 * Bilinear sampling wraps horizontally and clamps vertically.
 
 Resampling is split into an image-independent map (bilinear_map) and a
-gather (apply_bilinear_map). ceiling_to_pano keeps one cached plan per
-projection and ceiling size: the flat indices of the panorama pixels a
-ceiling view can fill, all on or above the equator, and the map over those
-pixels alone. merge_mask and merge_panorama share it, so one merge builds
-the geometry once and gathers only the valid half of the panorama.
+gather (apply_bilinear_map). Both directions between panorama and ceiling
+view go through a plan: the flat indices of the target pixels the source
+can fill, and the map over those pixels alone. pano_to_ceiling's plan holds
+the ceiling pixels inside the imaged disk; ceiling_to_pano's holds the
+panorama pixels the plane reaches, all on or above the equator, and
+merge_mask and merge_panorama share it, so one merge builds the geometry
+once. Each plan is cached per projection and source size, built one row
+band at a time, and gathered in slices of _PLAN_CHUNK pixels, so the
+temporaries stay slice-sized. A resampled image is 0 outside its plan.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import channel_mean, image_data
+from .image import _row_bands, channel_mean, image_data
 
 __all__ = [
     "PanoProjection",
@@ -63,6 +67,8 @@ MAX_PLANE_EXTENT = 1e150
 CROP_YAWS_DEG = (0.0, 60.0, 120.0, 180.0, 240.0, 300.0)
 CROP_ELEVATED_YAWS_DEG = (0.0, 120.0, 240.0)
 CROP_ELEVATED_PITCH_DEG = 45.0
+# pixels per slice of a plan gather: 768 KiB per float64 RGB temporary
+_PLAN_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -221,11 +227,57 @@ def sphere_to_plane(px, py, pz, offset: float = 1.0):
     return s * np.asarray(px, dtype=np.float64), s * np.asarray(py, dtype=np.float64)
 
 
-def _ceiling_grid(proj: PanoProjection):
+def _banded_plan(height: int, width: int, band_map) -> tuple:
+    """A resampling plan for a height x width target: the flat indices of
+    the pixels the source can fill, then the bilinear_map that samples the
+    source at them. band_map(xs, ys), given the column and row indices of
+    one row band, returns the band's validity mask and the map over its
+    valid pixels. Built one row band at a time, and read-only, as every
+    caller shares it."""
+    columns = [[] for _ in range(7)]
+    for rows in _row_bands((height, width)):
+        xs, ys = np.meshgrid(np.arange(width), np.arange(height)[rows])
+        valid, smap = band_map(xs, ys)
+        for column, arr in zip(columns, (np.flatnonzero(valid) + rows.start * width,) + smap):
+            column.append(arr)
+    plan = []
+    while columns:  # one array's bands at a time, freed once joined
+        arr = np.concatenate(columns.pop(0))
+        arr.flags.writeable = False
+        plan.append(arr)
+    return tuple(plan)
+
+
+def _plan_chunks(plan: tuple):
+    """The plan's arrays in slices of _PLAN_CHUNK pixels: (idx, *smap)."""
+    for start in range(0, len(plan[0]), _PLAN_CHUNK):
+        yield [arr[start:start + _PLAN_CHUNK] for arr in plan]
+
+
+def _gather(a: np.ndarray, plan: tuple, height: int, width: int) -> np.ndarray:
+    """The height x width image that the plan fills from a: sampled at the
+    plan's pixels, 0 everywhere else."""
+    out = np.zeros((height * width,) + a.shape[2:])
+    for idx, *smap in _plan_chunks(plan):
+        out[idx] = apply_bilinear_map(a, smap)
+    return out.reshape((height, width) + a.shape[2:])
+
+
+@functools.lru_cache(maxsize=1)
+def _disk_plan(proj: PanoProjection, pano_height: int, pano_width: int) -> tuple:
+    """The plan of pano_to_ceiling for a pano_height x pano_width panorama:
+    the ceiling pixels inside the imaged disk and the map that samples the
+    panorama at them."""
     ext = proj.plane_extent
-    cx = ((np.arange(proj.ceil_width) + 0.5) / proj.ceil_width * 2.0 - 1.0) * ext
-    cy = (1.0 - (np.arange(proj.ceil_height) + 0.5) / proj.ceil_height * 2.0) * ext
-    return np.meshgrid(cx, cy)
+
+    def band_map(xs, ys):
+        cx = ((xs + 0.5) / proj.ceil_width * 2.0 - 1.0) * ext
+        cy = (1.0 - (ys + 0.5) / proj.ceil_height * 2.0) * ext
+        px, py, pz, valid = plane_to_sphere(cx, cy, proj.camera_offset)
+        dirs = np.stack((px[valid], py[valid], pz[valid]), axis=-1)
+        return valid, equirect_map(dirs, pano_width, pano_height)
+
+    return _banded_plan(proj.ceil_height, proj.ceil_width, band_map)
 
 
 def pano_to_ceiling(pano, proj: PanoProjection) -> np.ndarray:
@@ -234,37 +286,33 @@ def pano_to_ceiling(pano, proj: PanoProjection) -> np.ndarray:
     Plane points outside the imaged hemisphere (the corners beyond the unit
     disk) are filled with 0.
     """
-    a = np.asarray(image_data(pano), dtype=np.float64)
-    cx, cy = _ceiling_grid(proj)
-    px, py, pz, valid = plane_to_sphere(cx, cy, proj.camera_offset)
-    out = apply_bilinear_map(a, equirect_map(np.stack((px, py, pz), axis=-1),
-                                             a.shape[1], a.shape[0]))
-    out[~valid] = 0.0
-    return out
+    pano = image_data(pano)
+    plan = _disk_plan(proj, pano.shape[0], pano.shape[1])
+    # a float64 copy, as apply_bilinear_map takes neighbour differences in
+    # the image's dtype
+    return _gather(np.asarray(pano, dtype=np.float64), plan, proj.ceil_height, proj.ceil_width)
 
 
 @functools.lru_cache(maxsize=1)
 def _ceiling_plan(proj: PanoProjection, ceil_height: int, ceil_width: int) -> tuple:
-    """The geometry of ceiling_to_pano for a ceil_height x ceil_width image:
-    the flat indices of the valid panorama pixels, then the bilinear_map
-    that samples the ceiling at them. Read-only, as every caller shares it.
-    """
+    """The plan of ceiling_to_pano for a ceil_height x ceil_width image:
+    the panorama pixels the plane reaches and the map that samples the
+    ceiling at them."""
     w, h = proj.pano_width, proj.pano_height
-    # Rows y >= (h + 1) // 2 lie a half row or more below the equator.
-    xs, ys = np.meshgrid(np.arange(w), np.arange((h + 1) // 2))
-    dirs = equirect_dir(xs, ys, w, h)
-    pz = dirs[..., 2]
-    cx, cy = sphere_to_plane(dirs[..., 0], dirs[..., 1], pz, proj.camera_offset)
     ext = proj.plane_extent
-    valid = (pz >= 0) & (np.abs(cx) <= ext) & (np.abs(cy) <= ext)
-    # Divide only in-extent coordinates: the rest overflow for a tiny extent.
-    jc = (cx[valid] / ext + 1.0) / 2.0 * proj.ceil_width - 0.5
-    ic = (1.0 - cy[valid] / ext) / 2.0 * proj.ceil_height - 0.5
-    plan = (np.flatnonzero(valid),) + bilinear_map(jc, ic, ceil_width, ceil_height,
-                                                   wrap_x=False)
-    for arr in plan:
-        arr.flags.writeable = False
-    return plan
+
+    def band_map(xs, ys):
+        dirs = equirect_dir(xs, ys, w, h)
+        pz = dirs[..., 2]
+        cx, cy = sphere_to_plane(dirs[..., 0], dirs[..., 1], pz, proj.camera_offset)
+        valid = (pz >= 0) & (np.abs(cx) <= ext) & (np.abs(cy) <= ext)
+        # Divide only in-extent coordinates: the rest overflow for a tiny extent.
+        jc = (cx[valid] / ext + 1.0) / 2.0 * proj.ceil_width - 0.5
+        ic = (1.0 - cy[valid] / ext) / 2.0 * proj.ceil_height - 0.5
+        return valid, bilinear_map(jc, ic, ceil_width, ceil_height, wrap_x=False)
+
+    # Rows y >= (h + 1) // 2 lie a half row or more below the equator.
+    return _banded_plan((h + 1) // 2, w, band_map)
 
 
 def ceiling_to_pano(ceil, proj: PanoProjection) -> tuple[np.ndarray, np.ndarray]:
@@ -273,45 +321,72 @@ def ceiling_to_pano(ceil, proj: PanoProjection) -> tuple[np.ndarray, np.ndarray]
     Returns (panorama, validity): pixels below the equator or projecting
     outside the imaged plane region are 0 with validity 0.
     """
-    a = np.asarray(image_data(ceil), dtype=np.float64)
-    idx, *smap = _ceiling_plan(proj, a.shape[0], a.shape[1])
+    ceil = image_data(ceil)
+    plan = _ceiling_plan(proj, ceil.shape[0], ceil.shape[1])
     h, w = proj.pano_height, proj.pano_width
-    out = np.zeros((h * w,) + a.shape[2:])
-    out[idx] = apply_bilinear_map(a, smap)
     valid = np.zeros(h * w)
-    valid[idx] = 1.0
-    return out.reshape((h, w) + a.shape[2:]), valid.reshape(h, w)
+    valid[plan[0]] = 1.0
+    return _gather(np.asarray(ceil, dtype=np.float64), plan, h, w), valid.reshape(h, w)
 
 
 def merge_mask(i_ceil, proj: PanoProjection, tau: float = DEFAULT_MERGE_TAU) -> np.ndarray:
     """Soft highlight mask in panorama coordinates from a linear ceiling LDR.
 
     max(0, channel_mean - tau) / (1 - tau) of the back-projected ceiling
-    image, clamped into [0, 1].
+    image, clamped into [0, 1]. That is 0 wherever the ceiling view does
+    not reach, so only the plan's pixels are computed.
     """
     if not 0 <= tau < 1:
         raise ValueError("tau must lie in [0, 1)")
-    pano, _ = ceiling_to_pano(i_ceil, proj)
-    mean = channel_mean(pano) if pano.ndim == 3 else pano
-    return np.clip(np.maximum(0.0, mean - tau) / (1.0 - tau), 0.0, 1.0)
+    ceil = image_data(i_ceil)
+    plan = _ceiling_plan(proj, ceil.shape[0], ceil.shape[1])
+    a = np.asarray(ceil, dtype=np.float64)
+    h, w = proj.pano_height, proj.pano_width
+    m = np.zeros(h * w)
+    for idx, *smap in _plan_chunks(plan):
+        v = apply_bilinear_map(a, smap)
+        mean = channel_mean(v[None])[0] if v.ndim == 2 else v
+        m[idx] = np.clip(np.maximum(0.0, mean - tau) / (1.0 - tau), 0.0, 1.0)
+    return m.reshape(h, w)
 
 
 def merge_panorama(h_ceil, h_pano, m_p: np.ndarray, proj: PanoProjection) -> np.ndarray:
     """Blend the ceiling-branch reconstruction into the panorama.
 
-    m_p * c2p(h_ceil) + (1 - m_p) * h_pano; with m_p identically 0 this is
-    exactly h_pano.
+    m_p * c + (1 - m_p) * h_pano in float64, where c is c2p(h_ceil): 0
+    wherever the ceiling view does not reach. Where m_p is 0 this is
+    h_pano, except that a -0.0 there becomes +0.0.
     """
-    pano = np.asarray(image_data(h_pano), dtype=np.float64)
-    ceil_in_pano, _ = ceiling_to_pano(h_ceil, proj)
-    if ceil_in_pano.shape != pano.shape:
+    pano = image_data(h_pano)
+    ceil = image_data(h_ceil)
+    h, w = proj.pano_height, proj.pano_width
+    if (h, w) + ceil.shape[2:] != pano.shape:
         raise ValueError(
-            f"shape mismatch: converted ceiling {ceil_in_pano.shape} vs panorama {pano.shape}"
+            f"shape mismatch: converted ceiling {(h, w) + ceil.shape[2:]} vs panorama {pano.shape}"
         )
+    plan = _ceiling_plan(proj, ceil.shape[0], ceil.shape[1])
     m = np.asarray(m_p, dtype=np.float64)
     if m.ndim == 2:
         m = m[..., None]
-    return m * ceil_in_pano + (1.0 - m) * pano
+    m = np.broadcast_to(m, pano.shape)
+    out = np.empty(pano.shape)
+    # the formula with c = 0 everywhere, band by band, then the plan's pixels
+    for rows in _row_bands(pano.shape):
+        mb = m[rows]
+        out[rows] = mb * 0.0 + (1.0 - mb) * pano[rows]
+    flat = (h * w,) + pano.shape[2:]
+    m, pano, merged = m.reshape(flat), pano.reshape(flat), out.reshape(flat)
+    a = np.asarray(ceil, dtype=np.float64)
+    for idx, *smap in _plan_chunks(plan):
+        # m * c + (1 - m) * p in place: * and + commute exactly
+        mi = m[idx]
+        blend = apply_bilinear_map(a, smap)
+        blend *= mi
+        np.subtract(1.0, mi, out=mi)
+        mi *= pano[idx]
+        blend += mi
+        merged[idx] = blend
+    return out
 
 
 def _camera_basis(yaw: float, pitch: float):

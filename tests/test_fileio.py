@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,41 @@ def test_pfm_invalid_values_rejected(bad):
 def test_pfm_truncated():
     with pytest.raises(TruncatedDataError):
         read_pfm(b"PF\n4 4\n-1.0\n" + b"\0" * 10)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pfm_bytes_are_the_header_and_flipped_little_endian_rows(dtype):
+    rng = np.random.default_rng(11)
+    arr = rng.lognormal(0.0, 3.0, (5, 7, 3)).astype(dtype)
+    want = b"PF\n7 5\n-1.0\n" + arr[::-1].astype(np.float32).astype("<f4").tobytes()
+    assert write_pfm(HdrImage(arr)) == want
+
+
+@pytest.mark.parametrize("endian", ["<f4", ">f4"])
+def test_pfm_read_owns_a_writeable_native_copy(endian):
+    # one row: a flipped view of the payload would itself be contiguous
+    rows = np.arange(6, dtype=np.float32).reshape(1, 2, 3)
+    scale = b"-1.0" if endian == "<f4" else b"1.0"
+    data = b"PF\n2 1\n" + scale + b"\n" + rows.astype(endian).tobytes()
+    arr = read_pfm(data).data
+    assert arr.dtype == np.float32 and arr.dtype.isnative
+    assert arr.flags.writeable
+    assert np.array_equal(arr, rows)
+
+
+def test_pfm_round_trip_memory_at_dataset_size():
+    # Measured here: 13.5 MiB for a 6 MiB 1024x512 image (the stream, the
+    # decoded copy and HdrImage's finiteness check), against 25.5 MiB with
+    # sliced payloads and a copy per conversion. The bound leaves 15% over.
+    img = random_hdr((512, 1024, 3), seed=12)
+    tracemalloc.start()
+    try:
+        out = read_pfm(write_pfm(img))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(out.data, img.data)
+    assert peak < 15.5 * 2 ** 20
 
 
 # --- PPM ---------------------------------------------------------------------

@@ -472,3 +472,127 @@ def test_losses_permutation_invariant():
     gs = gt.reshape(36, 3)[perm].reshape(6, 6, 3)
     assert scale_invariant_loss(ps, gs) == pytest.approx(
         scale_invariant_loss(pred, gt), rel=1e-12)
+
+
+# --- bounded temporaries ------------------------------------------------------
+
+def whole_image_correlate_nearest(img, taps, axis):
+    """The SSIM filter on a whole image: edge padding, then the taps in
+    correlate1d's order."""
+    half = len(taps) // 2
+    n = img.shape[axis]
+    widths = [(0, 0)] * img.ndim
+    widths[axis] = (half, half)
+    padded = np.pad(img, widths, mode="edge")
+
+    def shifted(offset):
+        return padded[(slice(None),) * axis + (slice(half + offset, half + offset + n),)]
+
+    out = shifted(0) * taps[half]
+    pair = np.empty_like(out)
+    for j in range(half, 0, -1):
+        np.add(shifted(-j), shifted(j), out=pair)
+        pair *= taps[half - j]
+        out += pair
+    return out
+
+
+def whole_image_ssim(a, b, data_range=255.0, k1=0.01, k2=0.03, win_size=11, sigma=1.5):
+    """ssim with every statistic a full-size image."""
+    x = np.asarray(a, dtype=np.float64)
+    y = np.asarray(b, dtype=np.float64)
+    pad = win_size // 2
+    taps = losses._gaussian_taps(win_size, sigma)
+
+    def smooth(img):
+        return whole_image_correlate_nearest(whole_image_correlate_nearest(img, taps, 0), taps, 1)
+
+    mu_x = smooth(x)
+    mu_y = smooth(y)
+    var_x = smooth(x * x) - mu_x ** 2
+    var_y = smooth(y * y) - mu_y ** 2
+    cov = smooth(x * y) - mu_x * mu_y
+    c1 = (k1 * data_range) ** 2
+    c2 = (k2 * data_range) ** 2
+    s = ((2 * mu_x * mu_y + c1) * (2 * cov + c2)) / (
+        (mu_x ** 2 + mu_y ** 2 + c1) * (var_x + var_y + c2)
+    )
+    return float(s[pad:-pad, pad:-pad].mean())
+
+
+# 64 rows of the map per band at width 1024: heights 74 and 138 end a band
+@pytest.mark.parametrize("shape", [(11, 11), (12, 40), (700, 30), (512, 1024),
+                                   (73, 1024), (75, 1024), (137, 1024), (139, 1024)])
+def test_banded_ssim_is_the_whole_image_ssim(shape):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    a = rng.uniform(0, 255, shape)
+    b = np.clip(a + rng.normal(0, 20, shape), 0, 255)
+    assert ssim(a, b) == whole_image_ssim(a, b)
+    assert ssim(a.astype(np.float32), b) == whole_image_ssim(a.astype(np.float32), b)
+    c, d = rng.lognormal(0.0, 1.0, (2,) + shape)
+    assert ssim(c, d, 1.0, 0.02, 0.05, 7, 1.1) == whole_image_ssim(c, d, 1.0, 0.02, 0.05, 7, 1.1)
+
+
+def copying_metric_report(pred, gt, ldr=None, eps=1e-6):
+    """metric_report with float64 copies of the inputs and of every step."""
+    p, g = (np.asarray(v, dtype=np.float64) for v in (pred, gt))
+    d = np.log(p + eps) - np.log(g + eps)
+    k = float(math.exp(-d.mean()))
+    if ldr is None:
+        p_cmp, g_cmp = p * k, g
+    else:
+        s = 255.0 / float(g.flat[int(np.argmax(np.asarray(ldr, dtype=np.float64)))])
+        p_cmp, g_cmp = p * (k * s), g * s
+    return {"si_mse": float(d.var()), "log_psnr": whole_image_log_psnr(p_cmp, g_cmp, eps),
+            "ssim": full_copy_preview_ssim(p_cmp, g_cmp), "kappa": k}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("anchored", [False, True])
+def test_metric_report_matches_the_copying_recipe(dtype, anchored):
+    # (48, 1024) runs three preview bands and one SSIM band
+    pred, gt = (v.astype(dtype) for v in random_pair(23, (48, 1024, 3)))
+    ldr = None
+    if anchored:
+        ldr = np.random.default_rng(24).uniform(0.0, 1.0, gt.shape).astype(np.float32)
+    assert metric_report(pred, gt, ldr) == copying_metric_report(pred, gt, ldr)
+    assert metric_report(pred, gt, ldr, eps=1e-3) == copying_metric_report(pred, gt, ldr, 1e-3)
+
+
+def test_preview_ssim_of_float32_is_that_of_float64_copies():
+    # scaled by 4 in float32, a's 3e38 would overflow to inf
+    rng = np.random.default_rng(32)
+    a, b = rng.lognormal(0.0, 1.0, (2, 40, 64, 3)).astype(np.float32)
+    b /= 4 * b.max()
+    a[3, 5, 1] = 3e38
+    assert preview_ssim(a, b) == preview_ssim(a.astype(np.float64), b.astype(np.float64))
+
+
+def test_ssim_memory_at_dataset_size():
+    # Measured here: 8.7 MiB for two 512x1024 images, against 36.2 MiB with
+    # whole-image statistics. The bound leaves 15% over the measured peak.
+    rng = np.random.default_rng(700)
+    a = rng.uniform(0, 255, (512, 1024))
+    b = np.clip(a + rng.normal(0, 20, a.shape), 0, 255)
+    tracemalloc.start()
+    try:
+        ssim(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+
+
+def test_metric_report_float32_memory_at_dataset_size():
+    # Measured here on float32 1024x512 images: 36 MiB (the log difference,
+    # reused for the aligned pred, and the two log images of log_psnr),
+    # against 83 MiB with float64 copies of the inputs and whole-image SSIM
+    # statistics. The bound leaves 15% over the measured peak.
+    pred, gt = (HdrImage(a.astype(np.float32)) for a in random_pair(19, (512, 1024, 3)))
+    tracemalloc.start()
+    try:
+        metric_report(pred, gt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 41.5 * 2 ** 20

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from hdrkit import pano as pano_module
+from hdrkit.image import channel_mean
 from hdrkit.pano import (
+    DEFAULT_MERGE_TAU,
     MAX_PLANE_EXTENT,
     PanoProjection,
     apply_bilinear_map,
@@ -411,3 +413,125 @@ def test_crop_set_constant():
     pano = np.full((H, W, 3), 3.0)
     for img, _ in crop_set(pano, 40, 30):
         assert np.all(img == 3.0)
+
+
+# --- plans in both directions, gathered in slices ------------------------------
+
+def full_grid_pano_to_ceiling(pano, proj):
+    """pano_to_ceiling sampling every ceiling pixel, then zeroing those
+    outside the imaged disk."""
+    a = np.asarray(pano, dtype=np.float64)
+    ext = proj.plane_extent
+    cx = ((np.arange(proj.ceil_width) + 0.5) / proj.ceil_width * 2.0 - 1.0) * ext
+    cy = (1.0 - (np.arange(proj.ceil_height) + 0.5) / proj.ceil_height * 2.0) * ext
+    cx, cy = np.meshgrid(cx, cy)
+    px, py, pz, valid = plane_to_sphere(cx, cy, proj.camera_offset)
+    x, y = dir_equirect(np.stack((px, py, pz), axis=-1), a.shape[1], a.shape[0])
+    out = apply_bilinear_map(a, bilinear_map(x, y, a.shape[1], a.shape[0], wrap_x=True))
+    out[~valid] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("ceil_size", [7, 300, 512])
+@pytest.mark.parametrize("camera_d", [1.0, 0.5])
+@pytest.mark.parametrize("extent", [0.5, 3.0, MAX_PLANE_EXTENT])
+def test_p2c_matches_full_grid_oracle(ceil_size, camera_d, extent):
+    proj = PanoProjection(64, 32, ceil_size, ceil_size, camera_offset=camera_d,
+                          plane_extent=extent)
+    rng = np.random.default_rng(ceil_size)
+    for pano in (rng.lognormal(0.0, 1.0, (32, 64, 3)).astype(np.float32),
+                 rng.uniform(0.0, 2.0, (32, 64)),
+                 rng.uniform(0.0, 2.0, (40, 80, 3))):  # not proj's panorama size
+        got = pano_to_ceiling(pano, proj)
+        want = full_grid_pano_to_ceiling(pano, proj)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("extent", [1.0, 0.5])
+@pytest.mark.parametrize("mask_dims", [2, 3])
+def test_merge_matches_the_full_grid_blend(extent, mask_dims):
+    # a 384x192 panorama: the 36864-pixel plan is gathered in two slices
+    w, h, n = 384, 192, 96
+    proj = PanoProjection(w, h, n, n, plane_extent=extent)
+    rng = np.random.default_rng(mask_dims)
+    h_c = rng.lognormal(0.0, 1.0, (n, n, 3)).astype(np.float32)
+    h_p = rng.lognormal(0.0, 1.0, (h, w, 3)).astype(np.float32)
+    h_p[rng.uniform(size=(h, w, 3)) < 0.1] = -0.0
+    m = rng.uniform(0.0, 1.0, (h, w) if mask_dims == 2 else (h, w, 3))
+    m[rng.uniform(size=m.shape) < 0.2] = 0.0  # zeros inside the plan and out
+    m[-1] = 1.0
+    got = merge_panorama(h_c, h_p, m, proj)
+    mb = m if mask_dims == 3 else m[..., None]
+    want = mb * ceiling_to_pano(h_c, proj)[0] + (1.0 - mb) * h_p.astype(np.float64)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(bits(got), bits(want))
+
+
+def test_merge_with_zero_mask_turns_negative_zero_positive():
+    # m * c + (1 - m) * p with m = 0 is 0.0 + (-0.0) = +0.0 where p is -0.0,
+    # so the merge is h_pano up to the sign of its zeros
+    proj = PanoProjection(64, 32, 32, 32)
+    h_p = np.random.default_rng(4).uniform(0.1, 5.0, (32, 64, 3))
+    h_p[2, 3] = h_p[30, 40] = -0.0
+    merged = merge_panorama(np.ones((32, 32, 3)), h_p, np.zeros((32, 64)), proj)
+    assert np.array_equal(merged, h_p)
+    assert not np.signbit(merged).any()
+
+
+def test_merge_mask_matches_the_full_grid_mask():
+    w, h, n = 384, 192, 96
+    proj = PanoProjection(w, h, n, n)
+    ldr = np.random.default_rng(5).uniform(0.0, 1.0, (n, n, 3)).astype(np.float32)
+    for tau in (0.0, DEFAULT_MERGE_TAU, 0.9):
+        mean = channel_mean(ceiling_to_pano(ldr, proj)[0])
+        want = np.clip(np.maximum(0.0, mean - tau) / (1.0 - tau), 0.0, 1.0)
+        assert np.array_equal(bits(merge_mask(ldr, proj, tau)), bits(want))
+
+
+def test_disk_plan_is_read_only():
+    proj = PanoProjection(64, 32, 16, 16)
+    pano_to_ceiling(np.ones((32, 64, 3)), proj)
+    for arr in pano_module._disk_plan(proj, 32, 64):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+
+
+@pytest.fixture
+def dataset_size_inputs():
+    rng = np.random.default_rng(9)
+    ldr = rng.uniform(0.0, 1.0, (512, 512, 3)).astype(np.float32)
+    h_c = rng.uniform(0.1, 5.0, (512, 512, 3)).astype(np.float32)
+    h_p = rng.uniform(0.1, 5.0, (512, 1024, 3)).astype(np.float32)
+    return PanoProjection(1024, 512, 512, 512), ldr, h_c, h_p
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sliced_merge_memory_at_dataset_size(dataset_size_inputs):
+    # Measured here: 40 MiB (the 14 MiB plan, the mask, the float64 result
+    # and ceiling, one slice of temporaries), against 74 MiB when the blend
+    # and the gather ran over whole images. The bound leaves 15% over.
+    proj, ldr, h_c, h_p = dataset_size_inputs
+    pano_module._ceiling_plan.cache_clear()
+    peak = traced_peak(lambda: merge_panorama(h_c, h_p, merge_mask(ldr, proj), proj))
+    assert peak < 46 * 2 ** 20
+
+
+def test_p2c_memory_at_dataset_size(dataset_size_inputs):
+    # Measured here: 31.5 MiB, against 56 MiB for the full-grid conversion.
+    # The bound leaves 15% over the measured peak.
+    proj, _, _, h_p = dataset_size_inputs
+    pano_module._disk_plan.cache_clear()
+    assert traced_peak(lambda: pano_to_ceiling(h_p, proj)) < 36.5 * 2 ** 20
