@@ -71,7 +71,7 @@ def calibrate_hdr(h: HdrImage, i: LinearLdr, tau: float = DEFAULT_TAU) -> Calibr
     if s_hdr <= 0:
         raise UncalibratableError("masked HDR sum is zero; scale is undefined")
     scale = s_ldr / s_hdr
-    calibrated = HdrImage((hd.astype(np.float64) * scale).astype(hd.dtype))
+    calibrated = HdrImage(np.multiply(hd, scale, dtype=np.float64).astype(hd.dtype))
     return CalibrationResult(calibrated=calibrated, scale_factor=scale)
 
 

@@ -13,7 +13,7 @@ import re
 
 import numpy as np
 
-from .image import HdrImage, LdrImage, image_data
+from .image import HdrImage, LdrImage, _row_bands, image_data
 
 __all__ = [
     "FileFormat",
@@ -85,13 +85,6 @@ _RGBE_RESOLUTION_RE = re.compile(rb"^-Y (\d+) \+X (\d+)$")
 # New-style RLE needs the scanline width to fit in the two-byte header.
 _RLE_MIN_WIDTH = 8
 _RLE_MAX_WIDTH = 32767
-# The codec converts, decodes and encodes about this many quadruple bytes at
-# a time, so its per-byte index arrays are O(band), not O(height*width).
-_BAND_BYTES = 1 << 18
-
-
-def _band_rows(width: int) -> int:
-    return max(1, _BAND_BYTES // (4 * width))
 
 
 def _rgbe_to_float(rgbe: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -169,9 +162,8 @@ def read_rgbe(data: bytes) -> HdrImage:
         raise TruncatedDataError(
             f"RGBE payload of {len(payload)} bytes cannot hold {height}x{width} pixels")
     out = np.empty((height, width, 3), dtype=np.float32)
-    band = _band_rows(width)
-    for y, quads in _rgbe_bands(payload, height, width, band):
-        _rgbe_to_float(quads, out[y:y + band])
+    for rows, quads in _rgbe_bands(payload, height, width):
+        _rgbe_to_float(quads, out[rows])
     return HdrImage(out)
 
 
@@ -225,11 +217,12 @@ def _read_scanline(buf: memoryview, pos: int, out: np.ndarray, width: int) -> in
     return pos
 
 
-def _rgbe_bands(payload: memoryview, height: int, width: int, band: int):
-    """Yield (y, quadruples) for each band of `band` scanlines. All-RLE
-    payloads decode in bulk; anything else goes through _read_scanline."""
+def _rgbe_bands(payload: memoryview, height: int, width: int):
+    """Yield (rows, quadruples) for each row band of the image, so the
+    codec's per-byte index arrays stay band-sized. All-RLE payloads decode
+    in bulk; anything else goes through _read_scanline."""
     if not _RLE_MIN_WIDTH <= width <= _RLE_MAX_WIDTH:  # flat scanlines only
-        rows = np.frombuffer(payload, np.uint8, 4 * height * width).reshape(height, width, 4)
+        quads = np.frombuffer(payload, np.uint8, 4 * height * width).reshape(height, width, 4)
     else:
         # A 0 past the end reads as a zero-length block, which fails the
         # lockstep parse, so reading a control byte needs no bound check.
@@ -237,15 +230,15 @@ def _rgbe_bands(payload: memoryview, height: int, width: int, band: int):
         buf[:-1] = payload
         blocks = _rle_blocks(buf, height, width)
         if blocks is not None:
-            for y in range(0, height, band):
-                yield y, _expand_blocks(buf, blocks, y, min(y + band, height), width)
+            for rows in _row_bands((height, width)):
+                yield rows, _expand_blocks(buf, blocks, rows.start, min(rows.stop, height), width)
             return
         pos = 0
-        rows = np.empty((height, width, 4), dtype=np.uint8)
+        quads = np.empty((height, width, 4), dtype=np.uint8)
         for y in range(height):
-            pos = _read_scanline(payload, pos, rows[y], width)
-    for y in range(0, height, band):
-        yield y, rows[y:y + band]
+            pos = _read_scanline(payload, pos, quads[y], width)
+    for rows in _row_bands((height, width)):
+        yield rows, quads[rows]
 
 
 def _rle_blocks(buf: np.ndarray, height: int, width: int):
@@ -348,9 +341,8 @@ def write_rgbe(h: HdrImage) -> bytes:
     parts = [b"#?RADIANCE\n", b"FORMAT=32-bit_rle_rgbe\n", b"\n",
              f"-Y {height} +X {width}\n".encode("ascii")]
     use_rle = _RLE_MIN_WIDTH <= width <= _RLE_MAX_WIDTH
-    band = _band_rows(width)
-    for y in range(0, height, band):
-        quads = _float_to_rgbe(arr[y:y + band])
+    for rows in _row_bands((height, width)):
+        quads = _float_to_rgbe(arr[rows])
         parts.append(_encode_scanlines(quads) if use_rle else quads.tobytes())
     return b"".join(parts)
 

@@ -4,6 +4,14 @@ All buffers are numpy arrays of shape (height, width, 3), row-major with
 row 0 at the top of the image. HDR data is linear radiance in relative
 luminance units; LDR data is 8-bit sRGB-encoded; LinearLdr is the
 linearized [0, 1] float counterpart of an LDR image.
+
+Stages read buffers of any dtype as they are and compute in float64: each
+ufunc that first touches an input promotes it with dtype=np.float64, or
+the input is cast one gather or row band at a time, so a float32 or
+integer image gets the values its float64 copy would give, without that
+copy. (A float32 array times a Python float stays float32, so the
+promotion must be explicit.) Per-pixel stages run in the row bands of
+_row_bands.
 """
 
 from __future__ import annotations

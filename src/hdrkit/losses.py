@@ -5,11 +5,6 @@ images in relative luminance are defined only up to a positive factor, the
 error between two images is measured after the optimal global log-offset,
 which has a closed form. All reductions accumulate in double precision and
 reduce sequentially per image, so results do not depend on chunking.
-
-Inputs of any dtype are read as they are: each ufunc that first touches an
-input promotes it with dtype=np.float64, so a float32 image gets the values
-a float64 copy would give without that copy. (A float32 array times a
-Python float stays float32, so the promotion must be explicit.)
 """
 
 from __future__ import annotations
@@ -256,8 +251,7 @@ def ssim(
     stay band-sized. The values are those of filtering the whole image
     with edge padding: no window in the region reaches the padding.
     """
-    x = np.asarray(image_data(a), dtype=np.float64)
-    y = np.asarray(image_data(b), dtype=np.float64)
+    x, y = image_data(a), image_data(b)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     if x.ndim != 2:
@@ -279,8 +273,8 @@ def ssim(
     s = np.zeros((h, w))
     for rows in _row_bands((inner, w)):
         lo, hi = rows.start, min(rows.stop, inner)
-        xb = x[lo:hi + 2 * pad]
-        yb = y[lo:hi + 2 * pad]
+        xb = x[lo:hi + 2 * pad].astype(np.float64, copy=False)
+        yb = y[lo:hi + 2 * pad].astype(np.float64, copy=False)
         mu_x = smooth(xb)
         mu_y = smooth(yb)
         var_x = smooth(xb * xb) - mu_x ** 2

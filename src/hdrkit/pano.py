@@ -23,8 +23,8 @@ the ceiling pixels inside the imaged disk; ceiling_to_pano's holds the
 panorama pixels the plane reaches, all on or above the equator, and
 merge_mask and merge_panorama share it, so one merge builds the geometry
 once. Each plan is cached per projection and source size, built one row
-band at a time, and gathered in slices of _PLAN_CHUNK pixels, so the
-temporaries stay slice-sized. A resampled image is 0 outside its plan.
+band at a time, and gathered in slices of one RGB row band's pixels, so
+the temporaries stay slice-sized. A resampled image is 0 outside its plan.
 """
 
 from __future__ import annotations
@@ -67,8 +67,6 @@ MAX_PLANE_EXTENT = 1e150
 CROP_YAWS_DEG = (0.0, 60.0, 120.0, 180.0, 240.0, 300.0)
 CROP_ELEVATED_YAWS_DEG = (0.0, 120.0, 240.0)
 CROP_ELEVATED_PITCH_DEG = 45.0
-# pixels per slice of a plan gather: 768 KiB per float64 RGB temporary
-_PLAN_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -170,22 +168,21 @@ def apply_bilinear_map(img: np.ndarray, smap: tuple) -> np.ndarray:
         fx = fx[..., None]
         fy = fy[..., None]
     # The lerps top = v00 + fx * (v10 - v00), bottom likewise, and
-    # top + fy * (bottom - top), in place on the gathered copies: each
-    # difference of two neighbours in the image's dtype, the rest in the
-    # promoted dtype. + and * commute exactly, so the values are those of
-    # the three expressions, with fewer full-size temporaries.
+    # top + fy * (bottom - top), in place on the gathered copies, all in the
+    # promoted dtype: the second gather of each pair is cast before the
+    # subtraction, so an integer image does not wrap around. + and * commute
+    # exactly, so the values are those of the three expressions on a copy
+    # of the image in the promoted dtype, with fewer full-size temporaries.
     dtype = np.result_type(flat, fx)
     v00 = np.take(flat, i00, axis=0)
-    top = np.take(flat, i10, axis=0)
+    top = np.take(flat, i10, axis=0).astype(dtype, copy=False)
     top -= v00
-    top = top.astype(dtype, copy=False)
     top *= fx
     top += v00
     del v00
     v01 = np.take(flat, i01, axis=0)
-    bottom = np.take(flat, i11, axis=0)
+    bottom = np.take(flat, i11, axis=0).astype(dtype, copy=False)
     bottom -= v01
-    bottom = bottom.astype(dtype, copy=False)
     bottom *= fx
     bottom += v01
     del v01
@@ -249,9 +246,10 @@ def _banded_plan(height: int, width: int, band_map) -> tuple:
 
 
 def _plan_chunks(plan: tuple):
-    """The plan's arrays in slices of _PLAN_CHUNK pixels: (idx, *smap)."""
-    for start in range(0, len(plan[0]), _PLAN_CHUNK):
-        yield [arr[start:start + _PLAN_CHUNK] for arr in plan]
+    """The plan's arrays in slices (idx, *smap), each the pixels of one row
+    band of an RGB image: 512 KiB per float64 RGB temporary."""
+    for part in _row_bands((len(plan[0]), 3)):
+        yield [arr[part] for arr in plan]
 
 
 def _gather(a: np.ndarray, plan: tuple, height: int, width: int) -> np.ndarray:
@@ -288,9 +286,7 @@ def pano_to_ceiling(pano, proj: PanoProjection) -> np.ndarray:
     """
     pano = image_data(pano)
     plan = _disk_plan(proj, pano.shape[0], pano.shape[1])
-    # a float64 copy, as apply_bilinear_map takes neighbour differences in
-    # the image's dtype
-    return _gather(np.asarray(pano, dtype=np.float64), plan, proj.ceil_height, proj.ceil_width)
+    return _gather(pano, plan, proj.ceil_height, proj.ceil_width)
 
 
 @functools.lru_cache(maxsize=1)
@@ -326,7 +322,7 @@ def ceiling_to_pano(ceil, proj: PanoProjection) -> tuple[np.ndarray, np.ndarray]
     h, w = proj.pano_height, proj.pano_width
     valid = np.zeros(h * w)
     valid[plan[0]] = 1.0
-    return _gather(np.asarray(ceil, dtype=np.float64), plan, h, w), valid.reshape(h, w)
+    return _gather(ceil, plan, h, w), valid.reshape(h, w)
 
 
 def merge_mask(i_ceil, proj: PanoProjection, tau: float = DEFAULT_MERGE_TAU) -> np.ndarray:
@@ -340,11 +336,10 @@ def merge_mask(i_ceil, proj: PanoProjection, tau: float = DEFAULT_MERGE_TAU) -> 
         raise ValueError("tau must lie in [0, 1)")
     ceil = image_data(i_ceil)
     plan = _ceiling_plan(proj, ceil.shape[0], ceil.shape[1])
-    a = np.asarray(ceil, dtype=np.float64)
     h, w = proj.pano_height, proj.pano_width
     m = np.zeros(h * w)
     for idx, *smap in _plan_chunks(plan):
-        v = apply_bilinear_map(a, smap)
+        v = apply_bilinear_map(ceil, smap)
         mean = channel_mean(v[None])[0] if v.ndim == 2 else v
         m[idx] = np.clip(np.maximum(0.0, mean - tau) / (1.0 - tau), 0.0, 1.0)
     return m.reshape(h, w)
@@ -376,11 +371,10 @@ def merge_panorama(h_ceil, h_pano, m_p: np.ndarray, proj: PanoProjection) -> np.
         out[rows] = mb * 0.0 + (1.0 - mb) * pano[rows]
     flat = (h * w,) + pano.shape[2:]
     m, pano, merged = m.reshape(flat), pano.reshape(flat), out.reshape(flat)
-    a = np.asarray(ceil, dtype=np.float64)
     for idx, *smap in _plan_chunks(plan):
         # m * c + (1 - m) * p in place: * and + commute exactly
         mi = m[idx]
-        blend = apply_bilinear_map(a, smap)
+        blend = apply_bilinear_map(ceil, smap)
         blend *= mi
         np.subtract(1.0, mi, out=mi)
         mi *= pano[idx]
@@ -408,7 +402,7 @@ def crop_perspective(pano, yaw: float, pitch: float, hfov: float,
     """
     if not 0 < hfov < np.pi:
         raise ValueError("horizontal field of view must lie in (0, pi)")
-    a = np.asarray(image_data(pano), dtype=np.float64)
+    a = image_data(pano)
     forward, right, up = _camera_basis(yaw, pitch)
     tan_x = math.tan(hfov / 2.0)
     tan_y = tan_x * out_height / out_width
@@ -427,7 +421,7 @@ def crop_set(pano, out_width: int = 320, out_height: int = 240,
     45 degrees elevation (omitted for outdoor scenes). Returns a list of
     (image, params) pairs where params records yaw/pitch in degrees.
     """
-    a = np.asarray(image_data(pano), dtype=np.float64)
+    a = image_data(pano)
     views = [(yaw, 0.0) for yaw in CROP_YAWS_DEG]
     if not outdoor:
         views += [(yaw, CROP_ELEVATED_PITCH_DEG) for yaw in CROP_ELEVATED_YAWS_DEG]

@@ -215,7 +215,7 @@ def diffuse_irradiance(normals, env) -> np.ndarray:
     """
     n = np.asarray(normals, dtype=np.float64)
     flat = n.reshape(-1, 3)
-    envs = np.asarray(image_data(env), dtype=np.float64)
+    envs = image_data(env)
     stacked = envs.ndim == 4
     if not stacked:
         envs = envs[None]
@@ -362,7 +362,7 @@ def render_many(scene: SceneConfig, envs) -> list[HdrImage]:
     number of workers, and each result is byte-identical to rendering its
     environment alone. The environments must share one shape.
     """
-    arrs = [np.asarray(image_data(e), dtype=np.float64) for e in envs]
+    arrs = [image_data(e) for e in envs]
     if not arrs:
         return []
     shapes = {a.shape for a in arrs}
@@ -393,12 +393,11 @@ def render(scene: SceneConfig, env) -> HdrImage:
 def compare_renders(a, b, preview_ev: float = 0.0, preview_window_ev: float = 10.0) -> dict:
     """Metric bundle for two renders: linear MSE, log-domain PSNR, and the
     preview_ssim of the pair."""
-    pa = np.asarray(image_data(a), dtype=np.float64)
-    pb = np.asarray(image_data(b), dtype=np.float64)
+    pa, pb = image_data(a), image_data(b)
     if pa.shape != pb.shape:
         raise ValueError(f"shape mismatch: {pa.shape} vs {pb.shape}")
     return {
-        "mse": float(((pa - pb) ** 2).mean()),
+        "mse": float((np.subtract(pa, pb, dtype=np.float64) ** 2).mean()),
         "log_psnr": log_psnr(pa, pb),
         "ssim": preview_ssim(pa, pb, preview_ev, preview_window_ev),
     }

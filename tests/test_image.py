@@ -14,6 +14,9 @@ from hdrkit.image import (
     srgb_oetf,
     srgb_to_linear,
 )
+from hdrkit.losses import ssim
+from hdrkit.pano import PanoProjection, crop_set, merge_panorama
+from hdrkit.render import compare_renders, default_scene_text, parse_scene, render_many
 
 
 def test_hdr_image_rejects_bad_values():
@@ -166,3 +169,30 @@ def test_exposure_preview_ev_additivity():
 def test_exposure_preview_requires_positive_window():
     with pytest.raises(ValueError):
         exposure_preview(HdrImage(np.ones((1, 1, 3), dtype=np.float32)), 0.0, 0.0)
+
+
+# The dtype rule of the image module's docstring, stage by stage: each
+# stage's outputs from float32 inputs and from their float64 copies.
+_MERGE_MASK = np.random.default_rng(15).uniform(0.0, 1.0, (32, 64))
+_FLOAT_STAGES = {
+    "crop_set": lambda a, b: [img for img, _ in crop_set(a, 16, 12)],
+    "render_many": lambda a, b: [r.data for r in render_many(
+        parse_scene(default_scene_text(16, 12)), [a, b])],
+    "compare_renders": lambda a, b: list(compare_renders(a, b).values()),
+    "ssim": lambda a, b: [ssim(a[..., 0], b[..., 0])],
+    "merge_panorama": lambda a, b: [merge_panorama(
+        b[:, :32], a, _MERGE_MASK, PanoProjection(64, 32, 32, 32))],
+}
+
+
+@pytest.mark.parametrize("stage", sorted(_FLOAT_STAGES))
+def test_float32_inputs_give_the_bytes_of_their_float64_copies(stage):
+    rng = np.random.default_rng(14)
+    a, b = rng.lognormal(0.0, 1.0, (2, 32, 64, 3)).astype(np.float32)
+    run = _FLOAT_STAGES[stage]
+    got = run(a, b)
+    want = run(a.astype(np.float64), b.astype(np.float64))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        g, w = np.asarray(g), np.asarray(w)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()

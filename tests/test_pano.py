@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hdrkit import pano as pano_module
-from hdrkit.image import channel_mean
+from hdrkit.image import LdrImage, channel_mean, image_data
 from hdrkit.pano import (
     DEFAULT_MERGE_TAU,
     MAX_PLANE_EXTENT,
@@ -168,14 +168,33 @@ def lerp_gather(img, smap):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("channels", [(3,), ()])
 def test_apply_bilinear_map_matches_out_of_place_lerps(dtype, channels):
+    # a float32 image samples to the bits of its float64 copy
     rng = np.random.default_rng(12)
     img = (rng.uniform(-3.0, 3.0, (9, 14) + channels) * 40).astype(dtype)
     for x, y in [(rng.uniform(-2, 16, (5, 7)), rng.uniform(-2, 10, (5, 7))),
                  (np.float64(3.3), np.float64(4.6))]:
         smap = bilinear_map(x, y, 14, 9)
-        got, want = apply_bilinear_map(img, smap), lerp_gather(img, smap)
+        got, want = apply_bilinear_map(img, smap), lerp_gather(img.astype(np.float64), smap)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_integer_images_sample_as_their_float64_copies():
+    # halfway between codes 200 and 10 is 105: a uint8 difference would wrap
+    ldr = np.zeros((2, 4, 3), dtype=np.uint8)
+    ldr[0, 1], ldr[0, 2] = 200, 10
+    assert bilinear_sample(LdrImage(ldr), np.array([1.5]), np.array([0.0]))[0, 0] == 105.0
+    rng = np.random.default_rng(13)
+    images = [LdrImage(rng.integers(0, 256, (H, W, 3), dtype=np.uint8)),
+              rng.integers(-30000, 30000, (H, W, 3)).astype(np.int16)]
+    x, y = rng.uniform(-2, W + 2, 50), rng.uniform(-2, H + 2, 50)
+    for img in images:
+        ref = image_data(img).astype(np.float64)
+        for run in (lambda a: bilinear_sample(a, x, y),
+                    lambda a: crop_perspective(a, 0.3, 0.2, 1.0, 16, 12),
+                    lambda a: pano_to_ceiling(a, PanoProjection(W, H, 64, 64))):
+            got, want = run(img), run(ref)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 def test_bilinear_clamps_vertically():

@@ -1,4 +1,4 @@
-"""Exact outputs of the comparison and resampling subcommands, pinned.
+"""Pinned outputs of the calibration, comparison and resampling commands.
 
 Each test runs one subcommand on small fixed inputs and compares its
 metric JSON, or the SHA-256 of its output image bytes, with literals. A
@@ -133,3 +133,25 @@ def test_pano_resampling_pinned(workdir, capsys):
     run(capsys, "crop-set", pano, "--out-dir", crops, "--width", 16, "--height", 12)
     assert digest(*sorted(crops.glob("*.pfm"))) == (
         "4c4f124eb5497f8ca1c23079cbbb91751f91be699b169fea6a31ee4539319902")
+
+
+def test_merge_pinned(workdir, capsys):
+    pano = save_pfm(workdir / "pano.pfm", panorama())
+    rng = np.random.default_rng(607)
+    ceil = save_pfm(workdir / "ceil.pfm", rng.lognormal(0.0, 1.0, (32, 32, 3)))
+    ceil_ldr = save_srgb_ppm(workdir / "ceil.ppm", rng.uniform(0.0, 1.0, (32, 32, 3)))
+    merged = workdir / "merged.pfm"
+    run(capsys, "merge", ceil, pano, "--ceil-ldr", ceil_ldr, "-o", merged)
+    assert digest(merged) == (
+        "fa016ce8a751dd22413412d94ae02369aee9b1c69ab02887c4d6a1e1c48d1c62")
+
+
+def test_calibrate_pinned(workdir, capsys):
+    hdr = panorama()
+    pano = save_pfm(workdir / "pano.pfm", hdr)
+    anchor = save_srgb_ppm(workdir / "anchor.ppm", hdr / 2.5)
+    calibrated = workdir / "calibrated.pfm"
+    out = run(capsys, "calibrate", pano, anchor, "-o", calibrated)
+    assert digest(calibrated) == (
+        "0d9761858ce8d86d084e9b5c5b8e36963de0bb90ca83a2f922d352e82702614b")
+    assert json.loads(out) == {"scale_factor": 0.39999931668655336}
