@@ -18,6 +18,7 @@ reported before any file is read or written.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -34,12 +35,10 @@ from .calibration import (
     DEFAULT_T_HIGH,
     DEFAULT_T_LOW,
     DEFAULT_TAU,
-    UncalibratableError,
     calibrate_hdr,
     luminance_seg_labels,
 )
 from .camera import (
-    AutoExposureError,
     DEFAULT_TARGET_MEAN,
     DYNAMIC_RANGE_EV,
     identity_camera,
@@ -73,7 +72,6 @@ from .pano import (
 )
 from .render import (
     SceneConfig,
-    SceneParseError,
     compare_renders,
     parse_scene,
     render,
@@ -100,6 +98,28 @@ def _emit_error(kind: str, message: str, file=None) -> None:
           file=sys.stderr)
 
 
+def _exit_code(exc: Exception) -> int:
+    """The exit code of a failure: a usage error exits 1, an I/O failure or
+    a MemoryError 2, and any other exception 3 (numeric failures and
+    anything unforeseen)."""
+    if isinstance(exc, UsageError):
+        return EXIT_USAGE
+    if isinstance(exc, (HdrIoError, OSError, MemoryError)):
+        return EXIT_IO
+    return EXIT_NUMERIC
+
+
+@contextlib.contextmanager
+def _naming(path):
+    """Attach the file's name to a failure inside the block, for the error
+    line that main prints."""
+    try:
+        yield
+    except Exception as exc:
+        exc.file = str(path)
+        raise
+
+
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
@@ -124,16 +144,18 @@ def _format_for(path: Path) -> FileFormat:
     raise UsageError(f"cannot infer image format from extension {ext!r} ({path})")
 
 
-def _read(path) -> HdrImage | LdrImage:
-    with open(path, "rb") as fh:
-        return read_image(fh.read())
+def _read(path, kind=(HdrImage, LdrImage), expected=""):
+    """The decoded image file, which must be a `kind`."""
+    with _naming(path):
+        with open(path, "rb") as fh:
+            img = read_image(fh.read())
+        if not isinstance(img, kind):
+            raise HdrIoError(f"{path}: expected {expected}")
+        return img
 
 
 def _read_hdr(path) -> HdrImage:
-    img = _read(path)
-    if not isinstance(img, HdrImage):
-        raise HdrIoError(f"{path}: expected an HDR image (RGBE or PFM)")
-    return img
+    return _read(path, HdrImage, "an HDR image (RGBE or PFM)")
 
 
 def _linearize(img: LdrImage, ldr_space: str) -> LinearLdr:
@@ -143,10 +165,7 @@ def _linearize(img: LdrImage, ldr_space: str) -> LinearLdr:
 
 
 def _read_linear_ldr(path, ldr_space: str) -> LinearLdr:
-    img = _read(path)
-    if not isinstance(img, LdrImage):
-        raise HdrIoError(f"{path}: expected an 8-bit LDR image (PPM)")
-    return _linearize(img, ldr_space)
+    return _linearize(_read(path, LdrImage, "an 8-bit LDR image (PPM)"), ldr_space)
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -261,18 +280,16 @@ def _batch_outputs(inputs: list[Path], output, out_dir, suffix: str) -> list[Pat
 
 
 def _run_batch(inputs, worker, jobs: int) -> int:
-    """Run per-file work, reporting failures without aborting the batch:
-    an I/O failure or a MemoryError exits 2, any other exception 3. `jobs`
-    of 1 runs the files one after another."""
+    """Run per-file work, reporting each failure with its _exit_code
+    without aborting the batch. `jobs` of 1 runs the files one after
+    another."""
 
     def safe(i_path):
         i, path = i_path
         try:
             return worker(path, i), None
-        except (HdrIoError, OSError, MemoryError) as exc:
-            return None, (EXIT_IO, type(exc).__name__, str(exc), str(path))
-        except Exception as exc:  # numeric failures and anything unforeseen
-            return None, (EXIT_NUMERIC, type(exc).__name__, str(exc), str(path))
+        except Exception as exc:
+            return None, (_exit_code(exc), type(exc).__name__, str(exc), str(path))
 
     if jobs <= 1:
         results = [safe(item) for item in enumerate(inputs)]
@@ -342,9 +359,11 @@ def _cmd_c2p(args, params) -> int:
         "inputs": [str(args.ceil)],
         "params": _geometry_params(proj),
     }
-    _write_output(Path(args.output), HdrImage(pano.astype(np.float32)), manifest)
+    img = HdrImage(pano.astype(np.float32))
+    del pano  # the float64 panorama, before the validity image is made
+    _write_output(Path(args.output), img, manifest)
     if args.validity_out:
-        vimg = HdrImage(np.repeat(validity[..., None], 3, axis=2).astype(np.float32))
+        vimg = HdrImage(np.repeat(validity.astype(np.float32)[..., None], 3, axis=2))
         _write_output(Path(args.validity_out), vimg, {**manifest, "content": "validity mask"})
     return EXIT_OK
 
@@ -409,15 +428,10 @@ def _cmd_render(args, params) -> int:
 
 
 def _read_scene(path) -> SceneConfig:
-    """The parsed scene file; a parse error carries the file's name to the
-    error line that main prints."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return parse_scene(text)
-    except SceneParseError as exc:
-        exc.file = str(path)
-        raise
+    """The parsed scene file, shared by render and eval-ibl."""
+    with _naming(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse_scene(fh.read())
 
 
 def _cmd_eval_ibl(args, params) -> int:
@@ -661,15 +675,9 @@ def main(argv=None) -> int:
         command = _COMMANDS[args.command]
         params = _resolve_params(args, _load_config(args.config), command.options)
         return command.handler(args, params)
-    except UsageError as exc:
-        _emit_error("UsageError", str(exc))
-        return EXIT_USAGE
-    except (HdrIoError, OSError, MemoryError) as exc:
-        _emit_error(type(exc).__name__, str(exc))
-        return EXIT_IO
-    except (UncalibratableError, AutoExposureError, ValueError, ArithmeticError) as exc:
+    except Exception as exc:
         _emit_error(type(exc).__name__, str(exc), getattr(exc, "file", None))
-        return EXIT_NUMERIC
+        return _exit_code(exc)
 
 
 if __name__ == "__main__":

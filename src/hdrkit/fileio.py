@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import re
+from array import array
 
 import numpy as np
 
@@ -139,12 +140,11 @@ def read_rgbe(data: bytes) -> HdrImage:
     if not fmt_ok:
         raise MalformedHeaderError("missing FORMAT=32-bit_rle_rgbe header line")
 
-    rest = data[header_end + 2:]
     try:
-        res_end = rest.index(b"\n")
+        res_end = data.index(b"\n", header_end + 2)
     except ValueError:
         raise MalformedHeaderError("missing resolution line")
-    res_line = rest[:res_end]
+    res_line = data[header_end + 2:res_end]
     m = _RGBE_RESOLUTION_RE.match(res_line)
     if m is None:
         if re.match(rb"^[-+][XY] \d+ [-+][XY] \d+$", res_line):
@@ -157,7 +157,7 @@ def read_rgbe(data: bytes) -> HdrImage:
     if width < 1 or height < 1:
         raise MalformedHeaderError("image dimensions must be positive")
 
-    payload = memoryview(rest[res_end + 1:])
+    payload = memoryview(data)[res_end + 1:]
     if len(payload) < _rgbe_min_payload(height, width):
         raise TruncatedDataError(
             f"RGBE payload of {len(payload)} bytes cannot hold {height}x{width} pixels")
@@ -176,150 +176,77 @@ def _rgbe_min_payload(height: int, width: int) -> int:
     return height * width * 4
 
 
-def _read_scanline(buf: memoryview, pos: int, out: np.ndarray, width: int) -> int:
-    if pos + 4 > len(buf):
-        raise TruncatedDataError("truncated RGBE scanline header")
-    b0, b1, b2, b3 = buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]
-    is_rle = (
-        b0 == 2 and b1 == 2 and ((b2 << 8) | b3) == width
-        and _RLE_MIN_WIDTH <= width <= _RLE_MAX_WIDTH
-    )
-    if not is_rle:
-        end = pos + 4 * width
-        if end > len(buf):
-            raise TruncatedDataError("truncated flat RGBE scanline")
-        out[:] = np.frombuffer(buf[pos:end], dtype=np.uint8).reshape(width, 4)
-        return end
-
-    pos += 4
-    for c in range(4):
-        x = 0
-        while x < width:
-            if pos >= len(buf):
-                raise TruncatedDataError("truncated RLE RGBE scanline")
-            count = buf[pos]
-            pos += 1
-            if count > 128:
-                run = count - 128
-                if x + run > width or pos >= len(buf):
-                    raise TruncatedDataError("RGBE run overflows scanline")
-                out[x:x + run, c] = buf[pos]
-                pos += 1
-                x += run
-            else:
-                if count == 0:
-                    raise TruncatedDataError("zero-length RGBE literal block")
-                if x + count > width or pos + count > len(buf):
-                    raise TruncatedDataError("RGBE literal overflows scanline")
-                out[x:x + count, c] = np.frombuffer(buf[pos:pos + count], dtype=np.uint8)
-                pos += count
-                x += count
-    return pos
-
-
 def _rgbe_bands(payload: memoryview, height: int, width: int):
     """Yield (rows, quadruples) for each row band of the image, so the
-    codec's per-byte index arrays stay band-sized. All-RLE payloads decode
-    in bulk; anything else goes through _read_scanline."""
+    codec's per-byte index arrays stay band-sized."""
+    buf = np.frombuffer(payload, dtype=np.uint8)
     if not _RLE_MIN_WIDTH <= width <= _RLE_MAX_WIDTH:  # flat scanlines only
-        quads = np.frombuffer(payload, np.uint8, 4 * height * width).reshape(height, width, 4)
-    else:
-        # A 0 past the end reads as a zero-length block, which fails the
-        # lockstep parse, so reading a control byte needs no bound check.
-        buf = np.zeros(len(payload) + 1, dtype=np.uint8)
-        buf[:-1] = payload
-        blocks = _rle_blocks(buf, height, width)
-        if blocks is not None:
-            for rows in _row_bands((height, width)):
-                yield rows, _expand_blocks(buf, blocks, rows.start, min(rows.stop, height), width)
-            return
-        pos = 0
-        quads = np.empty((height, width, 4), dtype=np.uint8)
-        for y in range(height):
-            pos = _read_scanline(payload, pos, quads[y], width)
+        quads = buf[:4 * height * width].reshape(height, width, 4)
+        for rows in _row_bands((height, width)):
+            yield rows, quads[rows]
+        return
+    scan = _scanline_blocks(payload, height, width)
     for rows in _row_bands((height, width)):
-        yield rows, quads[rows]
+        yield rows, _expand_blocks(buf, scan, rows.start, min(rows.stop, height), width)
 
 
-def _rle_blocks(buf: np.ndarray, height: int, width: int):
-    """Locate the blocks of an all-RLE payload without a per-scanline loop.
-
-    Every (2, 2, width>>8, width&255) quadruple is taken as a candidate
-    scanline start, and all candidates are parsed in lockstep, one block
-    per step; the scanlines are then chained from offset 0. Returns
-    (control-byte offsets of the chained scanlines' blocks in decode order,
-    index of each scanline's first block), or None when the chain does not
-    explain the payload (a flat, malformed or unchained scanline): the
-    sequential parser then decodes it, or raises its error.
-    """
-    n = buf.size - 1
-    hit = buf[:n - 3] == 2
-    hit &= buf[1:n - 2] == 2
-    hit &= buf[2:n - 1] == width >> 8
-    hit &= buf[3:n] == width & 0xFF
-    cand = np.flatnonzero(hit)
-    del hit
-    if cand.size < height or cand[0] != 0:
-        return None
-    # State per live candidate: its index, next control byte, pixels done.
-    ids, pos, done = np.arange(cand.size), cand + 4, np.zeros(cand.size, dtype=np.int64)
-    end = np.full(cand.size, -1)
-    rec_ids, rec_pos, records = [], [], 0
-    while ids.size:
-        count = buf[pos]
-        run = count > 128
-        span = np.where(run, count - 128, count)
-        size = np.where(run, 2, count + 1)
-        ok = (count != 0) & (done % width + span <= width) & (pos + size <= n)
-        if not ok.all():
-            ids, pos, done, span, size = ids[ok], pos[ok], done[ok], span[ok], size[ok]
-        rec_ids.append(ids)
-        rec_pos.append(pos)
-        records += ids.size
-        # Valid scanlines spend 2 or more bytes per block, so more records
-        # than payload bytes come from false candidates. A step costs about
-        # a dozen blocks parsed sequentially, so a long tail of steps over
-        # few live candidates is cheaper in the sequential parser.
-        if records > n or 12 * len(rec_ids) > records + 4096:
-            return None
-        pos = pos + size
-        done = done + span
-        last = done == 4 * width
-        if last.any():
-            end[ids[last]] = pos[last]
-            live = ~last
-            ids, pos, done = ids[live], pos[live], done[live]
-
-    # Chain from candidate 0: doubling the successor map log2(height) times.
-    sink = cand.size
-    nxt = np.minimum(np.searchsorted(cand, end), sink - 1)
-    succ = np.append(np.where((end >= 0) & (cand[nxt] == end), nxt, sink), sink)
-    chain = np.zeros(1, dtype=np.intp)
-    while chain.size < height:
-        chain = np.concatenate((chain, succ[chain]))
-        succ = succ[succ]
-    chain = chain[:height]
-    if chain[-1] == sink or end[chain[-1]] < 0:
-        return None
-
-    # Blocks of the chained candidates, scanline by scanline in step order.
-    steps = np.array([len(r) for r in rec_ids])
-    rec_ids = np.concatenate(rec_ids)
-    rec_pos = np.concatenate(rec_pos)
-    rank = np.full(sink, -1)
-    rank[chain] = np.arange(height)
-    first = np.zeros(height + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rec_ids, minlength=sink)[chain], out=first[1:])
-    rec_rank = rank[rec_ids]
-    on = rec_rank >= 0
-    blocks = np.empty(first[-1], dtype=np.int64)
-    blocks[first[rec_rank[on]] + np.repeat(np.arange(steps.size), steps)[on]] = rec_pos[on]
-    return blocks, first
+def _scanline_blocks(payload: memoryview, height: int, width: int):
+    """Walk the scanlines of a payload whose width allows RLE, in stream
+    order, and raise at the first malformed one. Returns (control-byte
+    offsets of the RLE blocks in decode order, index of each scanline's
+    first block, {scanline: payload offset} of the flat scanlines)."""
+    n = len(payload)
+    header = bytes((2, 2, width >> 8, width & 0xFF))
+    blocks, first, flat = array("q"), array("q"), {}
+    append = blocks.append
+    pos = 0
+    try:
+        for y in range(height):
+            first.append(len(blocks))
+            if pos + 4 > n:
+                raise TruncatedDataError("truncated RGBE scanline header")
+            if payload[pos:pos + 4] != header:
+                flat[y] = pos
+                pos += 4 * width
+                if pos > n:
+                    raise TruncatedDataError("truncated flat RGBE scanline")
+                continue
+            pos += 4
+            x = 0
+            for end in (width, 2 * width, 3 * width, 4 * width):  # one per component
+                while x < end:
+                    count = payload[pos]  # past the end: IndexError
+                    append(pos)
+                    if count > 128:
+                        x += count - 128
+                        pos += 2
+                        if x > end or pos > n:
+                            raise TruncatedDataError("RGBE run overflows scanline")
+                    elif count:
+                        x += count
+                        pos += count + 1
+                        if x > end or pos > n:
+                            raise TruncatedDataError("RGBE literal overflows scanline")
+                    else:
+                        raise TruncatedDataError("zero-length RGBE literal block")
+    except IndexError:
+        raise TruncatedDataError("truncated RLE RGBE scanline") from None
+    first.append(len(blocks))
+    return np.frombuffer(blocks, dtype=np.int64), first, flat
 
 
-def _expand_blocks(buf: np.ndarray, rle, y0: int, y1: int, width: int) -> np.ndarray:
-    """(y1-y0, width, 4) quadruples of scanlines y0..y1 from their blocks."""
-    blocks, first = rle
+def _expand_blocks(buf: np.ndarray, scan, y0: int, y1: int, width: int) -> np.ndarray:
+    """(y1-y0, width, 4) quadruples of scanlines y0..y1 from their blocks;
+    a band that holds a flat scanline is filled row by row."""
+    blocks, first, flat = scan
+    if flat and not flat.keys().isdisjoint(range(y0, y1)):
+        quads = np.empty((y1 - y0, width, 4), dtype=np.uint8)
+        for y in range(y0, y1):
+            if y in flat:
+                quads[y - y0] = buf[flat[y]:flat[y] + 4 * width].reshape(width, 4)
+            else:
+                quads[y - y0] = _expand_blocks(buf, scan, y, y + 1, width)[0]
+        return quads
     ctrl = blocks[first[y0]:first[y1]]
     count = buf[ctrl]
     lit = count <= 128
@@ -417,7 +344,10 @@ def read_pfm(data: bytes) -> HdrImage:
     width, height = int(m.group(2)), int(m.group(3))
     if width < 1 or height < 1:
         raise MalformedHeaderError("image dimensions must be positive")
-    scale = float(m.group(4))
+    try:
+        scale = float(m.group(4))
+    except ValueError:
+        raise MalformedHeaderError(f"bad PFM scale {m.group(4)!r}") from None
     if scale == 0:
         raise MalformedHeaderError("PFM scale must be nonzero")
     dtype = np.dtype("<f4") if scale < 0 else np.dtype(">f4")

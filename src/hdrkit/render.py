@@ -122,6 +122,10 @@ class SceneParseError(ValueError):
     pass
 
 
+_SWITCH_ON = ("on", "true", "1", "yes")
+_SWITCH_OFF = ("off", "false", "0", "no")
+
+
 def parse_scene(text: str) -> SceneConfig:
     """Parse the line-based scene description.
 
@@ -148,25 +152,35 @@ def parse_scene(text: str) -> SceneConfig:
                 cx = float(args[3]) if len(args) > 3 else 0.0
                 cz = float(args[4]) if len(args) > 4 else 1.0
                 camera = OrthoCamera(w, h, span, cx, cz)
+                used = 5
             elif word == "sphere":
                 center = (float(args[0]), float(args[1]), float(args[2]))
                 radius = float(args[3])
                 kind = args[4].lower()
                 if kind == "mirror":
                     mat = Material("mirror")
+                    used = 5
                 elif kind == "diffuse":
                     mat = Material("diffuse", (float(args[5]), float(args[6]), float(args[7])))
+                    used = 8
                 elif kind == "glossy":
                     mat = Material("glossy",
                                    (float(args[6]), float(args[7]), float(args[8])),
                                    exponent=float(args[5]))
+                    used = 9
                 else:
                     raise SceneParseError(f"unknown material {kind!r}")
                 spheres.append(Sphere(center, radius, mat))
             elif word == "background":
-                background = args[0].lower() in ("on", "true", "1", "yes")
+                value = args[0].lower()
+                if value not in _SWITCH_ON + _SWITCH_OFF:
+                    raise SceneParseError(f"background must be on or off, not {args[0]!r}")
+                background = value in _SWITCH_ON
+                used = 1
             else:
                 raise SceneParseError(f"unknown directive {word!r}")
+            if len(args) > used:
+                raise SceneParseError(f"unexpected {' '.join(args[used:])!r} after {word!r}")
         except (IndexError, ValueError) as exc:
             if isinstance(exc, SceneParseError):
                 raise SceneParseError(f"line {lineno}: {exc}") from None

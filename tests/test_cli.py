@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -406,6 +407,56 @@ def test_main_reports_memory_and_arithmetic_errors(workdir, capsys, monkeypatch,
                                          "file": None}
 
 
+@pytest.mark.parametrize("exc_type", [RuntimeError, KeyError, AssertionError])
+def test_main_reports_unforeseen_errors_as_numeric(workdir, capsys, monkeypatch, exc_type):
+    # the rule the batch workers follow: any other exception exits 3
+    from hdrkit import cli
+
+    rng = np.random.default_rng(23)
+    path = save_pfm(workdir / "a.pfm", rng.uniform(0.5, 2.0, (12, 12, 3)))
+
+    def failing(*args, **kwargs):
+        raise exc_type("boom")
+
+    monkeypatch.setattr(cli, "metric_report", failing)
+    got, out, err = run(capsys, "metrics", path, path)
+    assert got == EXIT_NUMERIC and out == ""
+    assert "Traceback" not in err
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"]["type"] == exc_type.__name__
+
+
+@pytest.mark.parametrize("name, data, kind", [
+    ("bad.pfm", b"PF\n2 2\n.\n" + bytes(48), "MalformedHeaderError"),
+    ("short.hdr", b"#?RADIANCE\nFORMAT=32-bit_rle_rgbe\n\n-Y 2 +X 16\n" + bytes(40),
+     "TruncatedDataError"),
+    ("missing.pfm", None, "FileNotFoundError"),
+])
+def test_convert_io_error_names_the_file(workdir, capsys, name, data, kind):
+    path = workdir / name
+    if data is not None:
+        path.write_bytes(data)
+    code, out, err = run(capsys, "convert", path, "-o", workdir / "x.ppm")
+    assert code == EXIT_IO and out == ""
+    (line,) = err.strip().splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == kind and error["file"] == str(path)
+    assert not (workdir / "x.ppm").exists()
+
+
+def test_wrong_kind_of_input_names_the_file(workdir, capsys):
+    hdr_path = save_hdr(workdir / "a.hdr", np.ones((4, 4, 3)))
+    ppm_path = save_ppm(workdir / "a.ppm", np.full((4, 4, 3), 100, dtype=np.uint8))
+    code, _, err = run(capsys, "calibrate", hdr_path, hdr_path, "-o", workdir / "x.pfm")
+    assert code == EXIT_IO
+    error = json.loads(err.strip())["error"]
+    assert error["file"] == str(hdr_path) and "expected an 8-bit LDR image" in error["message"]
+    code, _, err = run(capsys, "segment", ppm_path, "-o", workdir / "s.ppm")
+    assert code == EXIT_IO
+    error = json.loads(err.strip())["error"]
+    assert error["file"] == str(ppm_path) and "expected an HDR image" in error["message"]
+
+
 def test_render_reference_with_several_environments_is_a_usage_error(workdir, capsys):
     # refused before any input is read: none of these files exists
     code, out, err = run(capsys, "render", workdir / "s.txt", workdir / "a.hdr",
@@ -748,6 +799,27 @@ def test_c2p_subnormal_extent_is_silent(workdir, capsys, extent):
                            "--extent", extent)
     assert code == EXIT_OK and err == ""
     assert load(out).width == 32
+
+
+def test_c2p_validity_out_memory_at_dataset_size(workdir, capsys):
+    # tracemalloc peak of a 512x512 ceiling to a 1024x512 panorama with
+    # --validity-out, plan build included: 40.6 MiB (numpy 2.4), against
+    # 51.1 MiB with a float64 validity image beside the float64 panorama.
+    # The bound leaves 15% over the measured peak.
+    from hdrkit import pano
+
+    ceil = np.random.default_rng(9).uniform(0.1, 5.0, (512, 512, 3))
+    ceil_path = save_pfm(workdir / "ceil.pfm", ceil)
+    pano._ceiling_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, "c2p", ceil_path, "-o", workdir / "p.pfm", "--pano-width", 1024,
+                         "--validity-out", workdir / "v.pfm")
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_OK
+    assert peak <= 46.7, peak
 
 
 def test_whole_number_config_values_are_accepted(workdir, capsys):

@@ -171,6 +171,12 @@ def test_pfm_truncated():
         read_pfm(b"PF\n4 4\n-1.0\n" + b"\0" * 10)
 
 
+@pytest.mark.parametrize("scale", [b".", b"-", b"1e", b"+-1", b"1.2.3"])
+def test_pfm_scale_that_is_not_a_number_rejected(scale):
+    with pytest.raises(MalformedHeaderError, match="bad PFM scale"):
+        read_pfm(b"PF\n2 2\n" + scale + b"\n" + bytes(48))
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_pfm_bytes_are_the_header_and_flipped_little_endian_rows(dtype):
     rng = np.random.default_rng(11)

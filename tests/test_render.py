@@ -4,6 +4,7 @@ import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +74,36 @@ def test_parse_errors():
         parse_scene("camera 8 8 1\nwobble 3\n")
     with pytest.raises(SceneParseError):
         parse_scene("camera 8 8 1\nsphere 0 0\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("background onn", "background must be on or off, not 'onn'"),
+    ("background", "bad arguments for 'background': list index out of range"),
+    ("background on off", "unexpected 'off' after 'background'"),
+    ("camera 16 12 3 0 0.9 7 8", "unexpected '7 8' after 'camera'"),
+    ("sphere 0 0 0.9 0.9 mirror glossy 3", "unexpected 'glossy 3' after 'sphere'"),
+    ("sphere 0 0 0.9 0.9 diffuse 0.5 0.5 0.5 0.5", "unexpected '0.5' after 'sphere'"),
+    ("sphere 0 0 0.9 0.9 glossy 8 0.7 0.7 0.7 1", "unexpected '1' after 'sphere'"),
+])
+def test_parse_rejects_typos_and_extra_tokens(line, message):
+    with pytest.raises(SceneParseError, match=f"^line 2: {message}$"):
+        parse_scene(f"camera 16 12 4.5 0 0.9\n{line}\n")
+
+
+@pytest.mark.parametrize("word", ["on", "ON", "true", "1", "yes", "off", "Off", "false", "0", "no"])
+def test_background_spellings(word):
+    scene = parse_scene(f"camera 8 8 1\nbackground {word}  # a comment\n")
+    assert scene.background is (word.lower() in ("on", "true", "1", "yes"))
+
+
+def test_benchmark_scene_parses():
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import inputs
+    finally:
+        sys.path.pop(0)
+    scene = parse_scene(inputs.SCENE_TEXT)
+    assert scene == parse_scene(default_scene_text())
 
 
 @pytest.mark.parametrize("line", [

@@ -1,8 +1,9 @@
 """The vectorized RGBE codec against sequential references.
 
-The decoder's references are its own sequential scanline parser (the path
-it falls back to) and the float64 `ldexp` decode; the encoder's is the
-per-scanline, per-component RLE loop it replaced, copied below.
+The decoder's references are the sequential scanline parser that the block
+walk and band gather replaced, and the float64 `ldexp` decode; the
+encoder's is the per-scanline, per-component RLE loop it replaced. Both
+replaced loops are copied below.
 """
 
 import sys
@@ -90,9 +91,63 @@ def reference_write(arr):
     return b"".join(parts)
 
 
+TruncatedDataError = fileio.TruncatedDataError
+_RLE_MIN_WIDTH, _RLE_MAX_WIDTH = 8, 32767
+
+
+def _read_scanline(buf: memoryview, pos: int, out: np.ndarray, width: int) -> int:
+    if pos + 4 > len(buf):
+        raise TruncatedDataError("truncated RGBE scanline header")
+    b0, b1, b2, b3 = buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]
+    is_rle = (
+        b0 == 2 and b1 == 2 and ((b2 << 8) | b3) == width
+        and _RLE_MIN_WIDTH <= width <= _RLE_MAX_WIDTH
+    )
+    if not is_rle:
+        end = pos + 4 * width
+        if end > len(buf):
+            raise TruncatedDataError("truncated flat RGBE scanline")
+        out[:] = np.frombuffer(buf[pos:end], dtype=np.uint8).reshape(width, 4)
+        return end
+
+    pos += 4
+    for c in range(4):
+        x = 0
+        while x < width:
+            if pos >= len(buf):
+                raise TruncatedDataError("truncated RLE RGBE scanline")
+            count = buf[pos]
+            pos += 1
+            if count > 128:
+                run = count - 128
+                if x + run > width or pos >= len(buf):
+                    raise TruncatedDataError("RGBE run overflows scanline")
+                out[x:x + run, c] = buf[pos]
+                pos += 1
+                x += run
+            else:
+                if count == 0:
+                    raise TruncatedDataError("zero-length RGBE literal block")
+                if x + count > width or pos + count > len(buf):
+                    raise TruncatedDataError("RGBE literal overflows scanline")
+                out[x:x + count, c] = np.frombuffer(buf[pos:pos + count], dtype=np.uint8)
+                pos += count
+                x += count
+    return pos
+
+
+def sequential_bands(payload, height, width):
+    """The whole image as one band, decoded scanline by scanline."""
+    pos = 0
+    quads = np.empty((height, width, 4), dtype=np.uint8)
+    for y in range(height):
+        pos = _read_scanline(payload, pos, quads[y], width)
+    yield slice(0, height), quads
+
+
 def sequential_read(data):
-    """read_rgbe with every RLE payload sent through _read_scanline."""
-    with mock.patch.object(fileio, "_rle_blocks", lambda *args: None):
+    """read_rgbe with its payload decoded by the sequential parser."""
+    with mock.patch.object(fileio, "_rgbe_bands", sequential_bands):
         return read_rgbe(data)
 
 
@@ -106,13 +161,6 @@ def outcome(read, data):
 def payload_of(data):
     start = data.index(b"\n", data.index(b"-Y ")) + 1
     return data[:start], data[start:]
-
-
-def takes_vector_path(data, height, width):
-    _, payload = payload_of(data)
-    buf = np.zeros(len(payload) + 1, dtype=np.uint8)
-    buf[:-1] = np.frombuffer(payload, dtype=np.uint8)
-    return fileio._rle_blocks(buf, height, width) is not None
 
 
 @pytest.fixture(scope="module")
@@ -224,7 +272,6 @@ def test_encoder_bytes_pinned_on_bench_panorama(bench_panorama):
 
 def test_bench_panorama_decodes_through_vector_path(bench_panorama):
     exact, stored = bench_panorama
-    assert takes_vector_path(stored, 512, 1024)
     got = read_rgbe(stored).data
     assert np.array_equal(got, exact)
     assert np.array_equal(got, sequential_read(stored).data)
@@ -232,7 +279,7 @@ def test_bench_panorama_decodes_through_vector_path(bench_panorama):
 
 def test_false_scanline_candidates_outnumber_scanlines():
     # every block is a literal whose data holds the scanline header, so each
-    # scanline carries 4 false (2, 2, 0, 16) candidates and one true one
+    # scanline carries 4 false (2, 2, 0, 16) headers beside its true one
     width, height = 16, 5
     rng = np.random.default_rng(3)
     lines = []
@@ -246,15 +293,13 @@ def test_false_scanline_candidates_outnumber_scanlines():
     data = HEADER + f"-Y {height} +X {width}\n".encode() + b"".join(lines)
     hits = np.lib.stride_tricks.sliding_window_view(np.frombuffer(data, np.uint8), 4)
     assert (hits == (2, 2, 0, 16)).all(axis=1).sum() == 5 * height
-    assert takes_vector_path(data, height, width)
     assert outcome(read_rgbe, data) == outcome(sequential_read, data)
 
 
 def test_candidate_at_every_byte_falls_back_in_bounded_memory():
-    # width 514 = 0x0202: every byte of a run of 2s starts a candidate, and
-    # each parses 1028 two-pixel literals; the first four chain
+    # width 514 = 0x0202: a run of 2s reads as scanline headers, each
+    # followed by 1028 two-pixel literals
     data = HEADER + b"-Y 4 +X 514\n" + bytes([2]) * 12400
-    assert not takes_vector_path(data, 4, 514)
     tracemalloc.start()
     try:
         got = outcome(read_rgbe, data)
@@ -266,13 +311,59 @@ def test_candidate_at_every_byte_falls_back_in_bounded_memory():
 
 
 def test_long_single_scanline_goes_to_sequential_parser():
-    # one-pixel literals only: 131068 lockstep steps over one candidate would
-    # cost about ten times the sequential parse
+    # one-pixel literals only: 131068 blocks in one scanline
     width = 32767
     data = (HEADER + f"-Y 1 +X {width}\n".encode() + bytes((2, 2, width >> 8, width & 0xFF))
             + bytes((1, 7)) * (4 * width))
-    assert not takes_vector_path(data, 1, width)
     assert np.all(read_rgbe(data).data == 7 * 2.0 ** -129)
+
+
+def one_pixel_literals(height, width, seed):
+    """An RLE stream of one-pixel literal blocks only: the most blocks a
+    payload can hold, two bytes per decoded byte."""
+    planes = np.random.default_rng(seed).integers(0, 256, (height, 4, width), dtype=np.uint8)
+    blocks = np.empty((height, 4 * width, 2), dtype=np.uint8)
+    blocks[..., 0] = 1
+    blocks[..., 1] = planes.reshape(height, -1)
+    head = np.tile(np.array((2, 2, width >> 8, width & 0xFF), dtype=np.uint8), (height, 1))
+    payload = np.concatenate((head, blocks.reshape(height, -1)), axis=1)
+    return HEADER + f"-Y {height} +X {width}\n".encode() + payload.tobytes()
+
+
+def test_one_pixel_literal_blocks_decode_in_bounded_memory():
+    # 2**21 blocks: 35.2 MiB tracemalloc peak (numpy 2.4), bound at +15%
+    data = one_pixel_literals(512, 1024, 12)
+    tracemalloc.start()
+    try:
+        got = read_rgbe(data).data
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, sequential_read(data).data)
+    assert peak <= 40.5, peak
+
+
+def test_bench_panorama_read_memory_bound(bench_panorama):
+    # 8.9 MiB tracemalloc peak (numpy 2.4): the 6 MiB float32 image, the
+    # block offsets and one band's temporaries; bound at +15%
+    _, stored = bench_panorama
+    tracemalloc.start()
+    try:
+        read_rgbe(stored)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.3, peak
+
+
+def test_narrow_image_with_many_rows_decodes_alike():
+    # width 8, the narrowest RLE width: 8192-row bands of 32 blocks a row
+    arr = np.random.default_rng(13).lognormal(0.0, 2.0, (20000, 8, 3)).astype(np.float32)
+    arr[::7, 2:7] = 1.5  # runs of 5 in every seventh row
+    data = write_rgbe(HdrImage(arr))
+    got = read_rgbe(data).data
+    assert np.array_equal(got, sequential_read(data).data)
+    assert write_rgbe(HdrImage(got)) == data
 
 
 GOOD_LINE = bytes((2, 2, 0, 16, 144, 9, 144, 8, 144, 7, 144, 130))  # four runs of 16
@@ -311,7 +402,6 @@ def test_mixed_flat_and_rle_scanlines_decode_alike(tail):
     first_end = rle.index(bytes((2, 2, 0, 16)), 4)
     second_end = rle.index(bytes((2, 2, 0, 16)), first_end + 4)
     data = head + rle[:first_end] + flat + rle[second_end:] + tail
-    assert not takes_vector_path(data, 3, 16)
     assert np.array_equal(read_rgbe(data).data, sequential_read(data).data)
 
 
