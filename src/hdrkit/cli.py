@@ -182,12 +182,15 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 
 def _write_output(path: Path, img, manifest: dict) -> None:
-    _atomic_write(path, write_image(img, _format_for(path)))
+    data = write_image(img, _format_for(path))
+    with _naming(path):
+        _atomic_write(path, data)
     sidecar = dict(manifest)
     sidecar.setdefault("tool_version", __version__)
     sidecar["output"] = str(path)
-    _atomic_write(path.with_name(path.name + ".json"),
-                  json.dumps(sidecar, indent=2, sort_keys=True).encode() + b"\n")
+    sidecar_path = path.with_name(path.name + ".json")
+    with _naming(sidecar_path):
+        _atomic_write(sidecar_path, json.dumps(sidecar, indent=2, sort_keys=True).encode() + b"\n")
 
 
 def _print_json(obj) -> None:

@@ -17,14 +17,15 @@ Conventions, fixed throughout the toolkit:
 
 Resampling is split into an image-independent map (bilinear_map) and a
 gather (apply_bilinear_map). Both directions between panorama and ceiling
-view go through a plan: the flat indices of the target pixels the source
-can fill, and the map over those pixels alone. pano_to_ceiling's plan holds
-the ceiling pixels inside the imaged disk; ceiling_to_pano's holds the
-panorama pixels the plane reaches, all on or above the equator, and
-merge_mask and merge_panorama share it, so one merge builds the geometry
-once. Each plan is cached per projection and source size, built one row
-band at a time, and gathered in slices of one RGB row band's pixels, so
-the temporaries stay slice-sized. A resampled image is 0 outside its plan.
+view go through a plan: for each RGB row band of the target, the flat
+indices of the band's pixels the source can fill, and the map over those
+pixels alone. pano_to_ceiling's plan holds the ceiling pixels inside the
+imaged disk; ceiling_to_pano's holds the panorama pixels the plane reaches,
+all on or above the equator, and merge_mask and merge_panorama share it, so
+one merge builds the geometry once. Each plan is cached per projection and
+source size, and every consumer reads it through one band gather,
+_gathered, so the temporaries stay band-sized. A resampled image is 0
+outside its plan.
 """
 
 from __future__ import annotations
@@ -225,40 +226,41 @@ def sphere_to_plane(px, py, pz, offset: float = 1.0):
 
 
 def _banded_plan(height: int, width: int, band_map) -> tuple:
-    """A resampling plan for a height x width target: the flat indices of
-    the pixels the source can fill, then the bilinear_map that samples the
-    source at them. band_map(xs, ys), given the column and row indices of
-    one row band, returns the band's validity mask and the map over its
-    valid pixels. Built one row band at a time, and read-only, as every
-    caller shares it."""
-    columns = [[] for _ in range(7)]
-    for rows in _row_bands((height, width)):
+    """A resampling plan for a height x width target: one read-only entry
+    (idx, *smap) per RGB row band of the target, holding the band-local
+    flat indices of the pixels the source can fill and the bilinear_map
+    that samples the source at them. band_map(xs, ys), given the column
+    and row indices of one band, returns the band's validity mask and the
+    map over its valid pixels. Read-only, as every caller shares it."""
+    plan = []
+    for rows in _row_bands((height, width, 3)):
         xs, ys = np.meshgrid(np.arange(width), np.arange(height)[rows])
         valid, smap = band_map(xs, ys)
-        for column, arr in zip(columns, (np.flatnonzero(valid) + rows.start * width,) + smap):
-            column.append(arr)
-    plan = []
-    while columns:  # one array's bands at a time, freed once joined
-        arr = np.concatenate(columns.pop(0))
-        arr.flags.writeable = False
-        plan.append(arr)
+        entry = (np.flatnonzero(valid),) + tuple(smap)
+        for arr in entry:
+            arr.flags.writeable = False
+        plan.append(entry)
     return tuple(plan)
 
 
-def _plan_chunks(plan: tuple):
-    """The plan's arrays in slices (idx, *smap), each the pixels of one row
-    band of an RGB image: 512 KiB per float64 RGB temporary."""
-    for part in _row_bands((len(plan[0]), 3)):
-        yield [arr[part] for arr in plan]
+def _gathered(a: np.ndarray, plan: tuple, height: int, width: int):
+    """(rows, values) for each RGB row band of the height x width image
+    that the plan fills from a: sampled at the plan's pixels, 0 everywhere
+    else, including the bands past the plan's last."""
+    for band, rows in enumerate(_row_bands((height, width, 3))):
+        values = np.zeros((len(range(height)[rows]), width) + a.shape[2:])
+        if band < len(plan):
+            idx, *smap = plan[band]
+            values.reshape((-1,) + a.shape[2:])[idx] = apply_bilinear_map(a, smap)
+        yield rows, values
 
 
 def _gather(a: np.ndarray, plan: tuple, height: int, width: int) -> np.ndarray:
-    """The height x width image that the plan fills from a: sampled at the
-    plan's pixels, 0 everywhere else."""
-    out = np.zeros((height * width,) + a.shape[2:])
-    for idx, *smap in _plan_chunks(plan):
-        out[idx] = apply_bilinear_map(a, smap)
-    return out.reshape((height, width) + a.shape[2:])
+    """The height x width image that the plan fills from a."""
+    out = np.empty((height, width) + a.shape[2:])
+    for rows, values in _gathered(a, plan, height, width):
+        out[rows] = values
+    return out
 
 
 @functools.lru_cache(maxsize=1)
@@ -320,29 +322,27 @@ def ceiling_to_pano(ceil, proj: PanoProjection) -> tuple[np.ndarray, np.ndarray]
     ceil = image_data(ceil)
     plan = _ceiling_plan(proj, ceil.shape[0], ceil.shape[1])
     h, w = proj.pano_height, proj.pano_width
-    valid = np.zeros(h * w)
-    valid[plan[0]] = 1.0
-    return _gather(ceil, plan, h, w), valid.reshape(h, w)
+    # sampling a constant image is exact: the validity is the gather of ones
+    return _gather(ceil, plan, h, w), _gather(np.ones(ceil.shape[:2]), plan, h, w)
 
 
 def merge_mask(i_ceil, proj: PanoProjection, tau: float = DEFAULT_MERGE_TAU) -> np.ndarray:
     """Soft highlight mask in panorama coordinates from a linear ceiling LDR.
 
     max(0, channel_mean - tau) / (1 - tau) of the back-projected ceiling
-    image, clamped into [0, 1]. That is 0 wherever the ceiling view does
-    not reach, so only the plan's pixels are computed.
+    image, clamped into [0, 1], computed one row band at a time: 0
+    wherever the ceiling view does not reach.
     """
     if not 0 <= tau < 1:
         raise ValueError("tau must lie in [0, 1)")
     ceil = image_data(i_ceil)
     plan = _ceiling_plan(proj, ceil.shape[0], ceil.shape[1])
     h, w = proj.pano_height, proj.pano_width
-    m = np.zeros(h * w)
-    for idx, *smap in _plan_chunks(plan):
-        v = apply_bilinear_map(ceil, smap)
-        mean = channel_mean(v[None])[0] if v.ndim == 2 else v
-        m[idx] = np.clip(np.maximum(0.0, mean - tau) / (1.0 - tau), 0.0, 1.0)
-    return m.reshape(h, w)
+    m = np.empty((h, w))
+    for rows, v in _gathered(ceil, plan, h, w):
+        mean = channel_mean(v) if v.ndim == 3 else v
+        m[rows] = np.clip(np.maximum(0.0, mean - tau) / (1.0 - tau), 0.0, 1.0)
+    return m
 
 
 def merge_panorama(h_ceil, h_pano, m_p: np.ndarray, proj: PanoProjection) -> np.ndarray:
@@ -365,21 +365,9 @@ def merge_panorama(h_ceil, h_pano, m_p: np.ndarray, proj: PanoProjection) -> np.
         m = m[..., None]
     m = np.broadcast_to(m, pano.shape)
     out = np.empty(pano.shape)
-    # the formula with c = 0 everywhere, band by band, then the plan's pixels
-    for rows in _row_bands(pano.shape):
+    for rows, c in _gathered(ceil, plan, h, w):
         mb = m[rows]
-        out[rows] = mb * 0.0 + (1.0 - mb) * pano[rows]
-    flat = (h * w,) + pano.shape[2:]
-    m, pano, merged = m.reshape(flat), pano.reshape(flat), out.reshape(flat)
-    for idx, *smap in _plan_chunks(plan):
-        # m * c + (1 - m) * p in place: * and + commute exactly
-        mi = m[idx]
-        blend = apply_bilinear_map(ceil, smap)
-        blend *= mi
-        np.subtract(1.0, mi, out=mi)
-        mi *= pano[idx]
-        blend += mi
-        merged[idx] = blend
+        out[rows] = mb * c + (1.0 - mb) * pano[rows]
     return out
 
 

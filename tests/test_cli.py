@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hdrkit
 from hdrkit.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
@@ -455,6 +459,67 @@ def test_wrong_kind_of_input_names_the_file(workdir, capsys):
     assert code == EXIT_IO
     error = json.loads(err.strip())["error"]
     assert error["file"] == str(ppm_path) and "expected an HDR image" in error["message"]
+
+
+@pytest.mark.parametrize("command", ["convert", "c2p"])
+def test_output_that_cannot_be_written_names_the_file(workdir, capsys, command):
+    # the output's parent is a file, so the write fails
+    src = save_pfm(workdir / "a.pfm", np.ones((8, 8, 3)))
+    blocked = workdir / "a.pfm" / "x.pfm"
+    if command == "convert":
+        argv = ["convert", src, "-o", blocked]
+    else:
+        argv = ["c2p", src, "-o", workdir / "p.pfm", "--pano-width", 16,
+                "--validity-out", blocked]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_IO and out == ""
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"]["file"] == str(blocked)
+
+
+def fuzz_seeds():
+    rng = np.random.default_rng(23)
+    hdr = HdrImage(rng.lognormal(0.0, 1.0, (3, 16, 3)).astype(np.float32))
+    ldr = LdrImage(rng.integers(0, 256, (3, 16, 3), dtype=np.uint8))
+    return [(".hdr", write_rgbe(hdr)), (".pfm", bytes(write_pfm(hdr))), (".ppm", write_ppm(ldr))]
+
+
+FILE_EDITS = st.lists(st.tuples(st.sampled_from(["cut", "set", "insert"]),
+                                st.floats(0.0, 1.0), st.integers(0, 255)),
+                      min_size=1, max_size=3)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(fuzz_seeds()), FILE_EDITS)
+def test_mutated_files_through_convert_exit_0_or_2_with_one_json_line(fuzz_dir, seed, edits):
+    suffix, data = seed
+    data = bytearray(data)
+    for kind, where, byte in edits:
+        at = int(where * len(data))
+        if kind == "cut":
+            del data[at:]
+        elif kind == "set" and at < len(data):
+            data[at] = byte
+        elif kind == "insert":
+            data[at:at] = bytes((byte,))
+    src = fuzz_dir / ("in" + suffix)
+    src.write_bytes(bytes(data))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["convert", str(src), "-o", str(fuzz_dir / "out.pfm")])
+    lines = err.getvalue().splitlines()
+    assert caught == [] and "Traceback" not in err.getvalue()
+    if code == EXIT_OK:
+        assert lines == []
+    else:
+        assert code == EXIT_IO and len(lines) == 1
+        assert json.loads(lines[0])["error"]["file"] == str(src)
 
 
 def test_render_reference_with_several_environments_is_a_usage_error(workdir, capsys):

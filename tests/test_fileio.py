@@ -2,15 +2,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hdrkit.fileio import (
     FileFormat,
+    HdrIoError,
     InvalidPixelValueError,
     MalformedHeaderError,
     TruncatedDataError,
     UnsupportedOrientationError,
     UnsupportedPixelFormatError,
     detect_format,
+    read_image,
     read_pfm,
     read_ppm,
     read_rgbe,
@@ -243,3 +248,57 @@ def test_empty_or_negative_dimensions_rejected(data):
     reader = read_pfm if data.startswith(b"PF") else read_ppm
     with pytest.raises(MalformedHeaderError):
         reader(data)
+
+
+# --- properties --------------------------------------------------------------
+
+F32_MAX = float(np.finfo(np.float32).max)
+F32_EDGES = st.sampled_from([0.0, -0.0, 2.0 ** -149, 2.0 ** -126 - 2.0 ** -149,
+                             2.0 ** -126, F32_MAX])
+SHAPES = st.tuples(st.integers(1, 5), st.integers(1, 5), st.just(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float32, SHAPES,
+              elements=st.floats(0.0, F32_MAX, width=32) | F32_EDGES))
+def test_pfm_round_trip_is_bit_exact_for_every_finite_non_negative_value(arr):
+    back = read_pfm(write_pfm(HdrImage(arr))).data
+    assert back.dtype == np.float32
+    assert np.array_equal(back.view(np.uint32), arr.view(np.uint32))
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.uint8, SHAPES))
+def test_ppm_round_trip_is_exact(arr):
+    back = read_ppm(write_ppm(LdrImage(arr))).data
+    assert back.dtype == np.uint8 and np.array_equal(back, arr)
+
+
+VALID_FILES = [
+    bytes(write_pfm(random_hdr((2, 3, 3), seed=4))),
+    write_ppm(LdrImage(np.arange(18, dtype=np.uint8).reshape(2, 3, 3))),
+    b"P6\n# a comment\n3 2\n255\n" + bytes(range(18)),
+]
+TOKENS = [b"nan", b"1e400", b"#", b"9" * 30, b"-1", b"0", b"inf", b" ", b"\n", b"\0"]
+HEADER_EDITS = st.lists(st.tuples(st.sampled_from(["cut", "set", "insert"]),
+                                  st.integers(0, 24), st.integers(0, 255),
+                                  st.sampled_from(TOKENS)), min_size=1, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(VALID_FILES), HEADER_EDITS)
+def test_mutated_headers_decode_or_raise_hdr_io_error(data, edits):
+    data = bytearray(data)
+    for kind, at, byte, token in edits:
+        at = min(at, len(data))
+        if kind == "cut":
+            del data[at:]
+        elif kind == "set" and at < len(data):
+            data[at] = byte
+        elif kind == "insert":
+            data[at:at] = token
+    try:
+        img = read_image(bytes(data))
+    except HdrIoError:
+        return
+    assert isinstance(img, (HdrImage, LdrImage))

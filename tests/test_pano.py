@@ -326,10 +326,10 @@ def test_merge_builds_the_geometry_once(monkeypatch):
 def test_cached_plan_is_read_only():
     proj = PanoProjection(64, 32, 16, 16)
     ceiling_to_pano(np.ones((16, 16, 3)), proj)
-    plan = pano_module._ceiling_plan(proj, 16, 16)
-    for arr in plan:
-        with pytest.raises(ValueError):
-            arr[0] = arr[0]
+    for band in pano_module._ceiling_plan(proj, 16, 16):
+        for arr in band:
+            with pytest.raises(ValueError):
+                arr[...] = arr
 
 
 def test_merge_memory_at_dataset_size():
@@ -474,21 +474,22 @@ def bits(a):
 @pytest.mark.parametrize("extent", [1.0, 0.5])
 @pytest.mark.parametrize("mask_dims", [2, 3])
 def test_merge_matches_the_full_grid_blend(extent, mask_dims):
-    # a 384x192 panorama: the 36864-pixel plan is gathered in two slices
-    w, h, n = 384, 192, 96
-    proj = PanoProjection(w, h, n, n, plane_extent=extent)
-    rng = np.random.default_rng(mask_dims)
-    h_c = rng.lognormal(0.0, 1.0, (n, n, 3)).astype(np.float32)
-    h_p = rng.lognormal(0.0, 1.0, (h, w, 3)).astype(np.float32)
-    h_p[rng.uniform(size=(h, w, 3)) < 0.1] = -0.0
-    m = rng.uniform(0.0, 1.0, (h, w) if mask_dims == 2 else (h, w, 3))
-    m[rng.uniform(size=m.shape) < 0.2] = 0.0  # zeros inside the plan and out
-    m[-1] = 1.0
-    got = merge_panorama(h_c, h_p, m, proj)
-    mb = m if mask_dims == 3 else m[..., None]
-    want = mb * ceiling_to_pano(h_c, proj)[0] + (1.0 - mb) * h_p.astype(np.float64)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(bits(got), bits(want))
+    # a 384x192 panorama: its plan fills two of four 56-row bands; a
+    # 1030x515 one: 13 of 25 bands of 21 rows, the equator inside the 13th
+    for w, h, n in ((384, 192, 96), (1030, 515, 200)):
+        proj = PanoProjection(w, h, n, n, plane_extent=extent)
+        rng = np.random.default_rng(mask_dims)
+        h_c = rng.lognormal(0.0, 1.0, (n, n, 3)).astype(np.float32)
+        h_p = rng.lognormal(0.0, 1.0, (h, w, 3)).astype(np.float32)
+        h_p[rng.uniform(size=(h, w, 3)) < 0.1] = -0.0
+        m = rng.uniform(0.0, 1.0, (h, w) if mask_dims == 2 else (h, w, 3))
+        m[rng.uniform(size=m.shape) < 0.2] = 0.0  # zeros inside the plan and out
+        m[-1] = 1.0
+        got = merge_panorama(h_c, h_p, m, proj)
+        mb = m if mask_dims == 3 else m[..., None]
+        want = mb * ceiling_to_pano(h_c, proj)[0] + (1.0 - mb) * h_p.astype(np.float64)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(bits(got), bits(want))
 
 
 def test_merge_with_zero_mask_turns_negative_zero_positive():
@@ -503,21 +504,22 @@ def test_merge_with_zero_mask_turns_negative_zero_positive():
 
 
 def test_merge_mask_matches_the_full_grid_mask():
-    w, h, n = 384, 192, 96
-    proj = PanoProjection(w, h, n, n)
-    ldr = np.random.default_rng(5).uniform(0.0, 1.0, (n, n, 3)).astype(np.float32)
-    for tau in (0.0, DEFAULT_MERGE_TAU, 0.9):
-        mean = channel_mean(ceiling_to_pano(ldr, proj)[0])
-        want = np.clip(np.maximum(0.0, mean - tau) / (1.0 - tau), 0.0, 1.0)
-        assert np.array_equal(bits(merge_mask(ldr, proj, tau)), bits(want))
+    for w, h, n in ((384, 192, 96), (1030, 515, 200)):
+        proj = PanoProjection(w, h, n, n)
+        ldr = np.random.default_rng(5).uniform(0.0, 1.0, (n, n, 3)).astype(np.float32)
+        for tau in (0.0, DEFAULT_MERGE_TAU, 0.9):
+            mean = channel_mean(ceiling_to_pano(ldr, proj)[0])
+            want = np.clip(np.maximum(0.0, mean - tau) / (1.0 - tau), 0.0, 1.0)
+            assert np.array_equal(bits(merge_mask(ldr, proj, tau)), bits(want))
 
 
 def test_disk_plan_is_read_only():
     proj = PanoProjection(64, 32, 16, 16)
     pano_to_ceiling(np.ones((32, 64, 3)), proj)
-    for arr in pano_module._disk_plan(proj, 32, 64):
-        with pytest.raises(ValueError):
-            arr[0] = arr[0]
+    for band in pano_module._disk_plan(proj, 32, 64):
+        for arr in band:
+            with pytest.raises(ValueError):
+                arr[...] = arr
 
 
 @pytest.fixture

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hdrkit.render as render_mod
 from hdrkit.image import HdrImage
@@ -17,6 +19,7 @@ from hdrkit.render import (
     MAX_SCENE_LENGTH,
     Material,
     OrthoCamera,
+    SceneConfig,
     SceneParseError,
     Sphere,
     compare_renders,
@@ -178,6 +181,34 @@ def test_scene_lengths_at_the_bounds_render_finite():
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for text in scenes:
             assert np.isfinite(render(parse_scene(text), env).data).all()
+
+
+SCENE_TOKENS = ["nan", "inf", "-inf", "1e400", "1e-400", "-1", "0", "9" * 30, "#", "\n",
+                "camera", "sphere", "background", "diffuse", "mirror", "glossy", "velvet",
+                "on", "1_0", "0x10", "\0", ""]
+SCENE_EDITS = st.lists(st.tuples(st.sampled_from(["set", "insert", "delete"]),
+                                 st.integers(0, 10 ** 6), st.sampled_from(SCENE_TOKENS)),
+                       min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SCENE_EDITS)
+def test_token_edits_of_a_scene_parse_or_raise_scene_parse_error(edits):
+    # parsed only: a fuzzed scene may be valid and as large as the camera cap
+    tokens = default_scene_text(16, 12).replace("\n", " \n ").split(" ")
+    for kind, at, token in edits:
+        at %= len(tokens) + 1
+        if kind == "set" and at < len(tokens):
+            tokens[at] = token
+        elif kind == "insert":
+            tokens.insert(at, token)
+        elif kind == "delete" and at < len(tokens):
+            del tokens[at]
+    try:
+        scene = parse_scene(" ".join(tokens))
+    except SceneParseError:
+        return
+    assert isinstance(scene, SceneConfig)
 
 
 # --- irradiance ------------------------------------------------------------------
