@@ -6,10 +6,12 @@ curve, and quantizes to 8 bits. Everything is deterministic given the
 image and the seed, so datasets can be reproduced from their manifests.
 
 Auto-exposure is defined by a fixed 90-step bisection of the clipped mean.
-It is computed by replaying those steps: one sort gives the exact root of
-the piecewise-linear mean, two evaluations bracket it, and only the steps
-inside the bracket touch the image, so the exposure is bit-identical to
-the plain bisection at about a tenth of its cost.
+It is computed by replaying those steps: one sort of the image as it is
+(float32 stays float32) gives the exact root of the piecewise-linear mean,
+two evaluations bracket it, and only the steps inside the bracket touch
+the image, so the exposure is bit-identical to the plain bisection at
+about a tenth of its cost. Every evaluation refills one float64 buffer, so
+a call holds one float64 copy of the image at its peak.
 
 The random generator is numpy's PCG64 (``np.random.default_rng``); a batch
 master seed is split into per-file seeds with ``np.random.SeedSequence``.
@@ -50,6 +52,8 @@ _BISECT_ITERS = 90
 _BRACKET_LOG2 = 40
 # Relative half-widths tried, in order, to bracket the sorted root.
 _BRACKET_WIDTHS = (1e-14, 1e-12, 1e-9, 1e-6, 1e-3)
+# Values per block of the sorted root's float64 prefix sums.
+_ROOT_BLOCK = 1 << 12
 
 
 class AutoExposureError(ValueError):
@@ -96,7 +100,7 @@ def identity_camera(dynamic_range_ev: float = DYNAMIC_RANGE_EV[1]) -> CameraSamp
 def auto_expose(h, target_mean: float = DEFAULT_TARGET_MEAN, tol: float = 1e-4) -> float:
     """Exposure multiplier e such that mean(clamp(e*h, 0, 1)) = target_mean.
 
-    Defined as a fixed-count bisection on a mean-normalized copy of the
+    Defined as a fixed-count bisection on a mean-normalized copy g of the
     image, which makes the result deterministic and insensitive to a global
     rescaling of the input (relative-luminance behavior).
 
@@ -104,25 +108,32 @@ def auto_expose(h, target_mean: float = DEFAULT_TARGET_MEAN, tol: float = 1e-4) 
     decreases as the multiplier grows (rounding, clipping and numpy's
     fixed-order pairwise sum are each monotone on non-negative values), so
     two evaluations that bracket the exact root of the piecewise-linear mean
-    (solved from one sort) decide every step outside the bracket, and only
-    the steps inside it evaluate the image. The result is bit-identical to
-    the plain bisection.
+    decide every step outside the bracket, and only the steps inside it
+    evaluate the image. The root, solved from one sort of the image as it
+    is, only chooses where to bracket: a step is either decided by
+    monotonicity from an evaluated bracket end or evaluated itself, so the
+    result is bit-identical to the plain bisection however the root rounds.
+
+    Each evaluation refills one float64 buffer with g = x / mu, value for
+    value the mean-normalized float64 copy, so every evaluation is the
+    plain bisection's. The call holds the sorted image, then that one
+    buffer, never both at once.
     """
     if not 0 < target_mean < 1:
         raise ValueError("target_mean must lie in (0, 1)")
-    g = np.array(image_data(h), dtype=np.float64)
-    mu = float(g.mean())
+    x = image_data(h)
+    root = _sorted_root(x, target_mean)
+    buf = np.array(x, dtype=np.float64)
+    mu = float(buf.mean())
     if not mu > 0:
         raise AutoExposureError("image has no positive pixels")
-    g /= mu
-    root = _sorted_root(g, target_mean)
-    buf = np.empty_like(g)
 
     def clipped_mean(m: float) -> float:
-        np.multiply(m, g, out=buf)
+        np.divide(x, mu, out=buf, dtype=np.float64)
+        np.multiply(m, buf, out=buf)
         return float(np.clip(buf, 0.0, 1.0, out=buf).mean())
 
-    below, above = _bracket(clipped_mean, root, target_mean)
+    below, above = _bracket(clipped_mean, root * mu, target_mean)
 
     def under_target(m: float) -> bool:
         if m <= below:
@@ -148,37 +159,48 @@ def auto_expose(h, target_mean: float = DEFAULT_TARGET_MEAN, tol: float = 1e-4) 
     return m / mu
 
 
-def _sorted_root(g: np.ndarray, target_mean: float) -> float | None:
-    """The exact root m of mean(min(m*g, 1)) = target_mean, or None.
+def _sorted_root(x: np.ndarray, target_mean: float) -> float:
+    """The exact root r of mean(min(r*x, 1)) = target_mean, from one sort
+    of x as it is (a float32 image is sorted as float32), or nan when the
+    unsaturated pixels sum to zero.
 
-    With g sorted ascending as s, the pixels k.. saturate at the root for
+    With x sorted ascending as s, the pixels k.. saturate at the root for
     the smallest k with sum(s[:k])/s[k] + n - k <= n*target_mean (a zero
-    s[k] never saturates), and then m = (n*target_mean - (n - k)) / sum(s[:k]).
+    s[k] never saturates), and then r = (n*target_mean - (n - k)) / sum(s[:k]).
+    Each sum(s[:k]) is a float64 prefix sum over whole blocks of s plus one
+    block-local float64 sum, so the search reads each value about once.
     """
-    s = np.sort(g, axis=None)
+    s = np.sort(x, axis=None)
     n = s.size
+    whole = n - n % _ROOT_BLOCK
+    blocks = s[:whole].reshape(-1, _ROOT_BLOCK).sum(axis=1, dtype=np.float64)
+    prefix = np.concatenate(([0.0], np.cumsum(blocks)))
+
+    def head_sum(k: int) -> float:
+        b = k // _ROOT_BLOCK
+        return float(prefix[b] + s[b * _ROOT_BLOCK:k].sum(dtype=np.float64))
+
     goal = n * target_mean
     lo, hi = 1, n  # k = 0 would saturate every pixel, k = n none
     while lo < hi:
         k = (lo + hi) // 2
-        if s[k] > 0 and s[:k].sum() / s[k] + (n - k) <= goal:
+        pivot = float(s[k])
+        if pivot > 0 and head_sum(k) / pivot + (n - k) <= goal:
             hi = k
         else:
             lo = k + 1
-    covered = float(s[:lo].sum())
-    if not covered > 0:
-        return None
-    root = (goal - (n - lo)) / covered
-    return root if 0 < root < math.inf else None
+    covered = head_sum(lo)
+    return (goal - (n - lo)) / covered if covered > 0 else math.nan
 
 
-def _bracket(clipped_mean, root: float | None, target_mean: float) -> tuple[float, float]:
+def _bracket(clipped_mean, root: float, target_mean: float) -> tuple[float, float]:
     """Multipliers (below, above) with clipped_mean(below) < target_mean
     <= clipped_mean(above), found by evaluating around `root` at the
     relative widths of _BRACKET_WIDTHS. A side that no width bounds stays
-    at 0 or inf, and the bisection then evaluates every step there."""
+    at 0 or inf, and the bisection then evaluates every step there; so do
+    both sides when root is not a positive finite number."""
     below, above = 0.0, math.inf
-    if root is None:
+    if not 0 < root < math.inf:
         return below, above
     for delta in _BRACKET_WIDTHS:
         if below == 0.0 and clipped_mean(root * (1.0 - delta)) < target_mean:
@@ -229,7 +251,8 @@ def synth_ldr(
     The per-pixel stages run one row band at a time, so their temporaries
     stay band-sized and every code is the one the whole image would get;
     auto-exposure, whose mean is one reduction over the whole image, sets
-    the peak memory at about two float64 copies of the image.
+    the peak memory at one float64 copy of the image, after one sort of
+    the image as it is.
     """
     exposure = auto_expose(h, target_mean)
     data = image_data(h)

@@ -180,22 +180,24 @@ def log_psnr(pred, gt, eps: float = 1e-6, cap_db: float = LOG_PSNR_CAP_DB) -> fl
     (empty log-range) falls back to unit span.
     """
     p, g = _pair(pred, gt)
-    # in place, so that two float64 images are alive at a time
+    # lg is the one full float64 image: it takes the normalized difference
+    # band by band, in the whole-image operation order, and then its square
     lg = np.add(g, eps, dtype=np.float64)
     np.log(lg, out=lg)
     lo = float(lg.min())
     span = float(lg.max()) - lo
     if span <= 0:
         span = 1.0
-    lp = np.add(p, eps, dtype=np.float64)
-    np.log(lp, out=lp)
-    lp -= lo
-    lp /= span
-    lg -= lo
-    lg /= span
-    lp -= lg
-    del lg
-    mse = float(np.square(lp, out=lp).mean())
+    for rows in _row_bands(lg.shape):
+        lp = np.add(p[rows], eps, dtype=np.float64)
+        np.log(lp, out=lp)
+        lp -= lo
+        lp /= span
+        lgb = lg[rows]
+        lgb -= lo
+        lgb /= span
+        np.subtract(lp, lgb, out=lgb)
+    mse = float(np.square(lg, out=lg).mean())
     if mse == 0.0:
         return cap_db
     return min(-10.0 * math.log10(mse), cap_db)

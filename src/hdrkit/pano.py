@@ -31,6 +31,7 @@ outside its plan.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -331,15 +332,16 @@ def merge_mask(i_ceil, proj: PanoProjection, tau: float = DEFAULT_MERGE_TAU) -> 
 
     max(0, channel_mean - tau) / (1 - tau) of the back-projected ceiling
     image, clamped into [0, 1], computed one row band at a time: 0
-    wherever the ceiling view does not reach.
+    wherever the ceiling view does not reach. The bands past the plan's
+    last keep the mask's initial 0.0, the +0.0 the formula gives there.
     """
     if not 0 <= tau < 1:
         raise ValueError("tau must lie in [0, 1)")
     ceil = image_data(i_ceil)
     plan = _ceiling_plan(proj, ceil.shape[0], ceil.shape[1])
     h, w = proj.pano_height, proj.pano_width
-    m = np.empty((h, w))
-    for rows, v in _gathered(ceil, plan, h, w):
+    m = np.zeros((h, w))
+    for rows, v in itertools.islice(_gathered(ceil, plan, h, w), len(plan)):
         mean = channel_mean(v) if v.ndim == 3 else v
         m[rows] = np.clip(np.maximum(0.0, mean - tau) / (1.0 - tau), 0.0, 1.0)
     return m

@@ -228,23 +228,29 @@ def diffuse_irradiance(normals, env) -> np.ndarray:
     result does not depend on the others in the stack.
     """
     n = np.asarray(normals, dtype=np.float64)
-    flat = n.reshape(-1, 3)
     envs = image_data(env)
     stacked = envs.ndim == 4
     if not stacked:
         envs = envs[None]
-    dirs, weighted = _env_texel_table(envs)
-    out = np.zeros((len(envs), len(flat), 3))
+    out = _irradiance(n, _env_texel_table(envs))
+    return out if stacked else out[0]
+
+
+def _irradiance(normals: np.ndarray, texels: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """(K, ..., 3) irradiance at float64 normals (..., 3) under the K
+    environments of an _env_texel_table, summed tile by tile."""
+    dirs, weighted = texels
+    flat = normals.reshape(-1, 3)
+    out = np.zeros((len(weighted), len(flat), 3))
     for n0 in range(0, len(flat), _NORMAL_TILE):
         chunk = flat[n0:n0 + _NORMAL_TILE]
         acc = out[:, n0:n0 + _NORMAL_TILE]
         for t0 in range(0, dirs.shape[1], _TEXEL_TILE):
             cos = chunk @ dirs[:, t0:t0 + _TEXEL_TILE]
             np.maximum(cos, 0.0, out=cos)
-            for k in range(len(envs)):
+            for k in range(len(weighted)):
                 acc[k] += cos @ weighted[k, t0:t0 + _TEXEL_TILE]
-    out = out.reshape((len(envs),) + n.shape)
-    return out if stacked else out[0]
+    return out.reshape((len(weighted),) + normals.shape)
 
 
 def _orthonormal_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,17 +328,20 @@ def _plan_scene(scene: SceneConfig, env_w: int, env_h: int):
     return background, spheres
 
 
-def _shade(sp: _SpherePlan, part: slice, stack: np.ndarray) -> np.ndarray:
+def _shade(sp: _SpherePlan, part: slice, stack: np.ndarray, texels=None) -> np.ndarray:
     """(K, n, 3) radiance of the pixels `part` of one sphere under each of
-    the K environments in `stack`. Mirror and glossy values are per pixel.
-    A diffuse part that starts at a multiple of _NORMAL_TILE runs the same
+    the K environments in `stack`, whose _env_texel_table is `texels`
+    (built here if not given). Mirror and glossy values are per pixel. A
+    diffuse part that starts at a multiple of _NORMAL_TILE runs the same
     irradiance tiles as the whole sphere, so it gets the same bytes; other
     cuts may not (a one-row matrix product rounds differently)."""
     mat = sp.material
     albedo = np.asarray(mat.albedo)
     normals = sp.normals[part]
     if mat.kind == "diffuse":
-        return albedo * diffuse_irradiance(normals, stack) / np.pi
+        if texels is None:
+            texels = _env_texel_table(stack)
+        return albedo * _irradiance(normals, texels) / np.pi
     env_h, env_w = stack.shape[1:3]
     # reflect the view direction about the normal
     dot = normals @ _VIEW_DIR
@@ -369,9 +378,10 @@ def _shading_pool() -> ThreadPoolExecutor:
 def render_many(scene: SceneConfig, envs) -> list[HdrImage]:
     """Render the scene under each environment map; deterministic.
 
-    The scene is hit-tested once. Each visible sphere's pixels are cut into
-    chunks of at most _NORMAL_TILE, one irradiance tile, and each chunk is
-    shaded under every environment as one task on a shared thread pool.
+    The scene is hit-tested once, and the environments' texel table is
+    built once for all diffuse chunks. Each visible sphere's pixels are cut
+    into chunks of at most _NORMAL_TILE, one irradiance tile, and each chunk
+    is shaded under every environment as one task on a shared thread pool.
     Results are written back in task order, so no byte depends on the
     number of workers, and each result is byte-identical to rendering its
     environment alone. The environments must share one shape.
@@ -390,9 +400,22 @@ def render_many(scene: SceneConfig, envs) -> list[HdrImage]:
     if background is not None:
         for out, arr in zip(outs, stack):
             out[:, :] = apply_bilinear_map(arr, background)
-    tasks = [(sp, slice(n0, n0 + _NORMAL_TILE))
-             for sp in spheres for n0 in range(0, len(sp.pixels), _NORMAL_TILE)]
-    shaded = _shading_pool().map(lambda task: _shade(*task, stack), tasks)
+    # Diffuse chunks go first, and only their tasks hold the texel table, so
+    # it is freed once they have run, not kept beside the glossy chunks'
+    # temporaries. It is built on a pool thread, like the tasks that free
+    # it: built on the calling thread, more of its freed heap stayed
+    # resident (eval-ibl's peak RSS rose by up to 7 MB). Spheres' pixels
+    # are disjoint, so the task order moves no byte.
+    tasks = sorted(((sp, slice(n0, n0 + _NORMAL_TILE))
+                    for sp in spheres for n0 in range(0, len(sp.pixels), _NORMAL_TILE)),
+                   key=lambda task: task[0].material.kind != "diffuse")
+    diffuse = [sp.material.kind == "diffuse" for sp, _ in tasks]
+    texels = None
+    if any(diffuse):
+        texels = _shading_pool().submit(_env_texel_table, stack).result()
+    shaded = _shading_pool().map(lambda task, table: _shade(*task, stack, table), tasks,
+                                 [texels if d else None for d in diffuse])
+    del texels
     flat = outs.reshape(len(stack), -1, 3)
     for (sp, part), radiance in zip(tasks, shaded):
         flat[:, sp.pixels[part]] = radiance

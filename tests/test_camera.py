@@ -156,6 +156,34 @@ def test_auto_expose_bit_identical_on_large_image():
         assert auto_expose(hdr(arr), target) == _bisection_auto_expose(hdr(arr), target)
 
 
+def _bright_disc_panorama(seed):
+    """A float32 512x1024 lognormal panorama with three bright discs that
+    saturate at every target."""
+    rng = np.random.default_rng(seed)
+    arr = rng.lognormal(-1.0, 2.0, (512, 1024, 3)).astype(np.float32)
+    yy, xx = np.mgrid[:512, :1024]
+    for cx, cy, r in ((100, 60, 30), (600, 120, 18), (900, 40, 45)):
+        arr[(xx - cx) ** 2 + (yy - cy) ** 2 < r * r] *= 500.0
+    return arr
+
+
+def test_auto_expose_bit_identical_at_dataset_size():
+    img = hdr(_bright_disc_panorama(17))
+    for target in (0.05, 0.18):
+        assert auto_expose(img, target) == _bisection_auto_expose(img, target)
+
+
+def test_auto_expose_memory_is_one_float64_copy():
+    arr = _bright_disc_panorama(18)
+    tracemalloc.start()
+    try:
+        auto_expose(arr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < arr.size * 8 + 2 ** 20
+
+
 def test_auto_expose_leaves_float64_input_unchanged():
     arr = np.random.default_rng(16).lognormal(0, 1.0, (8, 8, 3))
     img = HdrImage(arr.copy())
@@ -284,9 +312,11 @@ def test_synth_bands_match_whole_image(shape, dtype):
 
 
 def test_synth_memory_at_dataset_size():
-    # Measured here on a float32 1024x512 image: 24.0 MiB, the two float64
-    # copies of auto-exposure, against 61.5 MiB with whole-image per-pixel
-    # stages. The bound leaves 15% over the measured peak.
+    # Measured here on a float32 1024x512 image: 12.1 MiB, the one float64
+    # copy of auto-exposure, against 24.0 MiB with two copies and 61.5 MiB
+    # with whole-image per-pixel stages. The bound leaves 15% over the
+    # two-copy peak; test_auto_expose_memory_is_one_float64_copy bounds the
+    # one copy.
     img = hdr(np.random.default_rng(22).lognormal(-1.0, 2.0, (512, 1024, 3)))
     sample = sample_camera(23)
     tracemalloc.start()

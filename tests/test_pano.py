@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hdrkit import pano as pano_module
-from hdrkit.image import LdrImage, channel_mean, image_data
+from hdrkit.image import LdrImage, _row_bands, channel_mean, image_data
 from hdrkit.pano import (
     DEFAULT_MERGE_TAU,
     MAX_PLANE_EXTENT,
@@ -511,6 +511,20 @@ def test_merge_mask_matches_the_full_grid_mask():
             mean = channel_mean(ceiling_to_pano(ldr, proj)[0])
             want = np.clip(np.maximum(0.0, mean - tau) / (1.0 - tau), 0.0, 1.0)
             assert np.array_equal(bits(merge_mask(ldr, proj, tau)), bits(want))
+
+
+def test_merge_mask_matches_the_formula_on_every_band():
+    # the formula on every band that _gathered yields, also the zero bands
+    # past the ceiling plan's last, which merge_mask leaves at its initial 0.0
+    proj = PanoProjection(1024, 512, 512, 512)
+    ldr = np.random.default_rng(6).uniform(0.0, 1.0, (512, 512, 3)).astype(np.float32)
+    plan = pano_module._ceiling_plan(proj, 512, 512)
+    assert len(plan) < len(list(_row_bands((512, 1024, 3))))
+    for tau in (0.0, DEFAULT_MERGE_TAU):
+        want = np.empty((512, 1024))
+        for rows, v in pano_module._gathered(ldr, plan, 512, 1024):
+            want[rows] = np.clip(np.maximum(0.0, channel_mean(v) - tau) / (1.0 - tau), 0.0, 1.0)
+        assert merge_mask(ldr, proj, tau).tobytes() == want.tobytes()
 
 
 def test_disk_plan_is_read_only():

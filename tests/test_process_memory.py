@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hdrkit.fileio import write_pfm, write_ppm
+from hdrkit.fileio import write_pfm, write_ppm, write_rgbe
 from hdrkit.image import HdrImage, LdrImage
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -53,6 +53,8 @@ def inputs(tmp_path_factory):
     ldr = rng.integers(0, 256, (512, 512, 3), dtype=np.uint8)
     (d / "pano.pfm").write_bytes(write_pfm(HdrImage(pano)))
     (d / "pred.pfm").write_bytes(write_pfm(HdrImage(pred)))
+    (d / "pano.hdr").write_bytes(write_rgbe(HdrImage(pano)))
+    (d / "pred.hdr").write_bytes(write_rgbe(HdrImage(pred)))
     (d / "ceil.pfm").write_bytes(write_pfm(HdrImage(ceil)))
     (d / "ceil.ppm").write_bytes(write_ppm(LdrImage(ldr)))
     return d
@@ -62,9 +64,12 @@ def inputs(tmp_path_factory):
 # 87.5 and metrics 83.5 MiB, of which 29 MiB is the interpreter with numpy
 # and hdrkit imported, against 104.5, 124.5 and 128 MiB with whole-image
 # temporaries. crop-set peaks at 65 MiB, against 79 MiB with a float64 copy
-# of the panorama. Each bound leaves 15% over the measured peak.
+# of the panorama. synth --jobs 2 of two RGBE panoramas peaks at 79.4 MiB,
+# against 101 MiB with two float64 copies per file in auto-exposure. Each
+# bound leaves 15% over the measured peak.
 @pytest.mark.parametrize("command, bound_mib",
-                         [("p2c", 85), ("merge", 100), ("metrics", 96), ("crop-set", 75)])
+                         [("p2c", 85), ("merge", 100), ("metrics", 96), ("crop-set", 75),
+                          ("synth", 91)])
 def test_cli_process_peak_at_dataset_size(inputs, tmp_path, command, bound_mib):
     d = inputs
     args = {
@@ -73,5 +78,7 @@ def test_cli_process_peak_at_dataset_size(inputs, tmp_path, command, bound_mib):
                   "-o", tmp_path / "merged.pfm"],
         "metrics": ["metrics", d / "pred.pfm", d / "pano.pfm"],
         "crop-set": ["crop-set", d / "pano.pfm", "--out-dir", tmp_path / "crops"],
+        "synth": ["synth", d / "pano.hdr", d / "pred.hdr", "--seed", 7, "--jobs", 2,
+                  "--out-dir", tmp_path / "ldr"],
     }[command]
     assert peak_mib(args) < bound_mib

@@ -418,6 +418,20 @@ def test_render_many_independent_of_pool_size(monkeypatch):
     assert results[0] == results[1]
 
 
+def test_render_many_builds_one_texel_table(monkeypatch):
+    # two diffuse spheres of several chunks each share one table
+    calls = []
+    build = render_mod._env_texel_table
+
+    def counting_build(envs):
+        calls.append(envs.shape)
+        return build(envs)
+
+    monkeypatch.setattr(render_mod, "_env_texel_table", counting_build)
+    render_many(parse_scene(MULTI_CHUNK_SCENE), random_envs(24))
+    assert calls == [(2, 32, 64, 3)]
+
+
 def test_render_many_reuses_one_pool():
     scene = parse_scene(MULTI_CHUNK_SCENE)
     envs = random_envs(23)
