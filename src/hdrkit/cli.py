@@ -11,8 +11,10 @@ by the manifests' key names) > built-in default. A config value is checked
 like a flag, and a bad one is a usage error. Batch subcommands (synth,
 render) process every input even if some fail; failures are reported per
 file on stderr.
-Two inputs that would write the same output file are a usage error,
-reported before any file is read or written.
+Every output is claimed before any input is read: an output whose
+extension names no format its subcommand can write (an HDR image cannot
+go to .ppm), and two outputs of the same file (two batch inputs, or
+--output and --validity-out), are usage errors.
 """
 
 from __future__ import annotations
@@ -123,13 +125,14 @@ def _naming(path):
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except ValueError as exc:
-            raise UsageError(f"config file {path}: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise UsageError("config file must hold a JSON object")
+    with _naming(path):
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                cfg = json.load(fh)
+            except ValueError as exc:
+                raise UsageError(f"config file {path}: {exc}") from None
+        if not isinstance(cfg, dict):
+            raise UsageError("config file must hold a JSON object")
     return cfg
 
 
@@ -142,6 +145,26 @@ def _format_for(path: Path) -> FileFormat:
     if ext == ".ppm":
         return FileFormat.PPM6
     raise UsageError(f"cannot infer image format from extension {ext!r} ({path})")
+
+
+_HDR = (FileFormat.RADIANCE_RGBE, FileFormat.PFM)  # the formats that hold an HDR image
+_ANY = (*_HDR, FileFormat.PPM6)
+
+
+def _claim(outputs, owners: str) -> None:
+    """Check (owner, path, formats) outputs before any input is read: each
+    path's extension must name one of its formats, and no two paths may
+    resolve to the same file. `owners` names the owners in an error."""
+    claimed = {}
+    for owner, out, formats in outputs:
+        out = Path(out)
+        if _format_for(out) not in formats:  # only HDR outputs narrow the formats
+            raise UsageError(f"{owner} writes an HDR image, which {out} cannot hold "
+                             "(use .hdr or .pfm)")
+        key = out.resolve()
+        if key in claimed:
+            raise UsageError(f"{owners} {claimed[key]} and {owner} would both write {out}")
+        claimed[key] = owner
 
 
 def _read(path, kind=(HdrImage, LdrImage), expected=""):
@@ -181,7 +204,8 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-def _write_output(path: Path, img, manifest: dict) -> None:
+def _write_output(path, img, manifest: dict) -> None:
+    path = Path(path)
     data = write_image(img, _format_for(path))
     with _naming(path):
         _atomic_write(path, data)
@@ -198,32 +222,23 @@ def _print_json(obj) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: each takes the parsed path arguments and the
-# resolved options of its subcommand
+# subcommand implementations: each takes the parsed path arguments, the
+# resolved options of its subcommand and the base manifest of its sidecars
 
 
-def _cmd_calibrate(args, params) -> int:
+def _cmd_calibrate(args, params, manifest) -> int:
     hdr = _read_hdr(args.hdr)
     ldr = _read_linear_ldr(args.ldr, params["ldr_space"])
     result = calibrate_hdr(hdr, ldr, params["tau"])
-    _write_output(Path(args.output), result.calibrated, {
-        "subcommand": "calibrate",
-        "inputs": [str(args.hdr), str(args.ldr)],
-        "params": params,
-        "result": {"scale_factor": result.scale_factor},
-    })
+    _write_output(args.output, result.calibrated,
+                  {**manifest, "result": {"scale_factor": result.scale_factor}})
     _print_json({"scale_factor": result.scale_factor})
     return EXIT_OK
 
 
-def _cmd_segment(args, params) -> int:
-    hdr = _read_hdr(args.hdr)
-    mask = luminance_seg_labels(hdr, params["t_low"], params["t_high"])
-    _write_output(Path(args.output), LdrImage(mask.data * np.uint8(255)), {
-        "subcommand": "segment",
-        "inputs": [str(args.hdr)],
-        "params": params,
-    })
+def _cmd_segment(args, params, manifest) -> int:
+    mask = luminance_seg_labels(_read_hdr(args.hdr), params["t_low"], params["t_high"])
+    _write_output(args.output, LdrImage(mask.data * np.uint8(255)), manifest)
     return EXIT_OK
 
 
@@ -254,7 +269,7 @@ def _synth_one(path: Path, out_path: Path, seed: int, params) -> dict:
     return {"file": str(path), "output": str(out_path), "seed": seed}
 
 
-def _cmd_synth(args, params) -> int:
+def _cmd_synth(args, params, _) -> int:
     inputs = [Path(p) for p in args.inputs]
     seed = params["seed"]
     seeds = split_seeds(seed, len(inputs)) if len(inputs) > 1 else [seed]
@@ -267,18 +282,11 @@ def _cmd_synth(args, params) -> int:
 
 def _batch_outputs(inputs: list[Path], output, out_dir, suffix: str) -> list[Path]:
     """Each input's output path: `output`, or the input's stem plus `suffix`
-    in `out_dir` (default: beside the input). Resolved before any work so
-    that two inputs can never write the same file, and a worker never meets
-    an output of unknown format."""
-    outs, claimed = [], {}
-    for path in inputs:
-        out = Path(output) if output else Path(out_dir or path.parent) / (path.stem + suffix)
-        _format_for(out)
-        key = out.resolve()
-        if key in claimed:
-            raise UsageError(f"inputs {claimed[key]} and {path} would both write {out}")
-        claimed[key] = path
-        outs.append(out)
+    in `out_dir` (default: beside the input). Claimed before any work so
+    that two inputs can never write the same file."""
+    outs = [Path(output) if output else Path(out_dir or path.parent) / (path.stem + suffix)
+            for path in inputs]
+    _claim([(path, out, _ANY) for path, out in zip(inputs, outs)], "inputs")
     return outs
 
 
@@ -308,7 +316,7 @@ def _run_batch(inputs, worker, jobs: int) -> int:
     return code
 
 
-def _cmd_metrics(args, params) -> int:
+def _cmd_metrics(args, params, _) -> int:
     pred = _read_hdr(args.pred)
     gt = _read_hdr(args.gt)
     anchor = _read_linear_ldr(args.ldr, params["ldr_space"]) if args.ldr else None
@@ -337,41 +345,34 @@ def _geometry_params(proj: PanoProjection) -> dict:
     }
 
 
-def _cmd_p2c(args, params) -> int:
+def _cmd_p2c(args, params, manifest) -> int:
     pano = _read_hdr(args.pano)
     ceil_size = pano.height if params["ceil_size"] is None else params["ceil_size"]
     proj = _projection(params, pano.width, pano.height, ceil_size)
     ceil = pano_to_ceiling(pano, proj)
-    _write_output(Path(args.output), HdrImage(ceil.astype(np.float32)), {
-        "subcommand": "p2c",
-        "inputs": [str(args.pano)],
-        "params": _geometry_params(proj),
-    })
+    manifest["params"] = _geometry_params(proj)
+    _write_output(args.output, HdrImage(ceil.astype(np.float32)), manifest)
     return EXIT_OK
 
 
-def _cmd_c2p(args, params) -> int:
+def _cmd_c2p(args, params, manifest) -> int:
     pano_width = params["pano_width"]
     if pano_width is None:
         raise UsageError("c2p requires --pano-width (or pano_width in --config)")
     ceil = _read_hdr(args.ceil)
     proj = _projection(params, pano_width, pano_width // 2, ceil.width)
     pano, validity = ceiling_to_pano(ceil, proj)
-    manifest = {
-        "subcommand": "c2p",
-        "inputs": [str(args.ceil)],
-        "params": _geometry_params(proj),
-    }
+    manifest["params"] = _geometry_params(proj)
     img = HdrImage(pano.astype(np.float32))
     del pano  # the float64 panorama, before the validity image is made
-    _write_output(Path(args.output), img, manifest)
+    _write_output(args.output, img, manifest)
     if args.validity_out:
         vimg = HdrImage(np.repeat(validity.astype(np.float32)[..., None], 3, axis=2))
-        _write_output(Path(args.validity_out), vimg, {**manifest, "content": "validity mask"})
+        _write_output(args.validity_out, vimg, {**manifest, "content": "validity mask"})
     return EXIT_OK
 
 
-def _cmd_merge(args, params) -> int:
+def _cmd_merge(args, params, manifest) -> int:
     ceil_hdr = _read_hdr(args.ceil_hdr)
     pano_hdr = _read_hdr(args.pano_hdr)
     ceil_ldr = _read_linear_ldr(args.ceil_ldr, params["ldr_space"])
@@ -379,26 +380,20 @@ def _cmd_merge(args, params) -> int:
     m_p = merge_mask(ceil_ldr, proj, params["merge_tau"])
     del ceil_ldr  # one input image less during the blend
     merged = merge_panorama(ceil_hdr, pano_hdr, m_p, proj).astype(np.float32)
-    _write_output(Path(args.output), HdrImage(merged), {
-        "subcommand": "merge",
-        "inputs": [str(args.ceil_hdr), str(args.pano_hdr), str(args.ceil_ldr)],
-        "params": {**params, **_geometry_params(proj)},
-    })
+    manifest["params"] = {**params, **_geometry_params(proj)}
+    _write_output(args.output, HdrImage(merged), manifest)
     return EXIT_OK
 
 
-def _cmd_crop_set(args, params) -> int:
+def _cmd_crop_set(args, params, manifest) -> int:
     pano = _read_hdr(args.pano)
     out_dir = Path(args.out_dir)
     crops = crop_set(pano, params["width"], params["height"], params["hfov_deg"],
                      outdoor=params["outdoor"])
     for img, view in crops:
         name = f"{Path(args.pano).stem}_yaw{int(view['yaw_deg']):03d}_pitch{int(view['pitch_deg']):02d}.pfm"
-        _write_output(out_dir / name, HdrImage(img.astype(np.float32)), {
-            "subcommand": "crop-set",
-            "inputs": [str(args.pano)],
-            "params": {**view, "outdoor": params["outdoor"]},
-        })
+        _write_output(out_dir / name, HdrImage(img.astype(np.float32)),
+                      {**manifest, "params": {**view, "outdoor": params["outdoor"]}})
     _print_json({"crops": len(crops)})
     return EXIT_OK
 
@@ -413,7 +408,7 @@ def _render_one(env_path: Path, out_path: Path, scene, scene_path: str) -> dict:
     return {"file": str(env_path), "output": str(out_path)}
 
 
-def _cmd_render(args, params) -> int:
+def _cmd_render(args, params, _) -> int:
     envs = [Path(p) for p in args.envs]
     if args.output and len(envs) > 1:
         raise UsageError("use --out-dir when rendering multiple environments")
@@ -421,12 +416,12 @@ def _cmd_render(args, params) -> int:
         raise UsageError("--reference compares a single render; give one environment")
     outs = _batch_outputs(envs, args.output, args.out_dir, "_render.pfm")
     scene = _read_scene(args.scene)
+    # read before rendering, since the render may replace the reference file
+    ref = _read_hdr(args.reference) if args.reference else None
     code = _run_batch(envs, lambda p, i: _render_one(p, outs[i], scene, args.scene),
                       params["jobs"])
-    if code == EXIT_OK and args.reference:
-        ref = _read_hdr(args.reference)
-        made = _read_hdr(outs[0])
-        _print_json(compare_renders(made, ref))
+    if code == EXIT_OK and ref is not None:
+        _print_json(compare_renders(_read_hdr(outs[0]), ref))
     return code
 
 
@@ -437,7 +432,7 @@ def _read_scene(path) -> SceneConfig:
             return parse_scene(fh.read())
 
 
-def _cmd_eval_ibl(args, params) -> int:
+def _cmd_eval_ibl(args, params, _) -> int:
     scene = _read_scene(args.scene)
     ldr = _read_linear_ldr(args.ldr_env, params["ldr_space"])
     pred = calibrate_hdr(_read_hdr(args.pred_env), ldr, params["tau"]).calibrated
@@ -446,30 +441,20 @@ def _cmd_eval_ibl(args, params) -> int:
     return EXIT_OK
 
 
-def _cmd_preview(args, params) -> int:
+def _cmd_preview(args, params, manifest) -> int:
     hdr = _read_hdr(args.hdr)
-    _write_output(Path(args.output), exposure_preview(hdr, params["ev"], params["window"]), {
-        "subcommand": "preview",
-        "inputs": [str(args.hdr)],
-        "params": params,
-    })
+    _write_output(args.output, exposure_preview(hdr, params["ev"], params["window"]), manifest)
     return EXIT_OK
 
 
-def _cmd_convert(args, params) -> int:
+def _cmd_convert(args, params, manifest) -> int:
     img = _read(args.input)
-    out = Path(args.output)
-    target = _format_for(out)
-    if target is FileFormat.PPM6:
+    if _format_for(Path(args.output)) is FileFormat.PPM6:
         if isinstance(img, HdrImage):
             img = exposure_preview(img, params["ev"], params["window"])
     elif isinstance(img, LdrImage):
         img = HdrImage(_linearize(img, params["ldr_space"]).data)
-    _write_output(out, img, {
-        "subcommand": "convert",
-        "inputs": [str(args.input)],
-        "params": params,
-    })
+    _write_output(args.output, img, manifest)
     return EXIT_OK
 
 
@@ -581,6 +566,8 @@ def _path(*names, **kwargs):
 
 
 _OUTPUT = _path("-o", "--output", required=True)
+_TO_HDR = ("output", _HDR)
+_TO_ANY = ("output", _ANY)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -589,44 +576,52 @@ class _Command:
     help: str
     paths: list  # path arguments (inputs and outputs), command line only
     options: list  # keys of _OPTIONS
+    inputs: tuple = ()  # path arguments that the sidecars' "inputs" record, in order
+    outputs: tuple = ()  # (path argument, formats it may name) of each single-file output
 
 
 _COMMANDS = {
     "calibrate": _Command(_cmd_calibrate, "scale an HDR image to its LDR reference",
-                          [_path("hdr"), _path("ldr"), _OUTPUT], ["tau", "ldr_space"]),
+                          [_path("hdr"), _path("ldr"), _OUTPUT], ["tau", "ldr_space"],
+                          ("hdr", "ldr"), (_TO_HDR,)),
     "segment": _Command(_cmd_segment, "three-class luminance labels from a calibrated HDR",
-                        [_path("hdr"), _OUTPUT], ["t_low", "t_high"]),
+                        [_path("hdr"), _OUTPUT], ["t_low", "t_high"], ("hdr",), (_TO_ANY,)),
     "synth": _Command(_cmd_synth, "synthesize LDR images with the virtual camera",
                       [_path("inputs", nargs="+"), _path("-o", "--output"), _path("--out-dir")],
-                      ["seed", "jobs", "identity_crf", "dynamic_range_ev", "target_mean"]),
+                      ["seed", "jobs", "identity_crf", "dynamic_range_ev", "target_mean"],
+                      outputs=(_TO_ANY,)),
     "metrics": _Command(_cmd_metrics, "scale-invariant metrics for an HDR pair",
                         [_path("pred"), _path("gt"),
                          _path("--ldr", help="linear-anchor LDR image for display anchoring")],
                         ["ldr_space", "eps"]),
     "p2c": _Command(_cmd_p2c, "panorama to ceiling-view projection",
-                    [_path("pano"), _OUTPUT], ["ceil_size", "camera_d", "plane_extent"]),
+                    [_path("pano"), _OUTPUT], ["ceil_size", "camera_d", "plane_extent"],
+                    ("pano",), (_TO_HDR,)),
     "c2p": _Command(_cmd_c2p, "ceiling-view to panorama projection",
                     [_path("ceil"), _OUTPUT, _path("--validity-out")],
-                    ["pano_width", "camera_d", "plane_extent"]),
+                    ["pano_width", "camera_d", "plane_extent"],
+                    ("ceil",), (_TO_HDR, ("validity_out", _HDR))),
     "merge": _Command(_cmd_merge, "blend ceiling and panorama reconstructions",
                       [_path("ceil_hdr"), _path("pano_hdr"), _path("--ceil-ldr", required=True),
                        _OUTPUT],
-                      ["merge_tau", "ldr_space", "camera_d", "plane_extent"]),
+                      ["merge_tau", "ldr_space", "camera_d", "plane_extent"],
+                      ("ceil_hdr", "pano_hdr", "ceil_ldr"), (_TO_HDR,)),
     "crop-set": _Command(_cmd_crop_set, "dataset crops at fixed yaws/pitches",
                          [_path("pano"), _path("--out-dir", required=True)],
-                         ["width", "height", "hfov_deg", "outdoor"]),
+                         ["width", "height", "hfov_deg", "outdoor"], ("pano",)),
     "render": _Command(_cmd_render, "render the evaluation scene under environments",
                        [_path("scene"), _path("envs", nargs="+"), _path("-o", "--output"),
                         _path("--out-dir"),
                         _path("--reference", help="reference render; prints metric JSON")],
-                       ["jobs"]),
+                       ["jobs"], outputs=(_TO_HDR,)),
     "eval-ibl": _Command(_cmd_eval_ibl, "calibrate, render, and compare two environments",
                          [_path("pred_env"), _path("gt_env"), _path("ldr_env"), _path("scene")],
                          ["tau", "ldr_space"]),
     "preview": _Command(_cmd_preview, "exposure-window LDR preview of an HDR image",
-                        [_path("hdr"), _OUTPUT], ["ev", "window"]),
+                        [_path("hdr"), _OUTPUT], ["ev", "window"], ("hdr",), (_TO_ANY,)),
     "convert": _Command(_cmd_convert, "convert between RGBE, PFM, and PPM",
-                        [_path("input"), _OUTPUT], ["ldr_space", "ev", "window"]),
+                        [_path("input"), _OUTPUT], ["ldr_space", "ev", "window"],
+                        ("input",), (_TO_ANY,)),
 }
 
 
@@ -677,7 +672,12 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         command = _COMMANDS[args.command]
         params = _resolve_params(args, _load_config(args.config), command.options)
-        return command.handler(args, params)
+        _claim([("--" + dest.replace("_", "-"), getattr(args, dest), formats)
+                for dest, formats in command.outputs if getattr(args, dest)], "options")
+        manifest = {"subcommand": args.command,
+                    "inputs": [str(getattr(args, dest)) for dest in command.inputs],
+                    "params": params}
+        return command.handler(args, params, manifest)
     except Exception as exc:
         _emit_error(type(exc).__name__, str(exc), getattr(exc, "file", None))
         return _exit_code(exc)

@@ -328,19 +328,17 @@ def _plan_scene(scene: SceneConfig, env_w: int, env_h: int):
     return background, spheres
 
 
-def _shade(sp: _SpherePlan, part: slice, stack: np.ndarray, texels=None) -> np.ndarray:
+def _shade(sp: _SpherePlan, part: slice, stack: np.ndarray, texels) -> np.ndarray:
     """(K, n, 3) radiance of the pixels `part` of one sphere under each of
     the K environments in `stack`, whose _env_texel_table is `texels`
-    (built here if not given). Mirror and glossy values are per pixel. A
-    diffuse part that starts at a multiple of _NORMAL_TILE runs the same
+    (None unless the sphere is diffuse). Mirror and glossy values are per
+    pixel. A diffuse part that starts at a multiple of _NORMAL_TILE runs the same
     irradiance tiles as the whole sphere, so it gets the same bytes; other
     cuts may not (a one-row matrix product rounds differently)."""
     mat = sp.material
     albedo = np.asarray(mat.albedo)
     normals = sp.normals[part]
     if mat.kind == "diffuse":
-        if texels is None:
-            texels = _env_texel_table(stack)
         return albedo * _irradiance(normals, texels) / np.pi
     env_h, env_w = stack.shape[1:3]
     # reflect the view direction about the normal

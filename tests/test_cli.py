@@ -533,6 +533,41 @@ def test_render_reference_with_several_environments_is_a_usage_error(workdir, ca
     assert not (workdir / "o").exists()
 
 
+def _render_inputs(workdir):
+    rng = np.random.default_rng(24)
+    envs = [save_hdr(workdir / f"e{i}.hdr", rng.uniform(0.05, 3.0, (16, 32, 3)))
+            for i in range(2)]
+    scene = workdir / "scene.txt"
+    scene.write_text(default_scene_text(16, 12))
+    return scene, envs
+
+
+def test_render_reference_is_read_before_rendering(workdir, capsys):
+    # an output that replaces the reference is compared with the old file
+    scene, (e0, e1) = _render_inputs(workdir)
+    ref = workdir / "ref.pfm"
+    assert run(capsys, "render", scene, e0, "-o", ref)[0] == EXIT_OK
+    old = workdir / "old.pfm"
+    old.write_bytes(ref.read_bytes())
+    code, replaced, _ = run(capsys, "render", scene, e1, "-o", ref, "--reference", ref)
+    assert code == EXIT_OK
+    code, kept, _ = run(capsys, "render", scene, e1, "-o", workdir / "r.pfm", "--reference", old)
+    assert code == EXIT_OK
+    assert replaced == kept and json.loads(kept)["mse"] > 0.0
+    assert ref.read_bytes() == (workdir / "r.pfm").read_bytes()
+
+
+def test_bad_reference_exits_2_before_rendering(workdir, capsys):
+    scene, (e0, _) = _render_inputs(workdir)
+    missing = workdir / "missing.pfm"
+    code, out, err = run(capsys, "render", scene, e0, "-o", workdir / "r.pfm",
+                         "--reference", missing)
+    assert code == EXIT_IO and out == ""
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"]["file"] == str(missing)
+    assert not (workdir / "r.pfm").exists()
+
+
 def test_preview_cli(workdir, capsys):
     hdr_path = save_hdr(workdir / "h.hdr", np.full((8, 8, 3), 1.0))
     out = workdir / "prev.ppm"
@@ -659,6 +694,25 @@ def test_bad_config_is_usage_error(workdir, capsys, config_text, argv):
     assert not (workdir / "out").exists()
 
 
+@pytest.mark.parametrize("config_text, code", [
+    (None, EXIT_IO),
+    ("dir", EXIT_IO),
+    ('{"tau": 0.5', EXIT_USAGE),
+    ("[0.5]", EXIT_USAGE),
+], ids=["missing", "directory", "malformed-json", "not-an-object"])
+def test_config_failure_names_the_config_file(workdir, capsys, config_text, code):
+    cfg = workdir / "cfg.json"
+    if config_text == "dir":
+        cfg.mkdir()
+    elif config_text is not None:
+        cfg.write_text(config_text)
+    got, out, err = run(capsys, *_calibrate_inputs(workdir), "--config", cfg)
+    assert got == code and out == ""
+    (line,) = err.strip().splitlines()
+    assert json.loads(line)["error"]["file"] == str(cfg)
+    assert not (workdir / "out").exists()
+
+
 def test_config_sets_switches_and_pano_width(workdir, capsys):
     ceil_path = save_pfm(workdir / "ceil.pfm", np.full((16, 16, 3), 1.5))
     pano_path = save_pfm(workdir / "pano.pfm", np.full((16, 32, 3), 2.0))
@@ -687,37 +741,43 @@ T_LOW, T_HIGH = 0.004086771438464067, 1.1051709180756477
 GEOMETRY = {"pano_width": 32, "pano_height": 16, "ceil_size": 16, "camera_d": 1.0,
             "plane_extent": 1.0}
 
-# Sidecar `params` (for synth, every field but the paths and the tool
-# version) of each image-writing subcommand run with default options.
+# Sidecar `inputs` and `params` (for synth, which records no `inputs`, every
+# field but the output path and the tool version) of each image-writing
+# subcommand run with default options. Every sidecar's `subcommand` is the
+# command's name.
 PINNED_MANIFESTS = [
     (["calibrate", "pano.hdr", "pano.ppm", "-o", "out.pfm"], "out.pfm.json",
-     {"tau": 0.83, "ldr_space": "srgb"}),
-    (["segment", "pano.hdr", "-o", "out.ppm"], "out.ppm.json",
+     ["pano.hdr", "pano.ppm"], {"tau": 0.83, "ldr_space": "srgb"}),
+    (["segment", "pano.hdr", "-o", "out.ppm"], "out.ppm.json", ["pano.hdr"],
      {"t_low": T_LOW, "t_high": T_HIGH}),
-    (["synth", "pano.hdr", "-o", "out.ppm"], "out.ppm.json",
-     {"subcommand": "synth", "seed": 0, "rng": "pcg64",
+    (["synth", "pano.hdr", "-o", "out.ppm"], "out.ppm.json", None,
+     {"subcommand": "synth", "source": "pano.hdr", "seed": 0, "rng": "pcg64",
       "dynamic_range_ev": 12.912200774071563, "sigma": 0.3539573427527741,
       "n": 0.808194704787239, "identity_crf": False, "exposure": 0.12080760427458825,
       "exposure_mean_before_noise_floor": True, "target_mean": 0.18,
       "tau_default": 0.83, "t_low_default": T_LOW, "t_high_default": T_HIGH}),
-    (["p2c", "pano.hdr", "-o", "out.pfm"], "out.pfm.json", GEOMETRY),
-    (["c2p", "ceil.pfm", "-o", "out.pfm", "--pano-width", "32"], "out.pfm.json", GEOMETRY),
+    (["p2c", "pano.hdr", "-o", "out.pfm"], "out.pfm.json", ["pano.hdr"], GEOMETRY),
+    (["c2p", "ceil.pfm", "-o", "out.pfm", "--pano-width", "32"], "out.pfm.json", ["ceil.pfm"],
+     GEOMETRY),
     (["merge", "ceil.pfm", "pano.hdr", "--ceil-ldr", "ceil.ppm", "-o", "out.pfm"],
-     "out.pfm.json", {**GEOMETRY, "merge_tau": 0.13, "ldr_space": "srgb"}),
-    (["crop-set", "pano.hdr", "--out-dir", "."], "pano_yaw120_pitch45.pfm.json",
+     "out.pfm.json", ["ceil.pfm", "pano.hdr", "ceil.ppm"],
+     {**GEOMETRY, "merge_tau": 0.13, "ldr_space": "srgb"}),
+    (["crop-set", "pano.hdr", "--out-dir", "."], "pano_yaw120_pitch45.pfm.json", ["pano.hdr"],
      {"yaw_deg": 120.0, "pitch_deg": 45.0, "hfov_deg": 60.0, "width": 320, "height": 240,
       "outdoor": False}),
     (["render", "scene.txt", "pano.hdr", "-o", "out.pfm"], "out.pfm.json",
-     {"scene": "scene.txt"}),
-    (["preview", "pano.hdr", "-o", "out.ppm"], "out.ppm.json", {"ev": 0.0, "window": 10.0}),
-    (["convert", "pano.ppm", "-o", "out.pfm"], "out.pfm.json",
+     ["scene.txt", "pano.hdr"], {"scene": "scene.txt"}),
+    (["preview", "pano.hdr", "-o", "out.ppm"], "out.ppm.json", ["pano.hdr"],
+     {"ev": 0.0, "window": 10.0}),
+    (["convert", "pano.ppm", "-o", "out.pfm"], "out.pfm.json", ["pano.ppm"],
      {"ldr_space": "srgb", "ev": 0.0, "window": 10.0}),
 ]
 
 
-@pytest.mark.parametrize("argv, sidecar, expected", PINNED_MANIFESTS,
+@pytest.mark.parametrize("argv, sidecar, inputs, expected", PINNED_MANIFESTS,
                          ids=[case[0][0] for case in PINNED_MANIFESTS])
-def test_default_manifests_are_pinned(workdir, capsys, monkeypatch, argv, sidecar, expected):
+def test_default_manifests_are_pinned(workdir, capsys, monkeypatch, argv, sidecar, inputs,
+                                      expected):
     monkeypatch.chdir(workdir)
     rng = np.random.default_rng(11)
     pano = rng.uniform(0.05, 3.0, (16, 32, 3))
@@ -728,8 +788,10 @@ def test_default_manifests_are_pinned(workdir, capsys, monkeypatch, argv, sideca
     (workdir / "scene.txt").write_text(default_scene_text(16, 12))
     assert run(capsys, *argv)[0] == EXIT_OK
     man = json.loads((workdir / sidecar).read_text())
+    assert man["subcommand"] == argv[0]
+    assert man.get("inputs") == inputs
     if argv[0] == "synth":
-        params = {k: v for k, v in man.items() if k not in ("source", "output", "tool_version")}
+        params = {k: v for k, v in man.items() if k not in ("output", "tool_version")}
     else:
         params = man["params"]
     assert params == expected
@@ -776,9 +838,25 @@ def test_help_names_every_flag(capsys, sub):
     (["c2p", "in.pfm", "-o", "out/x.pfm", "--pano-width", "0"], None),
     (["c2p", "in.pfm", "-o", "out/x.pfm"], {"pano_width": 64.5}),
     (["synth", "in.hdr", "-o", "out/x.png"], None),
+    (["p2c", "in.pfm", "-o", "out/x.png"], None),
+    (["calibrate", "in.hdr", "in.ppm", "-o", "out/x.jpg"], None),
+    (["p2c", "in.pfm", "-o", "out/x.ppm"], None),
+    (["merge", "c.pfm", "p.pfm", "--ceil-ldr", "c.ppm", "-o", "out/x.ppm"], None),
+    (["render", "s.txt", "e.hdr", "-o", "out/x.ppm"], None),
+    (["c2p", "in.pfm", "-o", "out/x.pfm", "--pano-width", "64", "--validity-out", "out/x.pfm"],
+     None),
+    (["c2p", "in.pfm", "-o", "out/x.pfm", "--pano-width", "64", "--validity-out",
+      "out/../out/x.pfm"], None),
+    (["c2p", "in.pfm", "-o", "out/x.pfm", "--pano-width", "64", "--validity-out", "out/v.png"],
+     None),
+    (["c2p", "in.pfm", "-o", "out/x.pfm", "--pano-width", "64", "--validity-out", "out/v.ppm"],
+     None),
 ], ids=["seed-fraction", "seed-boolean", "seed-negative", "jobs-zero", "target-mean-boolean",
         "tau-boolean", "width-fraction", "height-zero", "ceil-size-zero", "pano-width-odd",
-        "pano-width-zero", "pano-width-fraction", "unknown-output-format"])
+        "pano-width-zero", "pano-width-fraction", "unknown-output-format",
+        "p2c-unknown-output-format", "calibrate-unknown-output-format", "p2c-hdr-to-ppm",
+        "merge-hdr-to-ppm", "render-hdr-to-ppm", "validity-out-is-output",
+        "validity-out-resolves-to-output", "validity-out-unknown-format", "validity-out-to-ppm"])
 def test_bad_option_value_exits_before_reading(workdir, capsys, monkeypatch, argv, config):
     # the inputs do not exist: reading one would exit 2, not 1
     monkeypatch.chdir(workdir)

@@ -400,8 +400,9 @@ def test_render_many_matches_unchunked_shading():
     assert sizes[4] < sizes[1]  # cut by the sphere in front
     want = np.zeros((2, 72 * 96, 3))
     want[:] = np.stack([apply_bilinear_map(arr, background) for arr in stack])[:, None]
+    texels = render_mod._env_texel_table(stack)
     for sp in plans:
-        want[:, sp.pixels] = render_mod._shade(sp, slice(None), stack)
+        want[:, sp.pixels] = render_mod._shade(sp, slice(None), stack, texels)
     want = np.maximum(want, 0.0).astype(np.float32).reshape(2, 72, 96, 3)
     for made, expected in zip(render_many(scene, envs), want):
         assert made.data.tobytes() == expected.tobytes()
