@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import HdrImage, LinearLdr, SegMask, channel_mean, image_data
+from .image import HdrImage, LinearLdr, SegMask, _row_bands, channel_mean, image_data
 
 __all__ = [
     "DEFAULT_TAU",
@@ -44,9 +44,18 @@ class CalibrationResult:
 
 def overexposure_mask(i: LinearLdr, tau: float = DEFAULT_TAU) -> np.ndarray:
     """Binary (H, W) mask: 1 where the pixel's channel mean is below tau."""
+    return _anchor_mask(image_data(i), tau).view(np.uint8)
+
+
+def _anchor_mask(ld: np.ndarray, tau: float) -> np.ndarray:
+    """The (H, W) bool mask of overexposure_mask, made one row band at a
+    time."""
     if not 0 < tau <= 1:
         raise ValueError("tau must lie in (0, 1]")
-    return (channel_mean(i) < tau).astype(np.uint8)
+    mask = np.empty(ld.shape[:2], dtype=bool)
+    for rows in _row_bands(ld.shape):
+        mask[rows] = channel_mean(ld[rows]) < tau
+    return mask
 
 
 def calibrate_hdr(h: HdrImage, i: LinearLdr, tau: float = DEFAULT_TAU) -> CalibrationResult:
@@ -54,7 +63,10 @@ def calibrate_hdr(h: HdrImage, i: LinearLdr, tau: float = DEFAULT_TAU) -> Calibr
 
     The scale factor is the ratio of the masked channel sums of the LDR and
     HDR images, where the mask keeps non-overexposed pixels only. Sums are
-    accumulated in double precision regardless of the input dtype.
+    accumulated in double precision regardless of the input dtype. The mask
+    is made as bool and the HDR image is rescaled in float64 into an array
+    of its own dtype, both one row band at a time, so no full-size float64
+    array is made.
 
     Raises UncalibratableError when every pixel is overexposed or the masked
     HDR sum vanishes.
@@ -63,7 +75,7 @@ def calibrate_hdr(h: HdrImage, i: LinearLdr, tau: float = DEFAULT_TAU) -> Calibr
     ld = image_data(i)
     if hd.shape != ld.shape:
         raise ValueError(f"shape mismatch: HDR {hd.shape} vs LDR {ld.shape}")
-    mask = overexposure_mask(i, tau).astype(bool)
+    mask = _anchor_mask(ld, tau)
     if not mask.any():
         raise UncalibratableError("all pixels are overexposed; no calibration anchor")
     s_ldr = float(ld[mask].sum(dtype=np.float64))
@@ -71,7 +83,10 @@ def calibrate_hdr(h: HdrImage, i: LinearLdr, tau: float = DEFAULT_TAU) -> Calibr
     if s_hdr <= 0:
         raise UncalibratableError("masked HDR sum is zero; scale is undefined")
     scale = s_ldr / s_hdr
-    calibrated = HdrImage(np.multiply(hd, scale, dtype=np.float64).astype(hd.dtype))
+    out = np.empty(hd.shape, dtype=hd.dtype)
+    for rows in _row_bands(hd.shape):
+        out[rows] = np.multiply(hd[rows], scale, dtype=np.float64)
+    calibrated = HdrImage(out)
     return CalibrationResult(calibrated=calibrated, scale_factor=scale)
 
 

@@ -6,12 +6,13 @@ curve, and quantizes to 8 bits. Everything is deterministic given the
 image and the seed, so datasets can be reproduced from their manifests.
 
 Auto-exposure is defined by a fixed 90-step bisection of the clipped mean.
-It is computed by replaying those steps: one sort of the image as it is
-(float32 stays float32) gives the exact root of the piecewise-linear mean,
-two evaluations bracket it, and only the steps inside the bracket touch
-the image, so the exposure is bit-identical to the plain bisection at
-about a tenth of its cost. Every evaluation refills one float64 buffer, so
-a call holds one float64 copy of the image at its peak.
+It is computed by replaying those steps: a radix select over the bit
+patterns of the image's values gives the exact root of the piecewise-linear
+mean, two evaluations bracket it, and only the steps inside the bracket
+touch the image, so the exposure is bit-identical to the plain bisection at
+about a tenth of its cost. Every mean, the image's own and each clipped
+one, is numpy's float64 pairwise sum made band by band (image._exact_sum),
+so a call holds band-sized temporaries only, whatever the image's values.
 
 The random generator is numpy's PCG64 (``np.random.default_rng``); a batch
 master seed is split into per-file seeds with ``np.random.SeedSequence``.
@@ -24,7 +25,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .image import HdrImage, LdrImage, _row_bands, image_data, quantize_u8
+from .image import (
+    _BAND_VALUES,
+    HdrImage,
+    LdrImage,
+    _exact_sum,
+    _row_bands,
+    image_data,
+    quantize_u8,
+)
 
 __all__ = [
     "DYNAMIC_RANGE_EV",
@@ -50,10 +59,12 @@ DEFAULT_TARGET_MEAN = 0.18  # photographic middle gray in linear light
 
 _BISECT_ITERS = 90
 _BRACKET_LOG2 = 40
-# Relative half-widths tried, in order, to bracket the sorted root.
+# Relative half-widths tried, in order, to bracket the root.
 _BRACKET_WIDTHS = (1e-14, 1e-12, 1e-9, 1e-6, 1e-3)
-# Values per block of the sorted root's float64 prefix sums.
-_ROOT_BLOCK = 1 << 12
+# Key bits per level of the radix root, and the most values of a boundary
+# bucket that it sorts rather than splits on the next bits.
+_RADIX_BITS = 16
+_SORT_LIMIT = 1 << 16
 
 
 class AutoExposureError(ValueError):
@@ -109,31 +120,38 @@ def auto_expose(h, target_mean: float = DEFAULT_TARGET_MEAN, tol: float = 1e-4) 
     fixed-order pairwise sum are each monotone on non-negative values), so
     two evaluations that bracket the exact root of the piecewise-linear mean
     decide every step outside the bracket, and only the steps inside it
-    evaluate the image. The root, solved from one sort of the image as it
-    is, only chooses where to bracket: a step is either decided by
-    monotonicity from an evaluated bracket end or evaluated itself, so the
-    result is bit-identical to the plain bisection however the root rounds.
+    evaluate the image. The root, from _radix_root, only chooses where to
+    bracket: a step is either decided by monotonicity from an evaluated
+    bracket end or evaluated itself, so the result is bit-identical to the
+    plain bisection however the root rounds.
 
-    Each evaluation refills one float64 buffer with g = x / mu, value for
-    value the mean-normalized float64 copy, so every evaluation is the
-    plain bisection's. The call holds the sorted image, then that one
-    buffer, never both at once.
+    The mean mu and every clipped mean are _exact_sum over bands of the
+    mean-normalized float64 copy g = x / mu, value for value, so each is the
+    plain bisection's .mean() of the whole copy, which is never made.
     """
     if not 0 < target_mean < 1:
         raise ValueError("target_mean must lie in (0, 1)")
     x = image_data(h)
-    root = _sorted_root(x, target_mean)
-    buf = np.array(x, dtype=np.float64)
-    mu = float(buf.mean())
+    flat = x.ravel(order="K")  # the order in which numpy sums a copy of x
+    n = flat.size
+
+    def values(lo: int, hi: int) -> np.ndarray:
+        return flat[lo:hi].astype(np.float64)
+
+    mu = _exact_sum(n, values) / max(n, 1)
     if not mu > 0:
         raise AutoExposureError("image has no positive pixels")
 
     def clipped_mean(m: float) -> float:
-        np.divide(x, mu, out=buf, dtype=np.float64)
-        np.multiply(m, buf, out=buf)
-        return float(np.clip(buf, 0.0, 1.0, out=buf).mean())
+        def leaf(lo: int, hi: int) -> np.ndarray:
+            g = values(lo, hi)
+            g /= mu
+            g *= m
+            return np.clip(g, 0.0, 1.0, out=g)
 
-    below, above = _bracket(clipped_mean, root * mu, target_mean)
+        return _exact_sum(n, leaf) / n
+
+    below, above = _bracket(clipped_mean, _radix_root(flat, target_mean) * mu, target_mean)
 
     def under_target(m: float) -> bool:
         if m <= below:
@@ -159,38 +177,98 @@ def auto_expose(h, target_mean: float = DEFAULT_TARGET_MEAN, tol: float = 1e-4) 
     return m / mu
 
 
-def _sorted_root(x: np.ndarray, target_mean: float) -> float:
-    """The exact root r of mean(min(r*x, 1)) = target_mean, from one sort
-    of x as it is (a float32 image is sorted as float32), or nan when the
-    unsaturated pixels sum to zero.
+def _radix_root(flat: np.ndarray, target_mean: float) -> float:
+    """The exact root r of mean(clip(r*x, 0, 1)) = target_mean over the
+    values x of the 1-D array flat, or nan when the unsaturated pixels sum
+    to zero.
 
-    With x sorted ascending as s, the pixels k.. saturate at the root for
-    the smallest k with sum(s[:k])/s[k] + n - k <= n*target_mean (a zero
-    s[k] never saturates), and then r = (n*target_mean - (n - k)) / sum(s[:k]).
-    Each sum(s[:k]) is a float64 prefix sum over whole blocks of s plus one
-    block-local float64 sum, so the search reads each value about once.
+    F(v) = sum(clip(x/v, 0, 1)) never increases with v. The pixels x >= v
+    saturate at the root for the smallest pixel value v > 0 with
+    F(v) <= goal = n*target_mean, and then r = (goal - count(x >= v)) /
+    sum(x < v). v is found by a radix select on the bit patterns of the
+    values as they are (float32 as float32, anything else as float64), which
+    order the values >= +0.0 as unsigned integers; the others add nothing
+    and are left out:
+    - one band-wise pass counts and sums the values per bucket of the top
+      16 bits, which gives F at every bucket's lower edge; v lies in the
+      boundary bucket, the last whose edge has F > goal, or is the first
+      value after it (an image of at most _SORT_LIMIT values is one bucket);
+    - a boundary bucket of at most _SORT_LIMIT values is gathered in one
+      more pass and sorted; a larger one is split on its next 16 bits in one
+      more pass, and so on;
+    - an empty bucket, or one whose bits are all fixed (one repeated value,
+      whose F is its edge's), cannot hold v.
+    So a float32 image takes at most two passes, a float64 one four, and
+    every temporary is band-sized whatever the values.
     """
-    s = np.sort(x, axis=None)
-    n = s.size
-    whole = n - n % _ROOT_BLOCK
-    blocks = s[:whole].reshape(-1, _ROOT_BLOCK).sum(axis=1, dtype=np.float64)
-    prefix = np.concatenate(([0.0], np.cumsum(blocks)))
+    float_t, uint_t = (np.float32, np.uint32) if flat.dtype == np.float32 else (np.float64, np.uint64)
+    width = 8 * np.dtype(uint_t).itemsize
+    goal = flat.size * target_mean
 
-    def head_sum(k: int) -> float:
-        b = k // _ROOT_BLOCK
-        return float(prefix[b] + s[b * _ROOT_BLOCK:k].sum(dtype=np.float64))
+    def bands():
+        for lo in range(0, flat.size, _BAND_VALUES):
+            band = flat[lo:lo + _BAND_VALUES].astype(float_t, copy=False)
+            yield band.view(uint_t), band
 
-    goal = n * target_mean
-    lo, hi = 1, n  # k = 0 would saturate every pixel, k = n none
-    while lo < hi:
-        k = (lo + hi) // 2
-        pivot = float(s[k])
-        if pivot > 0 and head_sum(k) / pivot + (n - k) <= goal:
-            hi = k
-        else:
-            lo = k + 1
-    covered = head_sum(lo)
-    return (goal - (n - lo)) / covered if covered > 0 else math.nan
+    def parts(k: np.ndarray, values: np.ndarray) -> list:
+        """Float parts of the values whose float64 sums within a bucket are
+        exact: float32 values as they are, float64 ones as a 24-bit head and
+        the rest (a float64 sum of many equal values drifts by more than the
+        bracket's 1e-14)."""
+        if width == 32:
+            return [values]
+        head = (k & ~uint_t((1 << 29) - 1)).view(float_t)
+        return [head, values - head]
+
+    below, above = 0.0, 0  # the sum under the bucket and the count over it
+    prefix, shift, m = 0, width - 1, flat.size  # the bucket of the values >= +0.0
+    while m > _SORT_LIMIT:
+        low = (shift - 1) // _RADIX_BITS * _RADIX_BITS
+        counts = np.zeros(1 << _RADIX_BITS, np.int64)
+        sums = np.zeros((width // 32, 1 << _RADIX_BITS))  # a row per part
+        for k, values in bands():
+            digit = k >> uint_t(low)
+            if shift < width - 1:  # below the top, the bucket's values only
+                inside = digit >> uint_t(_RADIX_BITS) == prefix
+                k, values, digit = k[inside], values[inside], digit[inside] & uint_t(0xFFFF)
+            digit = digit.astype(np.intp)
+            _add_bincount(counts, digit)
+            for row, part in zip(sums, parts(k, values)):
+                _add_bincount(row, digit, part)
+        nb = 1 << (shift - low)  # at the top, a set sign bit lands past nb
+        counts, sums = counts[:nb], sums[:, :nb].sum(axis=0)
+        prefix <<= shift - low
+        edges = ((prefix | np.arange(nb)) << low).astype(uint_t).view(float_t)
+        head = below + np.concatenate(([0.0], np.cumsum(sums)[:-1]))
+        tail = above + np.cumsum(counts[::-1])[::-1]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            f = head / edges + tail
+        f[edges == 0] = np.inf
+        b = int(np.flatnonzero(f > goal)[-1])
+        m = int(counts[b])
+        below, above = float(head[b]), int(tail[b]) - m
+        if m == 0 or low == 0:
+            return _root(goal, above, below + float(sums[b]))
+        prefix, shift = prefix | b, low
+    u = np.sort(np.concatenate([k[k >> uint_t(shift) == prefix] for k, _ in bands()]))
+    m = u.size
+    head = below + sum(np.concatenate(([0.0], np.cumsum(part, dtype=np.float64)))
+                       for part in parts(u, u.view(float_t)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fits = np.flatnonzero(head[:-1] / u.view(float_t) + (above + m - np.arange(m)) <= goal)
+    j = int(fits[0]) if fits.size else m
+    return _root(goal, above + m - j, float(head[j]))
+
+
+def _add_bincount(total: np.ndarray, digit: np.ndarray, weights=None) -> None:
+    """Add np.bincount(digit, weights) to the front of total."""
+    found = np.bincount(digit, weights)
+    total[:found.size] += found
+
+
+def _root(goal: float, saturated: int, unsaturated_sum: float) -> float:
+    """r with r * unsaturated_sum + saturated = goal, or nan when the sum is 0."""
+    return (goal - saturated) / unsaturated_sum if unsaturated_sum > 0 else math.nan
 
 
 def _bracket(clipped_mean, root: float, target_mean: float) -> tuple[float, float]:

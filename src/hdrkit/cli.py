@@ -14,7 +14,9 @@ file on stderr.
 Every output is claimed before any input is read: an output whose
 extension names no format its subcommand can write (an HDR image cannot
 go to .ppm), and two outputs of the same file (two batch inputs, or
---output and --validity-out), are usage errors.
+--output and --validity-out), are usage errors; a directory where an
+output file goes, or a file where an output directory goes, is an I/O
+error naming the output.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -149,22 +152,43 @@ def _format_for(path: Path) -> FileFormat:
 
 _HDR = (FileFormat.RADIANCE_RGBE, FileFormat.PFM)  # the formats that hold an HDR image
 _ANY = (*_HDR, FileFormat.PPM6)
+_DIR = None  # the "formats" of a directory that outputs go into
 
 
 def _claim(outputs, owners: str) -> None:
     """Check (owner, path, formats) outputs before any input is read: each
-    path's extension must name one of its formats, and no two paths may
-    resolve to the same file. `owners` names the owners in an error."""
+    file's extension must name one of its formats, no two paths may
+    resolve to the same file, and nothing on disk may stand where a path's
+    file or directory goes. `owners` names the owners in an error."""
     claimed = {}
     for owner, out, formats in outputs:
         out = Path(out)
-        if _format_for(out) not in formats:  # only HDR outputs narrow the formats
+        # only HDR outputs narrow the formats
+        if formats is not _DIR and _format_for(out) not in formats:
             raise UsageError(f"{owner} writes an HDR image, which {out} cannot hold "
                              "(use .hdr or .pfm)")
         key = out.resolve()
         if key in claimed:
             raise UsageError(f"{owners} {claimed[key]} and {owner} would both write {out}")
         claimed[key] = owner
+    for _, out, formats in outputs:
+        _check_place(Path(out), formats is _DIR)
+
+
+def _check_place(path: Path, directory: bool) -> None:
+    """Raise, naming `path`, the OSError that writing there would meet: a
+    directory where the file goes, or a file where a directory goes (the
+    directory `path` itself, or any folder above it)."""
+    with _naming(path):
+        if not directory and path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        folder = path if directory else path.parent
+        for above in (folder, *folder.parents):
+            if above.exists():
+                if not above.is_dir():
+                    raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                             str(above))
+                return
 
 
 def _read(path, kind=(HdrImage, LdrImage), expected=""):
@@ -577,7 +601,7 @@ class _Command:
     paths: list  # path arguments (inputs and outputs), command line only
     options: list  # keys of _OPTIONS
     inputs: tuple = ()  # path arguments that the sidecars' "inputs" record, in order
-    outputs: tuple = ()  # (path argument, formats it may name) of each single-file output
+    outputs: tuple = ()  # (path argument, formats it may name or _DIR) of each output
 
 
 _COMMANDS = {
@@ -608,7 +632,8 @@ _COMMANDS = {
                       ("ceil_hdr", "pano_hdr", "ceil_ldr"), (_TO_HDR,)),
     "crop-set": _Command(_cmd_crop_set, "dataset crops at fixed yaws/pitches",
                          [_path("pano"), _path("--out-dir", required=True)],
-                         ["width", "height", "hfov_deg", "outdoor"], ("pano",)),
+                         ["width", "height", "hfov_deg", "outdoor"], ("pano",),
+                         (("out_dir", _DIR),)),
     "render": _Command(_cmd_render, "render the evaluation scene under environments",
                        [_path("scene"), _path("envs", nargs="+"), _path("-o", "--output"),
                         _path("--out-dir"),

@@ -11,7 +11,8 @@ the input is cast one gather or row band at a time, so a float32 or
 integer image gets the values its float64 copy would give, without that
 copy. (A float32 array times a Python float stays float32, so the
 promotion must be explicit.) Per-pixel stages run in the row bands of
-_row_bands.
+_row_bands, and a float64 sum over the whole image is made band by band
+by _exact_sum, with the bits of numpy's sum over a float64 copy.
 """
 
 from __future__ import annotations
@@ -140,6 +141,28 @@ def _row_bands(shape: tuple):
     band = max(1, _BAND_VALUES // max(1, math.prod(shape[1:])))
     for r in range(0, shape[0], band):
         yield slice(r, r + band)
+
+
+def _exact_sum(n: int, leaf) -> float:
+    """np.add.reduce of the float64 array of n values whose values lo:hi
+    are leaf(lo, hi), bit for bit, without making that array.
+
+    numpy sums a contiguous float64 array pairwise: a piece of more than
+    128 values splits at n2 = n // 2 less n2 % 8, and its halves are summed
+    apart. Splitting the same way down to pieces of at most _BAND_VALUES
+    values, and reducing each piece, a fresh contiguous float64 band, in one
+    np.add.reduce, makes the same additions in the same order. (Reducing
+    float32 data with dtype=np.float64 does not: numpy casts it in buffers
+    of 8192 values and sums each buffer apart.) A mean is this sum over n.
+    """
+    def piece(lo: int, count: int) -> float:
+        if count <= _BAND_VALUES:
+            return float(np.add.reduce(leaf(lo, lo + count)))
+        half = count // 2
+        half -= half % 8
+        return piece(lo, half) + piece(lo + half, count - half)
+
+    return piece(0, n)
 
 
 def _check_hdr_bands(shape: tuple, values) -> None:

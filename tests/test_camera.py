@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from hdrkit.camera import (
     split_seeds,
     synth_ldr,
 )
-from hdrkit.image import HdrImage, _row_bands
+from hdrkit import camera
+from hdrkit.image import _BAND_VALUES, HdrImage, _row_bands
 
 
 def hdr(arr):
@@ -193,6 +196,155 @@ def test_auto_expose_leaves_float64_input_unchanged():
     assert np.array_equal(img.data, arr)
 
 
+# --- the radix root ------------------------------------------------------------
+
+_TARGETS = (0.05, 0.18, 0.5)
+# Per seed of _bright_disc_panorama and per target: the exposure that
+# _bisection_auto_expose gives (float.hex), and the clipped-mean evaluations
+# of the auto-exposure that replayed it from one sort of the image (numpy
+# 2.4). The oracle takes about 30 s over these 36 cases, so its results are
+# recorded here; test_auto_expose_bit_identical_at_dataset_size runs it.
+_DISC_CASES = {
+    0: (("0x1.f6be180d88051p-7", 7), ("0x1.e0e44bb401781p-4", 10), ("0x1.0002203c5ade1p+0", 14)),
+    1: (("0x1.f7b0c80672a07p-7", 7), ("0x1.e1fd9c2ddf5fcp-4", 10), ("0x1.0010edcee2848p+0", 13)),
+    2: (("0x1.f653c721dd066p-7", 7), ("0x1.dfd4890092570p-4", 10), ("0x1.fe8d2def70e19p-1", 14)),
+    3: (("0x1.f839814794f6fp-7", 7), ("0x1.e07e667cf686ap-4", 11), ("0x1.0047397f6e0d1p+0", 13)),
+    4: (("0x1.f8466cec22509p-7", 7), ("0x1.e0b8fbfb7e802p-4", 10), ("0x1.0008389fd56ddp+0", 14)),
+    5: (("0x1.f7e1aca427c1fp-7", 7), ("0x1.dfc2ca501c073p-4", 10), ("0x1.fecfe57888f90p-1", 13)),
+    6: (("0x1.f67f56b352855p-7", 7), ("0x1.e00eae57295f7p-4", 10), ("0x1.ff6ecdbf2f1c7p-1", 13)),
+    7: (("0x1.f7a2073cede24p-7", 7), ("0x1.e0ff7abf85812p-4", 11), ("0x1.008c1b152ff53p+0", 13)),
+    8: (("0x1.f5dabf67f3fa1p-7", 7), ("0x1.e0987ab3a9a9bp-4", 10), ("0x1.ff56e5fca9a8ap-1", 13)),
+    9: (("0x1.f6a2c04c89f03p-7", 7), ("0x1.e09efec5bfec4p-4", 10), ("0x1.00a986a1afe69p+0", 13)),
+    10: (("0x1.f8d73d11f22a5p-7", 7), ("0x1.dfd2b3192ddc3p-4", 11), ("0x1.ff351ae9590dep-1", 13)),
+    11: (("0x1.f6ccf1080ae0dp-7", 7), ("0x1.df0b01e0478a6p-4", 11), ("0x1.ffc0fb4e6615cp-1", 14)),
+}
+
+
+def _counted_sums(monkeypatch):
+    """The sizes of every _exact_sum that auto_expose makes: its mean, then
+    one per clipped-mean evaluation."""
+    calls = []
+    real = camera._exact_sum
+
+    def counting(n, leaf):
+        calls.append(n)
+        return real(n, leaf)
+
+    monkeypatch.setattr(camera, "_exact_sum", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", sorted(_DISC_CASES))
+def test_auto_expose_is_the_bisection_with_no_more_evaluations(seed, monkeypatch):
+    img = hdr(_bright_disc_panorama(seed))
+    calls = _counted_sums(monkeypatch)
+    for target, (exposure, evaluations) in zip(_TARGETS, _DISC_CASES[seed]):
+        calls.clear()
+        assert auto_expose(img, target) == float.fromhex(exposure)
+        assert len(calls) - 1 <= evaluations
+
+
+def _reference_root(x, target):
+    """The root of mean(clip(r*x, 0, 1)) = target from all the values
+    sorted, written out plainly: the first positive s[k] whose F fits, and
+    the correctly rounded sum of the values under it."""
+    s = np.sort(np.maximum(np.ravel(x).astype(np.float64), 0.0))
+    n = s.size
+    head = np.concatenate(([0.0], np.cumsum(s)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fits = np.flatnonzero((s > 0) & (head[:-1] / s + (n - np.arange(n)) <= n * target))
+    k = int(fits[0]) if fits.size else n
+    covered = math.fsum(s[:k])
+    return (n * target - (n - k)) / covered if covered > 0 else math.nan
+
+
+def _tied_on_bucket_edges(dtype):
+    # powers of two sit on the lower edge of their top-16-bit bucket; the
+    # values just below them end the bucket before
+    edges = np.array([0.25, 1.0, 2.0, 64.0], dtype=dtype)
+    below = np.nextafter(edges, dtype(0))
+    return np.resize(np.concatenate((edges, below, edges, edges)), 2 ** 16 + 2)
+
+
+# Each has a multiple of 3 values, and the larger ones more than the
+# radix root sorts at once.
+_EDGE_CASES = {
+    "all zero": lambda dtype: np.zeros(12, dtype),
+    "one pixel": lambda dtype: np.array([0.5, 2.0, 9.0], dtype),
+    "constant": lambda dtype: np.full(2 ** 16 + 2, 0.37, dtype),
+    "two values": lambda dtype: np.where(np.arange(72900) % 10 == 0, 100.0, 0.1).astype(dtype),
+    "denormals": lambda dtype: np.resize(
+        np.array([0.0, 1e-320, 5e-324, 1e-310, 1e-39, 1e-45, 3.0]), 2 ** 16 + 11).astype(dtype),
+    "tied on bucket edges": _tied_on_bucket_edges,
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+def test_radix_root_edge_cases(case, dtype):
+    x = _EDGE_CASES[case](dtype)
+    img = HdrImage(x.reshape(1, -1, 3))
+    for target in (0.05, 0.18, 0.5, 0.9):
+        got, want = camera._radix_root(x, target), _reference_root(x, target)
+        assert got == pytest.approx(want, rel=1e-13, nan_ok=True)
+    for target in (0.18, 0.5):
+        assert _outcome(auto_expose, img, target) == _outcome(_bisection_auto_expose, img, target)
+
+
+def test_radix_root_leaves_out_values_below_zero():
+    # negative values and -0.0 add nothing to a clipped mean
+    x = np.resize(np.array([-3.0, -0.0, 0.0, 0.5, 2.0, 7.0]), 2 ** 16 + 5)
+    for dtype in (np.float32, np.float64, np.int8):
+        for target in (0.05, 0.18, 0.5):
+            got = camera._radix_root(x.astype(dtype).ravel(), target)
+            want = _reference_root(x.astype(dtype), target)
+            assert got == pytest.approx(want, rel=1e-13, nan_ok=True)
+            raw = x.astype(dtype)
+            assert (_outcome(auto_expose, raw, target)
+                    == _outcome(_bisection_auto_expose, SimpleNamespace(data=raw), target))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.float16])
+def test_auto_expose_integer_and_half_inputs(dtype):
+    rng = np.random.default_rng(34)
+    raw = rng.lognormal(2.0, 1.5, (40, 600, 3)).clip(0, 255).astype(dtype)
+    for target in (0.05, 0.18, 0.5):
+        assert (_outcome(auto_expose, raw, target)
+                == _outcome(_bisection_auto_expose, SimpleNamespace(data=raw), target))
+
+
+class _CountedSlices(np.ndarray):
+    """An array that counts the slices taken of it."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice) and hasattr(self, "slices"):
+            self.slices += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("dtype, passes", [(np.float32, 2), (np.float64, 4)])
+def test_radix_root_passes_are_bounded(dtype, passes):
+    for values in (_bright_disc_panorama(19), np.full((512, 1024, 3), 0.37)):
+        flat = values.astype(dtype).ravel().view(_CountedSlices)
+        flat.slices = 0
+        camera._radix_root(flat, 0.18)
+        assert flat.slices <= passes * -(-flat.size // _BAND_VALUES)
+
+
+def test_auto_expose_memory_is_band_sized():
+    # Measured here: a 2.9 MiB tracemalloc peak at 1024x512 (numpy 2.4), for
+    # a lognormal panorama and a constant image alike, against 12.1 MiB with
+    # a float64 copy of the image. The bound leaves 15% over the peak.
+    for arr in (_bright_disc_panorama(18), np.full((512, 1024, 3), 0.37, np.float32)):
+        tracemalloc.start()
+        try:
+            auto_expose(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.4 * 2 ** 20, peak
+
+
 # --- dynamic range and CRF ---------------------------------------------------
 
 def test_dynamic_range_rules():
@@ -312,11 +464,12 @@ def test_synth_bands_match_whole_image(shape, dtype):
 
 
 def test_synth_memory_at_dataset_size():
-    # Measured here on a float32 1024x512 image: 12.1 MiB, the one float64
-    # copy of auto-exposure, against 24.0 MiB with two copies and 61.5 MiB
-    # with whole-image per-pixel stages. The bound leaves 15% over the
-    # two-copy peak; test_auto_expose_memory_is_one_float64_copy bounds the
-    # one copy.
+    # Measured here on a float32 1024x512 image: 4.5 MiB, the uint8 output
+    # beside band-sized temporaries, against 12.1 MiB while auto-exposure
+    # held one float64 copy of the image, 24.0 MiB with two copies and
+    # 61.5 MiB with whole-image per-pixel stages. The bound is from the
+    # two-copy peak plus 15%; test_auto_expose_memory_is_band_sized bounds
+    # auto-exposure as it is now.
     img = hdr(np.random.default_rng(22).lognormal(-1.0, 2.0, (512, 1024, 3)))
     sample = sample_camera(23)
     tracemalloc.start()

@@ -477,6 +477,37 @@ def test_output_that_cannot_be_written_names_the_file(workdir, capsys, command):
     assert json.loads(line)["error"]["file"] == str(blocked)
 
 
+def _claim_error(capsys, *argv):
+    """The one JSON error of a run that must exit 2 at its output claim."""
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_IO and out == ""
+    (line,) = err.strip().splitlines()
+    return json.loads(line)["error"]
+
+
+# Each input below is missing, so an error naming the output can only come
+# from the claim, before any input is read.
+def test_output_file_on_a_directory_exits_2_at_the_claim(workdir, capsys):
+    taken = workdir / "d.pfm"
+    taken.mkdir()
+    error = _claim_error(capsys, "p2c", workdir / "missing.pfm", "-o", taken)
+    assert error["type"] == "IsADirectoryError" and error["file"] == str(taken)
+
+
+def test_crop_set_out_dir_on_a_file_exits_2_at_the_claim(workdir, capsys):
+    taken = save_pfm(workdir / "f.pfm", np.ones((4, 8, 3)))
+    error = _claim_error(capsys, "crop-set", workdir / "missing.pfm", "--out-dir", taken)
+    assert error["type"] == "NotADirectoryError" and error["file"] == str(taken)
+    assert taken.is_file()
+
+
+def test_synth_out_dir_on_a_file_exits_2_at_the_claim(workdir, capsys):
+    taken = workdir / "f"
+    taken.write_bytes(b"")
+    error = _claim_error(capsys, "synth", workdir / "missing.hdr", "--out-dir", taken)
+    assert error["type"] == "NotADirectoryError" and error["file"] == str(taken / "missing.ppm")
+
+
 def fuzz_seeds():
     rng = np.random.default_rng(23)
     hdr = HdrImage(rng.lognormal(0.0, 1.0, (3, 16, 3)).astype(np.float32))
