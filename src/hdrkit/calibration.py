@@ -78,8 +78,9 @@ def calibrate_hdr(h: HdrImage, i: LinearLdr, tau: float = DEFAULT_TAU) -> Calibr
     mask = _anchor_mask(ld, tau)
     if not mask.any():
         raise UncalibratableError("all pixels are overexposed; no calibration anchor")
-    s_ldr = float(ld[mask].sum(dtype=np.float64))
-    s_hdr = float(hd[mask].sum(dtype=np.float64))
+    # a 1-D mask over pixel rows selects the same values without index arrays
+    s_ldr = float(ld.reshape(-1, 3)[mask.ravel()].sum(dtype=np.float64))
+    s_hdr = float(hd.reshape(-1, 3)[mask.ravel()].sum(dtype=np.float64))
     if s_hdr <= 0:
         raise UncalibratableError("masked HDR sum is zero; scale is undefined")
     scale = s_ldr / s_hdr

@@ -327,10 +327,10 @@ def synth_ldr(
     resolved exposure.
 
     The per-pixel stages run one row band at a time, so their temporaries
-    stay band-sized and every code is the one the whole image would get;
-    auto-exposure, whose mean is one reduction over the whole image, sets
-    the peak memory at one float64 copy of the image, after one sort of
-    the image as it is.
+    stay band-sized and every code is the one the whole image would get.
+    Auto-exposure is band-sized too: its means are exact float64 sums made
+    over bands, and its root a radix select whose histograms are made band
+    by band, so no copy of the image is made.
     """
     exposure = auto_expose(h, target_mean)
     data = image_data(h)

@@ -348,33 +348,29 @@ def _cmd_metrics(args, params, _) -> int:
     return EXIT_OK
 
 
-def _projection(params, pano_width: int, pano_height: int, ceil_size: int) -> PanoProjection:
-    return PanoProjection(
-        pano_width=pano_width,
-        pano_height=pano_height,
-        ceil_width=ceil_size,
-        ceil_height=ceil_size,
-        camera_offset=params["camera_d"],
-        plane_extent=params["plane_extent"],
-    )
-
-
-def _geometry_params(proj: PanoProjection) -> dict:
-    return {
-        "pano_width": proj.pano_width,
-        "pano_height": proj.pano_height,
-        "ceil_size": proj.ceil_width,
-        "camera_d": proj.camera_offset,
-        "plane_extent": proj.plane_extent,
-    }
+def _projection(params, manifest, pano_width, pano_height, ceil_size, ceilings=()):
+    """The one geometry of a panorama command: its PanoProjection, recorded
+    as the sidecar's params. Each (path, image) of `ceilings` is held to
+    it by its own width and height: a ceiling input that is not square, or
+    not ceil_size wide, is refused naming its file, before any resampling."""
+    geometry = {"pano_width": pano_width, "pano_height": pano_height, "ceil_size": ceil_size,
+                "camera_d": params["camera_d"], "plane_extent": params["plane_extent"]}
+    manifest["params"] = {**params, **geometry}
+    proj = PanoProjection(pano_width, pano_height, ceil_size, ceil_size,
+                          geometry["camera_d"], geometry["plane_extent"])
+    for path, img in ceilings:
+        with _naming(path):
+            if dataclasses.replace(proj, ceil_width=img.width, ceil_height=img.height) != proj:
+                raise ValueError(f"ceiling view is {img.width}x{img.height}, "
+                                 f"not {ceil_size}x{ceil_size} like the ceiling HDR")
+    return proj
 
 
 def _cmd_p2c(args, params, manifest) -> int:
     pano = _read_hdr(args.pano)
     ceil_size = pano.height if params["ceil_size"] is None else params["ceil_size"]
-    proj = _projection(params, pano.width, pano.height, ceil_size)
+    proj = _projection(params, manifest, pano.width, pano.height, ceil_size)
     ceil = pano_to_ceiling(pano, proj)
-    manifest["params"] = _geometry_params(proj)
     _write_output(args.output, HdrImage(ceil.astype(np.float32)), manifest)
     return EXIT_OK
 
@@ -384,9 +380,9 @@ def _cmd_c2p(args, params, manifest) -> int:
     if pano_width is None:
         raise UsageError("c2p requires --pano-width (or pano_width in --config)")
     ceil = _read_hdr(args.ceil)
-    proj = _projection(params, pano_width, pano_width // 2, ceil.width)
+    proj = _projection(params, manifest, pano_width, pano_width // 2, ceil.width,
+                       [(args.ceil, ceil)])
     pano, validity = ceiling_to_pano(ceil, proj)
-    manifest["params"] = _geometry_params(proj)
     img = HdrImage(pano.astype(np.float32))
     del pano  # the float64 panorama, before the validity image is made
     _write_output(args.output, img, manifest)
@@ -400,11 +396,11 @@ def _cmd_merge(args, params, manifest) -> int:
     ceil_hdr = _read_hdr(args.ceil_hdr)
     pano_hdr = _read_hdr(args.pano_hdr)
     ceil_ldr = _read_linear_ldr(args.ceil_ldr, params["ldr_space"])
-    proj = _projection(params, pano_hdr.width, pano_hdr.height, ceil_hdr.width)
+    proj = _projection(params, manifest, pano_hdr.width, pano_hdr.height, ceil_hdr.width,
+                       [(args.ceil_hdr, ceil_hdr), (args.ceil_ldr, ceil_ldr)])
     m_p = merge_mask(ceil_ldr, proj, params["merge_tau"])
     del ceil_ldr  # one input image less during the blend
     merged = merge_panorama(ceil_hdr, pano_hdr, m_p, proj).astype(np.float32)
-    manifest["params"] = {**params, **_geometry_params(proj)}
     _write_output(args.output, HdrImage(merged), manifest)
     return EXIT_OK
 

@@ -357,9 +357,10 @@ def read_pfm(data: bytes) -> HdrImage:
     rows = np.frombuffer(data, dtype, count, offset=m.end()).reshape(height, width, 3)
     # the one copy: bottom-up -> top-down, in native byte order
     arr = np.array(rows[::-1], dtype=np.float32, order="C")
-    if not np.all(np.isfinite(arr)) or arr.min(initial=0.0) < 0:
-        raise InvalidPixelValueError("PFM holds NaN, infinite or negative values")
-    return HdrImage(arr)
+    try:
+        return HdrImage(arr)  # the one check of the pixel values
+    except ValueError:
+        raise InvalidPixelValueError("PFM holds NaN, infinite or negative values") from None
 
 
 def write_pfm(h: HdrImage) -> bytearray:
@@ -378,14 +379,14 @@ def write_pfm(h: HdrImage) -> bytearray:
 # PPM (type 6, maxval 255)
 
 
-def _ppm_tokens(data: bytes, count: int):
-    """Yield `count` whitespace-separated tokens, skipping '#' comments.
+def _ppm_tokens(data: bytes, count: int, pos: int):
+    """Yield `count` whitespace-separated tokens from offset `pos` on,
+    skipping '#' comments.
 
     Returns (tokens, offset_of_first_payload_byte). A single whitespace
     character terminates the last token per the PPM specification.
     """
     tokens = []
-    pos = 0
     n = len(data)
     while len(tokens) < count:
         while pos < n and data[pos:pos + 1].isspace():
@@ -409,7 +410,7 @@ def read_ppm(data: bytes) -> LdrImage:
     """Decode a binary PPM (P6) stream with maxval 255."""
     if not data.startswith(b"P6"):
         raise MalformedHeaderError("missing 'P6' magic")
-    tokens, offset = _ppm_tokens(data[2:], 3)
+    tokens, offset = _ppm_tokens(data, 3, 2)  # after the magic
     try:
         width, height, maxval = (int(t) for t in tokens)
     except ValueError:
@@ -419,11 +420,10 @@ def read_ppm(data: bytes) -> LdrImage:
     if maxval != 255:
         raise UnsupportedPixelFormatError(f"PPM maxval {maxval} unsupported (need 255)")
     count = width * height * 3
-    payload = data[2 + offset:]
-    if len(payload) < count:
+    if len(data) - offset < count:
         raise TruncatedDataError("truncated PPM payload")
-    arr = np.frombuffer(payload[:count], dtype=np.uint8).reshape(height, width, 3)
-    return LdrImage(arr.copy())
+    # the one copy of the payload
+    return LdrImage(np.frombuffer(data, np.uint8, count, offset).reshape(height, width, 3).copy())
 
 
 def write_ppm(img: LdrImage) -> bytes:

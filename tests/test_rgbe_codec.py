@@ -320,26 +320,31 @@ def test_long_single_scanline_goes_to_sequential_parser():
 
 def one_pixel_literals(height, width, seed):
     """An RLE stream of one-pixel literal blocks only: the most blocks a
-    payload can hold, two bytes per decoded byte."""
+    payload can hold, two bytes per decoded byte. Returns the stream and
+    its (height, 4, width) planes of mantissas and exponents."""
     planes = np.random.default_rng(seed).integers(0, 256, (height, 4, width), dtype=np.uint8)
     blocks = np.empty((height, 4 * width, 2), dtype=np.uint8)
     blocks[..., 0] = 1
     blocks[..., 1] = planes.reshape(height, -1)
     head = np.tile(np.array((2, 2, width >> 8, width & 0xFF), dtype=np.uint8), (height, 1))
     payload = np.concatenate((head, blocks.reshape(height, -1)), axis=1)
-    return HEADER + f"-Y {height} +X {width}\n".encode() + payload.tobytes()
+    return HEADER + f"-Y {height} +X {width}\n".encode() + payload.tobytes(), planes
 
 
 def test_one_pixel_literal_blocks_decode_in_bounded_memory():
     # 2**21 blocks: 35.2 MiB tracemalloc peak (numpy 2.4), bound at +15%
-    data = one_pixel_literals(512, 1024, 12)
+    data, planes = one_pixel_literals(512, 1024, 12)
     tracemalloc.start()
     try:
         got = read_rgbe(data).data
         peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
-    assert np.array_equal(got, sequential_read(data).data)
+    # the encoded quadruples, decoded independently as in the decode-table test
+    quads = planes.transpose(0, 2, 1).astype(np.int64)
+    want = np.ldexp(quads[..., :3].astype(np.float64), quads[..., 3:] - 136)
+    want[quads[..., 3] == 0] = 0.0
+    assert np.array_equal(got, want.astype(np.float32))
     assert peak <= 40.5, peak
 
 
