@@ -348,16 +348,20 @@ def _cmd_metrics(args, params, _) -> int:
     return EXIT_OK
 
 
-def _projection(params, manifest, pano_width, pano_height, ceil_size, ceilings=()):
+def _projection(params, manifest, pano_width, pano_height, ceil_size, ceilings=(),
+                pano_path=None):
     """The one geometry of a panorama command: its PanoProjection, recorded
-    as the sidecar's params. Each (path, image) of `ceilings` is held to
-    it by its own width and height: a ceiling input that is not square, or
-    not ceil_size wide, is refused naming its file, before any resampling."""
+    as the sidecar's params. A panorama read from `pano_path` that is not
+    twice as wide as high is refused naming that file. Each (path, image)
+    of `ceilings` is held to the geometry by its own width and height: a
+    ceiling input that is not square, or not ceil_size wide, is refused
+    naming its file, before any resampling."""
     geometry = {"pano_width": pano_width, "pano_height": pano_height, "ceil_size": ceil_size,
                 "camera_d": params["camera_d"], "plane_extent": params["plane_extent"]}
     manifest["params"] = {**params, **geometry}
-    proj = PanoProjection(pano_width, pano_height, ceil_size, ceil_size,
-                          geometry["camera_d"], geometry["plane_extent"])
+    with _naming(pano_path) if pano_path else contextlib.nullcontext():
+        proj = PanoProjection(pano_width, pano_height, ceil_size, ceil_size,
+                              geometry["camera_d"], geometry["plane_extent"])
     for path, img in ceilings:
         with _naming(path):
             if dataclasses.replace(proj, ceil_width=img.width, ceil_height=img.height) != proj:
@@ -369,7 +373,8 @@ def _projection(params, manifest, pano_width, pano_height, ceil_size, ceilings=(
 def _cmd_p2c(args, params, manifest) -> int:
     pano = _read_hdr(args.pano)
     ceil_size = pano.height if params["ceil_size"] is None else params["ceil_size"]
-    proj = _projection(params, manifest, pano.width, pano.height, ceil_size)
+    proj = _projection(params, manifest, pano.width, pano.height, ceil_size,
+                       pano_path=args.pano)
     ceil = pano_to_ceiling(pano, proj)
     _write_output(args.output, HdrImage(ceil.astype(np.float32)), manifest)
     return EXIT_OK
@@ -397,7 +402,8 @@ def _cmd_merge(args, params, manifest) -> int:
     pano_hdr = _read_hdr(args.pano_hdr)
     ceil_ldr = _read_linear_ldr(args.ceil_ldr, params["ldr_space"])
     proj = _projection(params, manifest, pano_hdr.width, pano_hdr.height, ceil_hdr.width,
-                       [(args.ceil_hdr, ceil_hdr), (args.ceil_ldr, ceil_ldr)])
+                       [(args.ceil_hdr, ceil_hdr), (args.ceil_ldr, ceil_ldr)],
+                       pano_path=args.pano_hdr)
     m_p = merge_mask(ceil_ldr, proj, params["merge_tau"])
     del ceil_ldr  # one input image less during the blend
     merged = merge_panorama(ceil_hdr, pano_hdr, m_p, proj).astype(np.float32)

@@ -7,7 +7,9 @@ point is a reproducible relighting comparison, not photorealism.
 
 Diffuse irradiance is a direct sum over environment texels, so renders are
 bit-deterministic and can be checked against the analytic uniform-
-environment value. Glossy lobes use a fixed stratified sample grid.
+environment value. Glossy lobes use a fixed stratified sample grid, shaded
+in bands of pixels; each pixel's lobe mean is one reduction over all of its
+samples, so a band's bytes are those of the whole chunk.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import HdrImage, image_data
+from .image import HdrImage, _row_bands, image_data
 from .losses import log_psnr, preview_ssim
 from .pano import apply_bilinear_map, equirect_dir, equirect_map
 
@@ -42,9 +44,9 @@ __all__ = [
 ]
 
 GLOSSY_GRID = (16, 16)  # stratified samples per glossy shading point
-# Rendering two environments peaks at about 175 MiB per million camera
-# pixels (tracemalloc, default scene), so this cap (2048 x 2048) bounds a
-# render near 0.75 GB whatever size a scene file claims.
+# Rendering two 512 x 256 environments peaks at about 100 MiB per million
+# camera pixels (tracemalloc, default scene), so this cap (2048 x 2048)
+# bounds a render near 0.4 GB whatever size a scene file claims.
 MAX_CAMERA_PIXELS = 1 << 22
 # Bound on every scene length: sphere centres and radii, camera span and
 # centre. Hit-testing squares coordinates up to span * height / width, which
@@ -332,9 +334,12 @@ def _shade(sp: _SpherePlan, part: slice, stack: np.ndarray, texels) -> np.ndarra
     """(K, n, 3) radiance of the pixels `part` of one sphere under each of
     the K environments in `stack`, whose _env_texel_table is `texels`
     (None unless the sphere is diffuse). Mirror and glossy values are per
-    pixel. A diffuse part that starts at a multiple of _NORMAL_TILE runs the same
-    irradiance tiles as the whole sphere, so it gets the same bytes; other
-    cuts may not (a one-row matrix product rounds differently)."""
+    pixel. A glossy part is shaded in the row bands of its (n, samples, 3)
+    lobe directions, so its temporaries stay band-sized; each pixel's lobe
+    mean is one reduction over all of its samples. A diffuse part that
+    starts at a multiple of _NORMAL_TILE runs the same irradiance tiles as
+    the whole sphere, so it gets the same bytes; other cuts may not (a
+    one-row matrix product rounds differently)."""
     mat = sp.material
     albedo = np.asarray(mat.albedo)
     normals = sp.normals[part]
@@ -348,9 +353,12 @@ def _shade(sp: _SpherePlan, part: slice, stack: np.ndarray, texels) -> np.ndarra
     if mat.kind == "mirror":
         lookup = equirect_map(reflect, env_w, env_h)
         return np.stack([apply_bilinear_map(arr, lookup) for arr in stack])
-    lookup = equirect_map(_glossy_dirs(reflect, mat.exponent), env_w, env_h)
-    return np.stack([albedo * apply_bilinear_map(arr, lookup).mean(axis=1)
-                     for arr in stack])
+    out = np.empty((len(stack), len(reflect), 3))
+    for band in _row_bands((len(reflect), math.prod(GLOSSY_GRID), 3)):
+        lookup = equirect_map(_glossy_dirs(reflect[band], mat.exponent), env_w, env_h)
+        for radiance, arr in zip(out, stack):
+            radiance[band] = albedo * apply_bilinear_map(arr, lookup).mean(axis=1)
+    return out
 
 
 # Shading tasks of every render in the process run on this one pool, sized

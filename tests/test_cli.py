@@ -240,16 +240,21 @@ def test_merge_cli(workdir, capsys):
     assert np.array_equal(load(out).data, load(pano_hdr).data)
 
 
-# Each ceiling input is held to its command's geometry: a ceiling that is
-# not square, or a ceiling LDR of another size than the ceiling HDR, is a
-# numeric failure naming that file, and nothing is written.
+# Each input is held to its command's geometry: a ceiling that is not
+# square, a ceiling LDR of another size than the ceiling HDR, or a panorama
+# that is not twice as wide as high, is a numeric failure naming that file,
+# and nothing is written.
 @pytest.mark.parametrize("argv, refused", [
     (["merge", "c32.pfm", "p.pfm", "--ceil-ldr", "l16.ppm", "-o", "out/m.pfm"], "l16.ppm"),
     (["merge", "c32x16.pfm", "p.pfm", "--ceil-ldr", "l32x16.ppm", "-o", "out/m.pfm"],
      "c32x16.pfm"),
     (["c2p", "c32x16.pfm", "-o", "out/p.pfm", "--pano-width", "64", "--validity-out",
       "out/v.pfm"], "c32x16.pfm"),
-], ids=["merge-ldr-size", "merge-non-square", "c2p-non-square"])
+    (["p2c", "p60x32.pfm", "-o", "out/c.pfm"], "p60x32.pfm"),
+    (["merge", "c32.pfm", "p60x32.pfm", "--ceil-ldr", "l32.ppm", "-o", "out/m.pfm"],
+     "p60x32.pfm"),
+], ids=["merge-ldr-size", "merge-non-square", "c2p-non-square", "p2c-pano-not-2-to-1",
+        "merge-pano-not-2-to-1"])
 def test_ceiling_off_the_geometry_exits_3(workdir, capsys, monkeypatch, argv, refused):
     monkeypatch.chdir(workdir)
     rng = np.random.default_rng(24)
@@ -258,6 +263,8 @@ def test_ceiling_off_the_geometry_exits_3(workdir, capsys, monkeypatch, argv, re
     save_pfm(workdir / "c32x16.pfm", rng.uniform(0.1, 2.0, (16, 32, 3)))
     save_ppm(workdir / "l16.ppm", rng.integers(0, 256, (16, 16, 3)))
     save_ppm(workdir / "l32x16.ppm", rng.integers(0, 256, (16, 32, 3)))
+    save_pfm(workdir / "p60x32.pfm", rng.uniform(0.1, 2.0, (32, 60, 3)))
+    save_ppm(workdir / "l32.ppm", rng.integers(0, 256, (32, 32, 3)))
     code, out, err = run(capsys, *argv)
     assert code == EXIT_NUMERIC and out == ""
     (line,) = err.strip().splitlines()

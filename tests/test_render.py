@@ -1,4 +1,5 @@
 import inspect
+import math
 import sys
 import threading
 import time
@@ -12,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hdrkit.render as render_mod
-from hdrkit.image import HdrImage
-from hdrkit.pano import apply_bilinear_map
+from hdrkit.image import _BAND_VALUES, HdrImage
+from hdrkit.pano import apply_bilinear_map, equirect_map
 from hdrkit.render import (
     MAX_CAMERA_PIXELS,
     MAX_SCENE_LENGTH,
@@ -406,6 +407,54 @@ def test_render_many_matches_unchunked_shading():
     want = np.maximum(want, 0.0).astype(np.float32).reshape(2, 72, 96, 3)
     for made, expected in zip(render_many(scene, envs), want):
         assert made.data.tobytes() == expected.tobytes()
+
+
+def glossy_plan(exponent, env_w, env_h):
+    # one glossy sphere of more than 2048 pixels
+    scene = parse_scene(f"camera 64 64 1 0 0\nsphere 0 0 0 1 glossy {exponent} 0.9 0.8 0.7\n"
+                        "background off\n")
+    (sp,) = render_mod._plan_scene(scene, env_w, env_h)[1]
+    assert len(sp.pixels) > 2048
+    return sp
+
+
+@pytest.mark.parametrize("exponent", [8, 64])
+def test_glossy_bands_match_whole_chunk_formula(exponent):
+    band = _BAND_VALUES // (math.prod(render_mod.GLOSSY_GRID) * 3)
+    stack = np.stack([e.data for e in random_envs(25, shape=(32, 64, 3))])
+    sp = glossy_plan(exponent, 64, 32)
+    for count in (1, band - 1, band, band + 1, 290, 512):
+        part = slice(7, 7 + count)
+        normals = sp.normals[part]
+        view = render_mod._VIEW_DIR
+        reflect = view - 2.0 * (normals @ view)[:, None] * normals
+        reflect /= np.linalg.norm(reflect, axis=-1, keepdims=True)
+        lookup = equirect_map(render_mod._glossy_dirs(reflect, exponent), 64, 32)
+        want = np.stack([np.asarray(sp.material.albedo)
+                         * apply_bilinear_map(arr, lookup).mean(axis=1) for arr in stack])
+        got = render_mod._shade(sp, part, stack, None)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def glossy_shade_peak(sp, stack, count):
+    tracemalloc.start()
+    try:
+        render_mod._shade(sp, slice(0, count), stack, None)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_glossy_shading_memory_is_band_sized():
+    # a 512-pixel chunk under two 512 x 256 environments peaked at 17.0 MiB
+    # with whole-chunk temporaries and at 3.9 MiB in bands (numpy 2.4)
+    stack = np.stack([e.data for e in random_envs(26, shape=(256, 512, 3))])
+    sp = glossy_plan(64, 512, 256)
+    chunk = glossy_shade_peak(sp, stack, 512)
+    assert chunk < 4.44 * 2 ** 20
+    # four times the pixels add less than one band's lobe directions
+    band_bytes = _BAND_VALUES * 8
+    assert glossy_shade_peak(sp, stack, 2048) - chunk < band_bytes
 
 
 def test_render_many_independent_of_pool_size(monkeypatch):
