@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .image import (
-    _BAND_VALUES,
     HdrImage,
     LdrImage,
     _exact_sum,
@@ -206,8 +205,8 @@ def _radix_root(flat: np.ndarray, target_mean: float) -> float:
     goal = flat.size * target_mean
 
     def bands():
-        for lo in range(0, flat.size, _BAND_VALUES):
-            band = flat[lo:lo + _BAND_VALUES].astype(float_t, copy=False)
+        for rows in _row_bands(flat.shape):
+            band = flat[rows].astype(float_t, copy=False)
             yield band.view(uint_t), band
 
     def parts(k: np.ndarray, values: np.ndarray) -> list:

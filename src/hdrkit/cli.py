@@ -11,12 +11,12 @@ by the manifests' key names) > built-in default. A config value is checked
 like a flag, and a bad one is a usage error. Batch subcommands (synth,
 render) process every input even if some fail; failures are reported per
 file on stderr.
-Every output is claimed before any input is read: an output whose
-extension names no format its subcommand can write (an HDR image cannot
-go to .ppm), and two outputs of the same file (two batch inputs, or
---output and --validity-out), are usage errors; a directory where an
-output file goes, or a file where an output directory goes, is an I/O
-error naming the output.
+Every output, batch files included, is claimed from the command table
+before any subcommand runs: an output whose extension names no format its
+subcommand can write (an HDR image cannot go to .ppm), and two outputs of
+the same file (two batch inputs, or --output and --validity-out), are
+usage errors; a directory where an output file goes, or a file where an
+output directory goes, is an I/O error naming the output.
 """
 
 from __future__ import annotations
@@ -152,27 +152,26 @@ def _format_for(path: Path) -> FileFormat:
 
 _HDR = (FileFormat.RADIANCE_RGBE, FileFormat.PFM)  # the formats that hold an HDR image
 _ANY = (*_HDR, FileFormat.PPM6)
-_DIR = None  # the "formats" of a directory that outputs go into
+_DIR = ()  # the formats of an output directory: it is no file itself
 
 
-def _claim(outputs, owners: str) -> None:
+def _claim(outputs) -> None:
     """Check (owner, path, formats) outputs before any input is read: each
     file's extension must name one of its formats, no two paths may
     resolve to the same file, and nothing on disk may stand where a path's
-    file or directory goes. `owners` names the owners in an error."""
+    file or directory goes."""
     claimed = {}
     for owner, out, formats in outputs:
-        out = Path(out)
         # only HDR outputs narrow the formats
-        if formats is not _DIR and _format_for(out) not in formats:
+        if formats and _format_for(out) not in formats:
             raise UsageError(f"{owner} writes an HDR image, which {out} cannot hold "
                              "(use .hdr or .pfm)")
         key = out.resolve()
         if key in claimed:
-            raise UsageError(f"{owners} {claimed[key]} and {owner} would both write {out}")
+            raise UsageError(f"{claimed[key]} and {owner} would both write {out}")
         claimed[key] = owner
     for _, out, formats in outputs:
-        _check_place(Path(out), formats is _DIR)
+        _check_place(out, not formats)
 
 
 def _check_place(path: Path, directory: bool) -> None:
@@ -247,10 +246,11 @@ def _print_json(obj) -> None:
 
 # ---------------------------------------------------------------------------
 # subcommand implementations: each takes the parsed path arguments, the
-# resolved options of its subcommand and the base manifest of its sidecars
+# resolved options of its subcommand, the base manifest of its sidecars and
+# its claimed output paths in declaration order (a batch's files first)
 
 
-def _cmd_calibrate(args, params, manifest) -> int:
+def _cmd_calibrate(args, params, manifest, _) -> int:
     hdr = _read_hdr(args.hdr)
     ldr = _read_linear_ldr(args.ldr, params["ldr_space"])
     result = calibrate_hdr(hdr, ldr, params["tau"])
@@ -260,13 +260,13 @@ def _cmd_calibrate(args, params, manifest) -> int:
     return EXIT_OK
 
 
-def _cmd_segment(args, params, manifest) -> int:
+def _cmd_segment(args, params, manifest, _) -> int:
     mask = luminance_seg_labels(_read_hdr(args.hdr), params["t_low"], params["t_high"])
     _write_output(args.output, LdrImage(mask.data * np.uint8(255)), manifest)
     return EXIT_OK
 
 
-def _synth_one(path: Path, out_path: Path, seed: int, params) -> dict:
+def _synth_one(path: Path, out_path: Path, seed: int, params) -> None:
     hdr = _read_hdr(path)
     if params["identity_crf"]:
         sample = dataclasses.replace(identity_camera(params["dynamic_range_ev"]), seed=seed)
@@ -290,28 +290,14 @@ def _synth_one(path: Path, out_path: Path, seed: int, params) -> dict:
         "t_high_default": DEFAULT_T_HIGH,
     }
     _write_output(out_path, ldr, manifest)
-    return {"file": str(path), "output": str(out_path), "seed": seed}
 
 
-def _cmd_synth(args, params, _) -> int:
+def _cmd_synth(args, params, _, outs) -> int:
     inputs = [Path(p) for p in args.inputs]
     seed = params["seed"]
     seeds = split_seeds(seed, len(inputs)) if len(inputs) > 1 else [seed]
-    if args.output and len(inputs) > 1:
-        raise UsageError("use --out-dir when synthesizing multiple inputs")
-    outs = _batch_outputs(inputs, args.output, args.out_dir, ".ppm")
     return _run_batch(inputs, lambda p, i: _synth_one(p, outs[i], seeds[i], params),
                       params["jobs"])
-
-
-def _batch_outputs(inputs: list[Path], output, out_dir, suffix: str) -> list[Path]:
-    """Each input's output path: `output`, or the input's stem plus `suffix`
-    in `out_dir` (default: beside the input). Claimed before any work so
-    that two inputs can never write the same file."""
-    outs = [Path(output) if output else Path(out_dir or path.parent) / (path.stem + suffix)
-            for path in inputs]
-    _claim([(path, out, _ANY) for path, out in zip(inputs, outs)], "inputs")
-    return outs
 
 
 def _run_batch(inputs, worker, jobs: int) -> int:
@@ -322,17 +308,17 @@ def _run_batch(inputs, worker, jobs: int) -> int:
     def safe(i_path):
         i, path = i_path
         try:
-            return worker(path, i), None
+            worker(path, i)
         except Exception as exc:
-            return None, (_exit_code(exc), type(exc).__name__, str(exc), str(path))
+            return _exit_code(exc), type(exc).__name__, str(exc), str(path)
 
     if jobs <= 1:
-        results = [safe(item) for item in enumerate(inputs)]
+        failures = [safe(item) for item in enumerate(inputs)]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(safe, enumerate(inputs)))
+            failures = list(pool.map(safe, enumerate(inputs)))
     code = EXIT_OK
-    for _, failure in results:
+    for failure in failures:
         if failure:
             c, kind, message, path = failure
             _emit_error(kind, message, file=path)
@@ -340,7 +326,7 @@ def _run_batch(inputs, worker, jobs: int) -> int:
     return code
 
 
-def _cmd_metrics(args, params, _) -> int:
+def _cmd_metrics(args, params, *_) -> int:
     pred = _read_hdr(args.pred)
     gt = _read_hdr(args.gt)
     anchor = _read_linear_ldr(args.ldr, params["ldr_space"]) if args.ldr else None
@@ -370,7 +356,7 @@ def _projection(params, manifest, pano_width, pano_height, ceil_size, ceilings=(
     return proj
 
 
-def _cmd_p2c(args, params, manifest) -> int:
+def _cmd_p2c(args, params, manifest, _) -> int:
     pano = _read_hdr(args.pano)
     ceil_size = pano.height if params["ceil_size"] is None else params["ceil_size"]
     proj = _projection(params, manifest, pano.width, pano.height, ceil_size,
@@ -380,7 +366,7 @@ def _cmd_p2c(args, params, manifest) -> int:
     return EXIT_OK
 
 
-def _cmd_c2p(args, params, manifest) -> int:
+def _cmd_c2p(args, params, manifest, _) -> int:
     pano_width = params["pano_width"]
     if pano_width is None:
         raise UsageError("c2p requires --pano-width (or pano_width in --config)")
@@ -397,7 +383,7 @@ def _cmd_c2p(args, params, manifest) -> int:
     return EXIT_OK
 
 
-def _cmd_merge(args, params, manifest) -> int:
+def _cmd_merge(args, params, manifest, _) -> int:
     ceil_hdr = _read_hdr(args.ceil_hdr)
     pano_hdr = _read_hdr(args.pano_hdr)
     ceil_ldr = _read_linear_ldr(args.ceil_ldr, params["ldr_space"])
@@ -411,7 +397,7 @@ def _cmd_merge(args, params, manifest) -> int:
     return EXIT_OK
 
 
-def _cmd_crop_set(args, params, manifest) -> int:
+def _cmd_crop_set(args, params, manifest, _) -> int:
     pano = _read_hdr(args.pano)
     out_dir = Path(args.out_dir)
     crops = crop_set(pano, params["width"], params["height"], params["hfov_deg"],
@@ -424,23 +410,19 @@ def _cmd_crop_set(args, params, manifest) -> int:
     return EXIT_OK
 
 
-def _render_one(env_path: Path, out_path: Path, scene, scene_path: str) -> dict:
+def _render_one(env_path: Path, out_path: Path, scene, scene_path: str) -> None:
     image = render(scene, _read_hdr(env_path))
     _write_output(out_path, image, {
         "subcommand": "render",
         "inputs": [scene_path, str(env_path)],
         "params": {"scene": scene_path},
     })
-    return {"file": str(env_path), "output": str(out_path)}
 
 
-def _cmd_render(args, params, _) -> int:
+def _cmd_render(args, params, _, outs) -> int:
     envs = [Path(p) for p in args.envs]
-    if args.output and len(envs) > 1:
-        raise UsageError("use --out-dir when rendering multiple environments")
     if args.reference and len(envs) > 1:
         raise UsageError("--reference compares a single render; give one environment")
-    outs = _batch_outputs(envs, args.output, args.out_dir, "_render.pfm")
     scene = _read_scene(args.scene)
     # read before rendering, since the render may replace the reference file
     ref = _read_hdr(args.reference) if args.reference else None
@@ -458,7 +440,7 @@ def _read_scene(path) -> SceneConfig:
             return parse_scene(fh.read())
 
 
-def _cmd_eval_ibl(args, params, _) -> int:
+def _cmd_eval_ibl(args, params, *_) -> int:
     scene = _read_scene(args.scene)
     ldr = _read_linear_ldr(args.ldr_env, params["ldr_space"])
     pred = calibrate_hdr(_read_hdr(args.pred_env), ldr, params["tau"]).calibrated
@@ -467,13 +449,13 @@ def _cmd_eval_ibl(args, params, _) -> int:
     return EXIT_OK
 
 
-def _cmd_preview(args, params, manifest) -> int:
+def _cmd_preview(args, params, manifest, _) -> int:
     hdr = _read_hdr(args.hdr)
     _write_output(args.output, exposure_preview(hdr, params["ev"], params["window"]), manifest)
     return EXIT_OK
 
 
-def _cmd_convert(args, params, manifest) -> int:
+def _cmd_convert(args, params, manifest, _) -> int:
     img = _read(args.input)
     if _format_for(Path(args.output)) is FileFormat.PPM6:
         if isinstance(img, HdrImage):
@@ -587,68 +569,85 @@ _OPTIONS = {
 }
 
 
-def _path(*names, **kwargs):
-    return names, kwargs
+def _path(*names, writes=None, batch=None, **kwargs):
+    """A path argument, command line only: its argparse names (the last
+    names its attribute) and keywords, and its role: an output file of the
+    formats `writes`, an output directory (writes=_DIR), a batch input whose
+    files each write their stem plus the suffix `batch`, or else an input."""
+    return names, kwargs, writes, batch
 
 
-_OUTPUT = _path("-o", "--output", required=True)
-_TO_HDR = ("output", _HDR)
-_TO_ANY = ("output", _ANY)
+def _output(formats, required=True):
+    return _path("-o", "--output", writes=formats, required=required)
 
 
 @dataclasses.dataclass(frozen=True)
 class _Command:
     handler: object
     help: str
-    paths: list  # path arguments (inputs and outputs), command line only
+    paths: list  # _path of each path argument
     options: list  # keys of _OPTIONS
-    inputs: tuple = ()  # path arguments that the sidecars' "inputs" record, in order
-    outputs: tuple = ()  # (path argument, formats it may name or _DIR) of each output
+
+
+def _roles(command: _Command, args):
+    """The (owner, path, formats) claim of every output of one invocation,
+    in declaration order, and its input paths, from the paths' roles alone:
+    no file is read. A batch input's file writes --output, or else its stem
+    plus the table's suffix, in --out-dir or beside the file."""
+    claims, inputs = [], []
+    for names, _, writes, batch in command.paths:
+        value = getattr(args, names[-1].lstrip("-").replace("-", "_"))
+        if value is None:
+            continue
+        if writes is not None:
+            claims.append((names[-1], Path(value), writes))
+            continue
+        inputs += value if batch else [value]
+        if batch and args.output and len(value) > 1:
+            raise UsageError("use --out-dir with more than one input")
+        if batch and not args.output:
+            claims += [(f, Path(args.out_dir or Path(f).parent) / (Path(f).stem + batch), _ANY)
+                       for f in value]
+    return claims, inputs
 
 
 _COMMANDS = {
     "calibrate": _Command(_cmd_calibrate, "scale an HDR image to its LDR reference",
-                          [_path("hdr"), _path("ldr"), _OUTPUT], ["tau", "ldr_space"],
-                          ("hdr", "ldr"), (_TO_HDR,)),
+                          [_path("hdr"), _path("ldr"), _output(_HDR)], ["tau", "ldr_space"]),
     "segment": _Command(_cmd_segment, "three-class luminance labels from a calibrated HDR",
-                        [_path("hdr"), _OUTPUT], ["t_low", "t_high"], ("hdr",), (_TO_ANY,)),
+                        [_path("hdr"), _output(_ANY)], ["t_low", "t_high"]),
     "synth": _Command(_cmd_synth, "synthesize LDR images with the virtual camera",
-                      [_path("inputs", nargs="+"), _path("-o", "--output"), _path("--out-dir")],
-                      ["seed", "jobs", "identity_crf", "dynamic_range_ev", "target_mean"],
-                      outputs=(_TO_ANY,)),
+                      [_path("inputs", nargs="+", batch=".ppm"), _output(_ANY, required=False),
+                       _path("--out-dir", writes=_DIR)],
+                      ["seed", "jobs", "identity_crf", "dynamic_range_ev", "target_mean"]),
     "metrics": _Command(_cmd_metrics, "scale-invariant metrics for an HDR pair",
                         [_path("pred"), _path("gt"),
                          _path("--ldr", help="linear-anchor LDR image for display anchoring")],
                         ["ldr_space", "eps"]),
     "p2c": _Command(_cmd_p2c, "panorama to ceiling-view projection",
-                    [_path("pano"), _OUTPUT], ["ceil_size", "camera_d", "plane_extent"],
-                    ("pano",), (_TO_HDR,)),
+                    [_path("pano"), _output(_HDR)], ["ceil_size", "camera_d", "plane_extent"]),
     "c2p": _Command(_cmd_c2p, "ceiling-view to panorama projection",
-                    [_path("ceil"), _OUTPUT, _path("--validity-out")],
-                    ["pano_width", "camera_d", "plane_extent"],
-                    ("ceil",), (_TO_HDR, ("validity_out", _HDR))),
+                    [_path("ceil"), _output(_HDR), _path("--validity-out", writes=_HDR)],
+                    ["pano_width", "camera_d", "plane_extent"]),
     "merge": _Command(_cmd_merge, "blend ceiling and panorama reconstructions",
                       [_path("ceil_hdr"), _path("pano_hdr"), _path("--ceil-ldr", required=True),
-                       _OUTPUT],
-                      ["merge_tau", "ldr_space", "camera_d", "plane_extent"],
-                      ("ceil_hdr", "pano_hdr", "ceil_ldr"), (_TO_HDR,)),
+                       _output(_HDR)],
+                      ["merge_tau", "ldr_space", "camera_d", "plane_extent"]),
     "crop-set": _Command(_cmd_crop_set, "dataset crops at fixed yaws/pitches",
-                         [_path("pano"), _path("--out-dir", required=True)],
-                         ["width", "height", "hfov_deg", "outdoor"], ("pano",),
-                         (("out_dir", _DIR),)),
+                         [_path("pano"), _path("--out-dir", writes=_DIR, required=True)],
+                         ["width", "height", "hfov_deg", "outdoor"]),
     "render": _Command(_cmd_render, "render the evaluation scene under environments",
-                       [_path("scene"), _path("envs", nargs="+"), _path("-o", "--output"),
-                        _path("--out-dir"),
+                       [_path("scene"), _path("envs", nargs="+", batch="_render.pfm"),
+                        _output(_HDR, required=False), _path("--out-dir", writes=_DIR),
                         _path("--reference", help="reference render; prints metric JSON")],
-                       ["jobs"], outputs=(_TO_HDR,)),
+                       ["jobs"]),
     "eval-ibl": _Command(_cmd_eval_ibl, "calibrate, render, and compare two environments",
                          [_path("pred_env"), _path("gt_env"), _path("ldr_env"), _path("scene")],
                          ["tau", "ldr_space"]),
     "preview": _Command(_cmd_preview, "exposure-window LDR preview of an HDR image",
-                        [_path("hdr"), _OUTPUT], ["ev", "window"], ("hdr",), (_TO_ANY,)),
+                        [_path("hdr"), _output(_ANY)], ["ev", "window"]),
     "convert": _Command(_cmd_convert, "convert between RGBE, PFM, and PPM",
-                        [_path("input"), _OUTPUT], ["ldr_space", "ev", "window"],
-                        ("input",), (_TO_ANY,)),
+                        [_path("input"), _output(_ANY)], ["ldr_space", "ev", "window"]),
 }
 
 
@@ -659,7 +658,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
-        for names, kwargs in command.paths:
+        for names, kwargs, *_ in command.paths:
             p.add_argument(*names, **kwargs)
         for key in command.options:
             opt = _OPTIONS[key]
@@ -691,6 +690,9 @@ def _resolve_params(args, config: dict, keys) -> dict:
             raise UsageError(f"invalid {key} value {value!r} ({opt.flag}): {exc}") from None
     if "t_low" in params and not params["t_low"] < params["t_high"]:
         raise UsageError(f"t_low {params['t_low']} must lie below t_high {params['t_high']}")
+    if params.get("identity_crf") is False and (args.dynamic_range_ev is not None
+                                                or "dynamic_range_ev" in config):
+        raise UsageError("--dynamic-range (dynamic_range_ev) needs --identity-crf")
     return params
 
 
@@ -699,12 +701,10 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         command = _COMMANDS[args.command]
         params = _resolve_params(args, _load_config(args.config), command.options)
-        _claim([("--" + dest.replace("_", "-"), getattr(args, dest), formats)
-                for dest, formats in command.outputs if getattr(args, dest)], "options")
-        manifest = {"subcommand": args.command,
-                    "inputs": [str(getattr(args, dest)) for dest in command.inputs],
-                    "params": params}
-        return command.handler(args, params, manifest)
+        claims, inputs = _roles(command, args)
+        _claim(claims)
+        manifest = {"subcommand": args.command, "inputs": inputs, "params": params}
+        return command.handler(args, params, manifest, [out for _, out, _ in claims])
     except Exception as exc:
         _emit_error(type(exc).__name__, str(exc), getattr(exc, "file", None))
         return _exit_code(exc)

@@ -7,9 +7,9 @@ point is a reproducible relighting comparison, not photorealism.
 
 Diffuse irradiance is a direct sum over environment texels, so renders are
 bit-deterministic and can be checked against the analytic uniform-
-environment value. Glossy lobes use a fixed stratified sample grid, shaded
-in bands of pixels; each pixel's lobe mean is one reduction over all of its
-samples, so a band's bytes are those of the whole chunk.
+environment value. Glossy lobes use a fixed stratified sample grid (a
+mirror's lobe is one sample), shaded in bands of pixels; each pixel's lobe
+mean is one reduction over all of its samples, so bands move no byte.
 """
 
 from __future__ import annotations
@@ -333,10 +333,10 @@ def _plan_scene(scene: SceneConfig, env_w: int, env_h: int):
 def _shade(sp: _SpherePlan, part: slice, stack: np.ndarray, texels) -> np.ndarray:
     """(K, n, 3) radiance of the pixels `part` of one sphere under each of
     the K environments in `stack`, whose _env_texel_table is `texels`
-    (None unless the sphere is diffuse). Mirror and glossy values are per
-    pixel. A glossy part is shaded in the row bands of its (n, samples, 3)
-    lobe directions, so its temporaries stay band-sized; each pixel's lobe
-    mean is one reduction over all of its samples. A diffuse part that
+    (None unless the sphere is diffuse). A mirror or glossy pixel is its
+    albedo times one mean over all of its lobe samples' lookups (a mirror
+    has one, along the reflected direction), taken in row bands of
+    (n, samples, 3) whose lookups are freed in turn. A diffuse part that
     starts at a multiple of _NORMAL_TILE runs the same irradiance tiles as
     the whole sphere, so it gets the same bytes; other cuts may not (a
     one-row matrix product rounds differently)."""
@@ -350,14 +350,14 @@ def _shade(sp: _SpherePlan, part: slice, stack: np.ndarray, texels) -> np.ndarra
     dot = normals @ _VIEW_DIR
     reflect = _VIEW_DIR[None, :] - 2.0 * dot[:, None] * normals
     reflect /= np.linalg.norm(reflect, axis=-1, keepdims=True)
-    if mat.kind == "mirror":
-        lookup = equirect_map(reflect, env_w, env_h)
-        return np.stack([apply_bilinear_map(arr, lookup) for arr in stack])
+    mirror = mat.kind == "mirror"
     out = np.empty((len(stack), len(reflect), 3))
-    for band in _row_bands((len(reflect), math.prod(GLOSSY_GRID), 3)):
-        lookup = equirect_map(_glossy_dirs(reflect[band], mat.exponent), env_w, env_h)
+    for band in _row_bands((len(reflect), 1 if mirror else math.prod(GLOSSY_GRID), 3)):
+        lookup = equirect_map(reflect[band, None] if mirror
+                              else _glossy_dirs(reflect[band], mat.exponent), env_w, env_h)
         for radiance, arr in zip(out, stack):
             radiance[band] = albedo * apply_bilinear_map(arr, lookup).mean(axis=1)
+        del lookup  # before the next band's is built
     return out
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hdrkit
+from hdrkit import cli
 from hdrkit.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from hdrkit.fileio import read_image, write_pfm, write_ppm, write_rgbe
 from hdrkit.image import HdrImage, LdrImage
@@ -540,6 +542,50 @@ def test_synth_out_dir_on_a_file_exits_2_at_the_claim(workdir, capsys):
     assert error["type"] == "NotADirectoryError" and error["file"] == str(taken / "missing.ppm")
 
 
+# For each image-writing command, an output that collides (exit 1) or has
+# no place (exit 2: a directory "d.pfm" or a file "file" is in its way). No
+# input exists, and no handler may run.
+CLAIMED_BEFORE_ANY_HANDLER = [
+    (["calibrate", "h.hdr", "l.ppm", "-o", "d.pfm"], EXIT_IO, "d.pfm"),
+    (["segment", "h.hdr", "-o", "file/x.ppm"], EXIT_IO, "file/x.ppm"),
+    (["synth", "a/x.hdr", "b/x.hdr", "--out-dir", "o"], EXIT_USAGE, None),
+    (["synth", "x.hdr", "--out-dir", "file"], EXIT_IO, "file/x.ppm"),
+    (["p2c", "p.hdr", "-o", "d.pfm"], EXIT_IO, "d.pfm"),
+    (["c2p", "c.pfm", "-o", "x.pfm", "--pano-width", "32", "--validity-out", "./x.pfm"],
+     EXIT_USAGE, None),
+    (["merge", "c.pfm", "p.pfm", "--ceil-ldr", "c.ppm", "-o", "d.pfm"], EXIT_IO, "d.pfm"),
+    (["crop-set", "p.pfm", "--out-dir", "file"], EXIT_IO, "file"),
+    (["render", "s.txt", "a/x.hdr", "b/x.hdr", "--out-dir", "o"], EXIT_USAGE, None),
+    (["render", "s.txt", "e.hdr", "-o", "file/r.pfm"], EXIT_IO, "file/r.pfm"),
+    (["preview", "h.hdr", "-o", "d.pfm"], EXIT_IO, "d.pfm"),
+    (["convert", "h.hdr", "-o", "file/x.pfm"], EXIT_IO, "file/x.pfm"),
+]
+
+
+@pytest.mark.parametrize("argv, code, named", CLAIMED_BEFORE_ANY_HANDLER,
+                         ids=[f"{case[0][0]}-{case[1]}" for case in CLAIMED_BEFORE_ANY_HANDLER])
+def test_outputs_are_claimed_before_any_handler_runs(workdir, capsys, monkeypatch, argv, code,
+                                                     named):
+    def handler(*_):
+        pytest.fail("the handler ran")
+
+    monkeypatch.chdir(workdir)
+    (workdir / "d.pfm").mkdir()
+    (workdir / "file").write_bytes(b"")
+    command = argv[0]
+    monkeypatch.setitem(cli._COMMANDS, command,
+                        dataclasses.replace(cli._COMMANDS[command], handler=handler))
+    got, out, err = run(capsys, *argv)
+    assert got == code and out == ""
+    (line,) = err.strip().splitlines()
+    error = json.loads(line)["error"]
+    if code == EXIT_USAGE:
+        assert error["type"] == "UsageError" and "would both write" in error["message"]
+    else:
+        assert error["file"] == named
+    assert sorted(p.name for p in workdir.iterdir()) == ["d.pfm", "file"]
+
+
 def fuzz_seeds():
     rng = np.random.default_rng(23)
     hdr = HdrImage(rng.lognormal(0.0, 1.0, (3, 16, 3)).astype(np.float32))
@@ -965,6 +1011,25 @@ def test_real_option_out_of_range_exits_before_reading(workdir, capsys, monkeypa
     assert code == EXIT_USAGE
     (line,) = err.strip().splitlines()
     assert json.loads(line)["error"]["type"] == "UsageError"
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("extra, config", [(["--dynamic-range", "3"], None),
+                                           ([], {"dynamic_range_ev": 3})],
+                         ids=["flag", "config"])
+def test_synth_dynamic_range_needs_identity_crf(workdir, capsys, monkeypatch, extra, config):
+    # it sets the identity curve's range, and did nothing without one; the
+    # input does not exist, so reading it would exit 2, not 1
+    monkeypatch.chdir(workdir)
+    argv = ["synth", "in.hdr", "-o", "out/x.ppm", *extra]
+    if config is not None:
+        (workdir / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", "cfg.json"]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    (line,) = err.strip().splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "UsageError" and "--dynamic-range" in error["message"]
     assert not (workdir / "out").exists()
 
 

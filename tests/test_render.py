@@ -312,6 +312,22 @@ def test_mirror_sphere_uniform_env_exact():
     assert np.all(img.data[sphere_mask] == np.float32(L0))
 
 
+def test_tinted_mirror_is_albedo_times_untinted():
+    # power-of-two albedos scale float32 values exactly
+    env = random_envs(27, count=1, shape=(32, 64, 3))[0]
+    albedo = (0.5, 0.25, 1.0)
+
+    def mirror_render(material):
+        scene = SceneConfig(OrthoCamera(32, 32, 1.5, 0.0, 0.0),
+                            (Sphere((0.0, 0.0, 0.0), 1.0, material),), background=False)
+        return render(scene, env).data
+
+    tinted = mirror_render(Material("mirror", albedo))
+    untinted = mirror_render(Material("mirror"))
+    assert untinted.any()
+    assert tinted.tobytes() == (untinted * np.float32(albedo)).tobytes()
+
+
 def test_diffuse_sphere_uniform_env():
     scene = parse_scene("camera 48 48 1.5 0 0\nsphere 0 0 0 1 diffuse 0.8 0.8 0.8\nbackground off\n")
     img = render(scene, uniform_env())
@@ -455,6 +471,17 @@ def test_glossy_shading_memory_is_band_sized():
     # four times the pixels add less than one band's lobe directions
     band_bytes = _BAND_VALUES * 8
     assert glossy_shade_peak(sp, stack, 2048) - chunk < band_bytes
+
+
+def test_glossy_chunk_peaks_near_one_band():
+    # each band's lookup is freed before the next is built: a 512-pixel
+    # chunk peaked 1.36 times one 85-pixel band's peak while the previous
+    # band's lookup stayed alive
+    band = _BAND_VALUES // (math.prod(render_mod.GLOSSY_GRID) * 3)
+    stack = np.stack([e.data for e in random_envs(26, shape=(256, 512, 3))])
+    sp = glossy_plan(64, 512, 256)
+    single = glossy_shade_peak(sp, stack, band)
+    assert glossy_shade_peak(sp, stack, 512) < 1.15 * single
 
 
 def test_render_many_independent_of_pool_size(monkeypatch):

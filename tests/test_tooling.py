@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from hdrkit import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 LAUNCHER = ROOT / "perfbench" / "launcher.py"
 
@@ -43,3 +45,18 @@ def test_runtime_dependencies_are_numpy_only():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert [re.split(r"[\s<>=!~;\[]", dep)[0] for dep in project["dependencies"]] == ["numpy"]
+
+
+def test_every_declared_path_reaches_the_claims_or_the_inputs():
+    # a path's argparse attribute is derived from its last name; one that
+    # missed would drop the path from the claims or the sidecars' inputs
+    parser = cli._build_parser()
+    for name, command in cli._COMMANDS.items():
+        argv, outputs, inputs = [name], [], []
+        for names, _, writes, _ in command.paths:
+            value = f"{names[-1].strip('-')}.pfm"
+            argv += [names[0], value] if names[0].startswith("-") else [value]
+            (inputs if writes is None else outputs).append(value)
+        claims, got = cli._roles(command, parser.parse_args(argv))
+        assert got == inputs, name
+        assert [str(out) for _, out, _ in claims] == outputs, name
