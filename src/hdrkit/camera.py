@@ -6,13 +6,15 @@ curve, and quantizes to 8 bits. Everything is deterministic given the
 image and the seed, so datasets can be reproduced from their manifests.
 
 Auto-exposure is defined by a fixed 90-step bisection of the clipped mean.
-It is computed by replaying those steps: a radix select over the bit
-patterns of the image's values gives the exact root of the piecewise-linear
-mean, two evaluations bracket it, and only the steps inside the bracket
-touch the image, so the exposure is bit-identical to the plain bisection at
-about a tenth of its cost. Every mean, the image's own and each clipped
-one, is numpy's float64 pairwise sum made band by band (image._exact_sum),
-so a call holds band-sized temporaries only, whatever the image's values.
+It is computed by replaying those steps: saturation passes over the image
+find the exact root of the piecewise-linear mean, two evaluations bracket
+it, and only the steps inside the bracket touch the image, so the exposure
+is bit-identical to the plain bisection at about a tenth of its cost. A pass
+counts the values that saturate at the current multiplier and moves it to
+the root of the linear piece they make; it climbs to the root, where the
+count repeats, or stops short at a fixed cap, which only widens the bracket.
+Every mean is numpy's float64 pairwise sum made band by band
+(image._exact_sum), so a call holds band-sized temporaries only.
 
 The random generator is numpy's PCG64 (``np.random.default_rng``); a batch
 master seed is split into per-file seeds with ``np.random.SeedSequence``.
@@ -60,10 +62,8 @@ _BISECT_ITERS = 90
 _BRACKET_LOG2 = 40
 # Relative half-widths tried, in order, to bracket the root.
 _BRACKET_WIDTHS = (1e-14, 1e-12, 1e-9, 1e-6, 1e-3)
-# Key bits per level of the radix root, and the most values of a boundary
-# bucket that it sorts rather than splits on the next bits.
-_RADIX_BITS = 16
-_SORT_LIMIT = 1 << 16
+# The most band passes of the saturation root.
+_ROOT_PASSES = 16
 
 
 class AutoExposureError(ValueError):
@@ -119,10 +119,10 @@ def auto_expose(h, target_mean: float = DEFAULT_TARGET_MEAN, tol: float = 1e-4) 
     fixed-order pairwise sum are each monotone on non-negative values), so
     two evaluations that bracket the exact root of the piecewise-linear mean
     decide every step outside the bracket, and only the steps inside it
-    evaluate the image. The root, from _radix_root, only chooses where to
-    bracket: a step is either decided by monotonicity from an evaluated
+    evaluate the image. The root, from _saturation_root, only chooses where
+    to bracket: a step is either decided by monotonicity from an evaluated
     bracket end or evaluated itself, so the result is bit-identical to the
-    plain bisection however the root rounds.
+    plain bisection wherever the root lands, pass cap or not.
 
     The mean mu and every clipped mean are _exact_sum over bands of the
     mean-normalized float64 copy g = x / mu, value for value, so each is the
@@ -150,7 +150,8 @@ def auto_expose(h, target_mean: float = DEFAULT_TARGET_MEAN, tol: float = 1e-4) 
 
         return _exact_sum(n, leaf) / n
 
-    below, above = _bracket(clipped_mean, _radix_root(flat, target_mean) * mu, target_mean)
+    root = _saturation_root(flat, target_mean, mu)
+    below, above = _bracket(clipped_mean, root * mu, target_mean)
 
     def under_target(m: float) -> bool:
         if m <= below:
@@ -176,93 +177,36 @@ def auto_expose(h, target_mean: float = DEFAULT_TARGET_MEAN, tol: float = 1e-4) 
     return m / mu
 
 
-def _radix_root(flat: np.ndarray, target_mean: float) -> float:
-    """The exact root r of mean(clip(r*x, 0, 1)) = target_mean over the
-    values x of the 1-D array flat, or nan when the unsaturated pixels sum
-    to zero.
+def _saturation_root(flat: np.ndarray, target_mean: float, mu: float) -> float:
+    """The root r of mean(clip(r*x, 0, 1)) = target_mean over the values x
+    of the 1-D array flat, of mean mu: nan if none, inf past the largest float.
 
-    F(v) = sum(clip(x/v, 0, 1)) never increases with v. The pixels x >= v
-    saturate at the root for the smallest pixel value v > 0 with
-    F(v) <= goal = n*target_mean, and then r = (goal - count(x >= v)) /
-    sum(x < v). v is found by a radix select on the bit patterns of the
-    values as they are (float32 as float32, anything else as float64), which
-    order the values >= +0.0 as unsigned integers; the others add nothing
-    and are left out:
-    - one band-wise pass counts and sums the values per bucket of the top
-      16 bits, which gives F at every bucket's lower edge; v lies in the
-      boundary bucket, the last whose edge has F > goal, or is the first
-      value after it (an image of at most _SORT_LIMIT values is one bucket);
-    - a boundary bucket of at most _SORT_LIMIT values is gathered in one
-      more pass and sorted; a larger one is split on its next 16 bits in one
-      more pass, and so on;
-    - an empty bucket, or one whose bits are all fixed (one repeated value,
-      whose F is its edge's), cannot hold v.
-    So a float32 image takes at most two passes, a float64 one four, and
-    every temporary is band-sized whatever the values.
+    From target_mean / mu, the root if nothing saturated, each pass counts
+    the values x >= 1/r, which saturate, sums the positive parts of the
+    others, band by band, and moves r to the root of that linear piece of
+    the mean, which lies on or above it. So every pass leaves r at or below
+    the root, exact once the count repeats; r is returned when not positive,
+    as inf after a pass telling inf from nan, or after _ROOT_PASSES passes.
     """
-    float_t, uint_t = (np.float32, np.uint32) if flat.dtype == np.float32 else (np.float64, np.uint64)
-    width = 8 * np.dtype(uint_t).itemsize
     goal = flat.size * target_mean
-
-    def bands():
+    r, last = _root(goal, 0, flat.size * mu), -1
+    for _ in range(_ROOT_PASSES):
+        if not r > 0:
+            break
+        edge = 1.0 / r if r < math.inf else math.ulp(0.0)  # any positive x at r = inf
+        saturated, unsaturated = 0, 0.0
         for rows in _row_bands(flat.shape):
-            band = flat[rows].astype(float_t, copy=False)
-            yield band.view(uint_t), band
-
-    def parts(k: np.ndarray, values: np.ndarray) -> list:
-        """Float parts of the values whose float64 sums within a bucket are
-        exact: float32 values as they are, float64 ones as a 24-bit head and
-        the rest (a float64 sum of many equal values drifts by more than the
-        bracket's 1e-14)."""
-        if width == 32:
-            return [values]
-        head = (k & ~uint_t((1 << 29) - 1)).view(float_t)
-        return [head, values - head]
-
-    below, above = 0.0, 0  # the sum under the bucket and the count over it
-    prefix, shift, m = 0, width - 1, flat.size  # the bucket of the values >= +0.0
-    while m > _SORT_LIMIT:
-        low = (shift - 1) // _RADIX_BITS * _RADIX_BITS
-        counts = np.zeros(1 << _RADIX_BITS, np.int64)
-        sums = np.zeros((width // 32, 1 << _RADIX_BITS))  # a row per part
-        for k, values in bands():
-            digit = k >> uint_t(low)
-            if shift < width - 1:  # below the top, the bucket's values only
-                inside = digit >> uint_t(_RADIX_BITS) == prefix
-                k, values, digit = k[inside], values[inside], digit[inside] & uint_t(0xFFFF)
-            digit = digit.astype(np.intp)
-            _add_bincount(counts, digit)
-            for row, part in zip(sums, parts(k, values)):
-                _add_bincount(row, digit, part)
-        nb = 1 << (shift - low)  # at the top, a set sign bit lands past nb
-        counts, sums = counts[:nb], sums[:, :nb].sum(axis=0)
-        prefix <<= shift - low
-        edges = ((prefix | np.arange(nb)) << low).astype(uint_t).view(float_t)
-        head = below + np.concatenate(([0.0], np.cumsum(sums)[:-1]))
-        tail = above + np.cumsum(counts[::-1])[::-1]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            f = head / edges + tail
-        f[edges == 0] = np.inf
-        b = int(np.flatnonzero(f > goal)[-1])
-        m = int(counts[b])
-        below, above = float(head[b]), int(tail[b]) - m
-        if m == 0 or low == 0:
-            return _root(goal, above, below + float(sums[b]))
-        prefix, shift = prefix | b, low
-    u = np.sort(np.concatenate([k[k >> uint_t(shift) == prefix] for k, _ in bands()]))
-    m = u.size
-    head = below + sum(np.concatenate(([0.0], np.cumsum(part, dtype=np.float64)))
-                       for part in parts(u, u.view(float_t)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fits = np.flatnonzero(head[:-1] / u.view(float_t) + (above + m - np.arange(m)) <= goal)
-    j = int(fits[0]) if fits.size else m
-    return _root(goal, above + m - j, float(head[j]))
-
-
-def _add_bincount(total: np.ndarray, digit: np.ndarray, weights=None) -> None:
-    """Add np.bincount(digit, weights) to the front of total."""
-    found = np.bincount(digit, weights)
-    total[:found.size] += found
+            band = np.maximum(flat[rows], 0.0, dtype=np.float64)
+            high = band >= edge
+            saturated += int(np.count_nonzero(high))
+            band[high] = 0.0
+            unsaturated += float(band.sum())
+        if r == math.inf:
+            return r if saturated > goal else math.nan
+        if saturated == last:
+            break
+        last, r = saturated, _root(goal, saturated, unsaturated)
+    return r
 
 
 def _root(goal: float, saturated: int, unsaturated_sum: float) -> float:
@@ -328,8 +272,8 @@ def synth_ldr(
     The per-pixel stages run one row band at a time, so their temporaries
     stay band-sized and every code is the one the whole image would get.
     Auto-exposure is band-sized too: its means are exact float64 sums made
-    over bands, and its root a radix select whose histograms are made band
-    by band, so no copy of the image is made.
+    over bands, and its root's passes go band by band, so no copy of the
+    image is made.
     """
     exposure = auto_expose(h, target_mean)
     data = image_data(h)

@@ -11,12 +11,13 @@ by the manifests' key names) > built-in default. A config value is checked
 like a flag, and a bad one is a usage error. Batch subcommands (synth,
 render) process every input even if some fail; failures are reported per
 file on stderr.
-Every output, batch files included, is claimed from the command table
-before any subcommand runs: an output whose extension names no format its
-subcommand can write (an HDR image cannot go to .ppm), and two outputs of
-the same file (two batch inputs, or --output and --validity-out), are
-usage errors; a directory where an output file goes, or a file where an
-output directory goes, is an I/O error naming the output.
+Every output, batch files and crop-set's view files included, is claimed
+from the command table before any subcommand runs: an output whose
+extension names no format its subcommand can write (an HDR image cannot go
+to .ppm), two outputs of the same file (two batch inputs, or --output and
+--validity-out), and --output with --out-dir are usage errors; a directory
+where an output file goes, or a file where an output directory goes, is an
+I/O error naming the output.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ from .pano import (
     PanoProjection,
     ceiling_to_pano,
     crop_set,
+    crop_views,
     merge_mask,
     merge_panorama,
     pano_to_ceiling,
@@ -397,14 +399,11 @@ def _cmd_merge(args, params, manifest, _) -> int:
     return EXIT_OK
 
 
-def _cmd_crop_set(args, params, manifest, _) -> int:
-    pano = _read_hdr(args.pano)
-    out_dir = Path(args.out_dir)
-    crops = crop_set(pano, params["width"], params["height"], params["hfov_deg"],
-                     outdoor=params["outdoor"])
-    for img, view in crops:
-        name = f"{Path(args.pano).stem}_yaw{int(view['yaw_deg']):03d}_pitch{int(view['pitch_deg']):02d}.pfm"
-        _write_output(out_dir / name, HdrImage(img.astype(np.float32)),
+def _cmd_crop_set(args, params, manifest, outs) -> int:
+    crops = crop_set(_read_hdr(args.pano), params["width"], params["height"],
+                     params["hfov_deg"], outdoor=params["outdoor"])
+    for (img, view), path in zip(crops, outs[1:]):  # after --out-dir, a file per view
+        _write_output(path, HdrImage(img.astype(np.float32)),
                       {**manifest, "params": {**view, "outdoor": params["outdoor"]}})
     _print_json({"crops": len(crops)})
     return EXIT_OK
@@ -569,12 +568,19 @@ _OPTIONS = {
 }
 
 
-def _path(*names, writes=None, batch=None, **kwargs):
+def _path(*names, writes=None, batch=None, holds=None, **kwargs):
     """A path argument, command line only: its argparse names (the last
     names its attribute) and keywords, and its role: an output file of the
-    formats `writes`, an output directory (writes=_DIR), a batch input whose
-    files each write their stem plus the suffix `batch`, or else an input."""
-    return names, kwargs, writes, batch
+    formats `writes`, an output directory (writes=_DIR) of the files
+    holds(args, params), a batch input whose files each write their stem
+    plus the suffix `batch`, or else an input."""
+    return names, kwargs, writes, batch, holds or (lambda *_: [])
+
+
+def _crop_files(args, params):
+    """crop-set's output files, one per view of crop_set, in its order."""
+    return [f"{Path(args.pano).stem}_yaw{int(yaw):03d}_pitch{int(pitch):02d}.pfm"
+            for yaw, pitch in crop_views(params["outdoor"])]
 
 
 def _output(formats, required=True):
@@ -589,20 +595,23 @@ class _Command:
     options: list  # keys of _OPTIONS
 
 
-def _roles(command: _Command, args):
+def _roles(command: _Command, args, params):
     """The (owner, path, formats) claim of every output of one invocation,
-    in declaration order, and its input paths, from the paths' roles alone:
-    no file is read. A batch input's file writes --output, or else its stem
-    plus the table's suffix, in --out-dir or beside the file."""
+    in declaration order, and its input paths, from the table and the
+    options alone: no file is read. A batch input's file writes --output,
+    or else its stem plus the table's suffix, in --out-dir or beside it."""
     claims, inputs = [], []
-    for names, _, writes, batch in command.paths:
+    for names, _, writes, batch, holds in command.paths:
         value = getattr(args, names[-1].lstrip("-").replace("-", "_"))
         if value is None:
             continue
         if writes is not None:
             claims.append((names[-1], Path(value), writes))
+            claims += [(names[-1], Path(value) / f, _HDR) for f in holds(args, params)]
             continue
         inputs += value if batch else [value]
+        if batch and args.output and args.out_dir:
+            raise UsageError("give --output or --out-dir, not both")
         if batch and args.output and len(value) > 1:
             raise UsageError("use --out-dir with more than one input")
         if batch and not args.output:
@@ -634,7 +643,8 @@ _COMMANDS = {
                        _output(_HDR)],
                       ["merge_tau", "ldr_space", "camera_d", "plane_extent"]),
     "crop-set": _Command(_cmd_crop_set, "dataset crops at fixed yaws/pitches",
-                         [_path("pano"), _path("--out-dir", writes=_DIR, required=True)],
+                         [_path("pano"),
+                          _path("--out-dir", writes=_DIR, holds=_crop_files, required=True)],
                          ["width", "height", "hfov_deg", "outdoor"]),
     "render": _Command(_cmd_render, "render the evaluation scene under environments",
                        [_path("scene"), _path("envs", nargs="+", batch="_render.pfm"),
@@ -701,7 +711,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         command = _COMMANDS[args.command]
         params = _resolve_params(args, _load_config(args.config), command.options)
-        claims, inputs = _roles(command, args)
+        claims, inputs = _roles(command, args, params)
         _claim(claims)
         manifest = {"subcommand": args.command, "inputs": inputs, "params": params}
         return command.handler(args, params, manifest, [out for _, out, _ in claims])

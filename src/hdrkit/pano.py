@@ -55,6 +55,7 @@ __all__ = [
     "merge_panorama",
     "crop_perspective",
     "crop_set",
+    "crop_views",
     "DEFAULT_MERGE_TAU",
     "MAX_PLANE_EXTENT",
     "CROP_YAWS_DEG",
@@ -412,14 +413,19 @@ def crop_set(pano, out_width: int = 320, out_height: int = 240,
     (image, params) pairs where params records yaw/pitch in degrees.
     """
     a = image_data(pano)
-    views = [(yaw, 0.0) for yaw in CROP_YAWS_DEG]
-    if not outdoor:
-        views += [(yaw, CROP_ELEVATED_PITCH_DEG) for yaw in CROP_ELEVATED_YAWS_DEG]
     crops = []
-    for yaw_deg, pitch_deg in views:
+    for yaw_deg, pitch_deg in crop_views(outdoor):
         img = crop_perspective(a, math.radians(yaw_deg), math.radians(pitch_deg),
                                math.radians(hfov_deg), out_width, out_height)
         crops.append((img, {"yaw_deg": yaw_deg, "pitch_deg": pitch_deg,
                             "hfov_deg": hfov_deg,
                             "width": out_width, "height": out_height}))
     return crops
+
+
+def crop_views(outdoor: bool = False) -> list:
+    """The (yaw, pitch) degrees of crop_set's views, in its order."""
+    views = [(yaw, 0.0) for yaw in CROP_YAWS_DEG]
+    if not outdoor:
+        views += [(yaw, CROP_ELEVATED_PITCH_DEG) for yaw in CROP_ELEVATED_YAWS_DEG]
+    return views

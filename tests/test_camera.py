@@ -196,7 +196,7 @@ def test_auto_expose_leaves_float64_input_unchanged():
     assert np.array_equal(img.data, arr)
 
 
-# --- the radix root ------------------------------------------------------------
+# --- the saturation root -------------------------------------------------------
 
 _TARGETS = (0.05, 0.18, 0.5)
 # Per seed of _bright_disc_panorama and per target: the exposure that
@@ -258,16 +258,21 @@ def _reference_root(x, target):
     return (n * target - (n - k)) / covered if covered > 0 else math.nan
 
 
+def _root_of(x, target):
+    """camera._saturation_root of the values of x, given their mean as
+    auto_expose gives it."""
+    flat = np.ravel(x)
+    return camera._saturation_root(flat, target, float(np.mean(flat, dtype=np.float64)))
+
+
 def _tied_on_bucket_edges(dtype):
-    # powers of two sit on the lower edge of their top-16-bit bucket; the
-    # values just below them end the bucket before
+    # powers of two and the values just below them, each many times over
     edges = np.array([0.25, 1.0, 2.0, 64.0], dtype=dtype)
     below = np.nextafter(edges, dtype(0))
     return np.resize(np.concatenate((edges, below, edges, edges)), 2 ** 16 + 2)
 
 
-# Each has a multiple of 3 values, and the larger ones more than the
-# radix root sorts at once.
+# Each has a multiple of 3 values, and the larger ones more than one band.
 _EDGE_CASES = {
     "all zero": lambda dtype: np.zeros(12, dtype),
     "one pixel": lambda dtype: np.array([0.5, 2.0, 9.0], dtype),
@@ -285,7 +290,7 @@ def test_radix_root_edge_cases(case, dtype):
     x = _EDGE_CASES[case](dtype)
     img = HdrImage(x.reshape(1, -1, 3))
     for target in (0.05, 0.18, 0.5, 0.9):
-        got, want = camera._radix_root(x, target), _reference_root(x, target)
+        got, want = _root_of(x, target), _reference_root(x, target)
         assert got == pytest.approx(want, rel=1e-13, nan_ok=True)
     for target in (0.18, 0.5):
         assert _outcome(auto_expose, img, target) == _outcome(_bisection_auto_expose, img, target)
@@ -296,7 +301,7 @@ def test_radix_root_leaves_out_values_below_zero():
     x = np.resize(np.array([-3.0, -0.0, 0.0, 0.5, 2.0, 7.0]), 2 ** 16 + 5)
     for dtype in (np.float32, np.float64, np.int8):
         for target in (0.05, 0.18, 0.5):
-            got = camera._radix_root(x.astype(dtype).ravel(), target)
+            got = _root_of(x.astype(dtype), target)
             want = _reference_root(x.astype(dtype), target)
             assert got == pytest.approx(want, rel=1e-13, nan_ok=True)
             raw = x.astype(dtype)
@@ -322,13 +327,24 @@ class _CountedSlices(np.ndarray):
         return super().__getitem__(key)
 
 
-@pytest.mark.parametrize("dtype, passes", [(np.float32, 2), (np.float64, 4)])
-def test_radix_root_passes_are_bounded(dtype, passes):
-    for values in (_bright_disc_panorama(19), np.full((512, 1024, 3), 0.37)):
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_saturation_root_passes_are_bounded(dtype):
+    # the passes measured at target 0.18 (numpy 2.4)
+    for values, passes in ((_bright_disc_panorama(19), 6), (np.full((512, 1024, 3), 0.37), 2)):
         flat = values.astype(dtype).ravel().view(_CountedSlices)
         flat.slices = 0
-        camera._radix_root(flat, 0.18)
+        camera._saturation_root(flat, 0.18, float(np.mean(flat, dtype=np.float64)))
         assert flat.slices <= passes * -(-flat.size // _BAND_VALUES)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_auto_expose_is_the_bisection_from_a_capped_root(seed, monkeypatch):
+    # one pass leaves the root too far off to bracket, and the bisection
+    # then evaluates every step
+    monkeypatch.setattr(camera, "_ROOT_PASSES", 1)
+    img = hdr(_bright_disc_panorama(seed))
+    for target, (exposure, _) in zip(_TARGETS, _DISC_CASES[seed]):
+        assert auto_expose(img, target) == float.fromhex(exposure)
 
 
 def test_auto_expose_memory_is_band_sized():

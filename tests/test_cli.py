@@ -542,6 +542,31 @@ def test_synth_out_dir_on_a_file_exits_2_at_the_claim(workdir, capsys):
     assert error["type"] == "NotADirectoryError" and error["file"] == str(taken / "missing.ppm")
 
 
+def test_crop_set_view_files_are_claimed_before_the_panorama_is_read(workdir, capsys):
+    pano = save_pfm(workdir / "pano.pfm", np.ones((4, 8, 3)))
+    taken = workdir / "d" / "pano_yaw120_pitch00.pfm"
+    taken.mkdir(parents=True)
+    error = _claim_error(capsys, "crop-set", pano, "--out-dir", workdir / "d",
+                         "--width", 8, "--height", 6)
+    assert error["type"] == "IsADirectoryError" and error["file"] == str(taken)
+    assert [p.name for p in (workdir / "d").iterdir()] == [taken.name]
+    assert not any(taken.iterdir())
+
+
+@pytest.mark.parametrize("command", ["synth", "render"])
+def test_output_with_out_dir_is_a_usage_error(workdir, capsys, command):
+    env = save_pfm(workdir / "h.pfm", np.full((4, 8, 3), 0.5))
+    scene = workdir / "scene.txt"
+    scene.write_text(default_scene_text(8, 6))
+    argv = [command, env] if command == "synth" else [command, scene, env]
+    code, out, err = run(capsys, *argv, "-o", workdir / "a.pfm", "--out-dir", workdir / "zz")
+    assert code == EXIT_USAGE and out == ""
+    (line,) = err.strip().splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "UsageError" and "--out-dir" in error["message"]
+    assert sorted(p.name for p in workdir.iterdir()) == ["h.pfm", "scene.txt"]
+
+
 # For each image-writing command, an output that collides (exit 1) or has
 # no place (exit 2: a directory "d.pfm" or a file "file" is in its way). No
 # input exists, and no handler may run.

@@ -49,14 +49,30 @@ def test_runtime_dependencies_are_numpy_only():
 
 def test_every_declared_path_reaches_the_claims_or_the_inputs():
     # a path's argparse attribute is derived from its last name; one that
-    # missed would drop the path from the claims or the sidecars' inputs
+    # missed would drop the path from the claims or the sidecars' inputs.
+    # --output and --out-dir exclude each other, so a command with both is
+    # parsed once without each; without --output a batch file is claimed in
+    # --out-dir, and crop-set's view files follow its directory
     parser = cli._build_parser()
+    views = [(yaw, 0) for yaw in range(0, 360, 60)] + [(yaw, 45) for yaw in (0, 120, 240)]
     for name, command in cli._COMMANDS.items():
-        argv, outputs, inputs = [name], [], []
-        for names, _, writes, _ in command.paths:
-            value = f"{names[-1].strip('-')}.pfm"
-            argv += [names[0], value] if names[0].startswith("-") else [value]
-            (inputs if writes is None else outputs).append(value)
-        claims, got = cli._roles(command, parser.parse_args(argv))
-        assert got == inputs, name
-        assert [str(out) for _, out, _ in claims] == outputs, name
+        declared = {names[-1] for names, *_ in command.paths}
+        both = {"--output", "--out-dir"} <= declared
+        for left_out in ("--out-dir", "--output") if both else (None,):
+            argv, outputs, inputs = [name], [], []
+            for names, _, writes, batch, _ in command.paths:
+                if names[-1] == left_out:
+                    continue
+                value = f"{names[-1].strip('-')}.pfm"
+                argv += [names[0], value] if names[0].startswith("-") else [value]
+                (inputs if writes is None else outputs).append(value)
+                if batch and left_out == "--output":
+                    outputs.append(f"out-dir.pfm/{Path(value).stem}{batch}")
+                if name == "crop-set" and writes is not None:
+                    outputs += [f"{value}/pano_yaw{yaw:03d}_pitch{pitch:02d}.pfm"
+                                for yaw, pitch in views]
+            args = parser.parse_args(argv)
+            params = cli._resolve_params(args, {}, command.options)
+            claims, got = cli._roles(command, args, params)
+            assert got == inputs, name
+            assert [str(out) for _, out, _ in claims] == outputs, name
