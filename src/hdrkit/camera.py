@@ -187,6 +187,9 @@ def _saturation_root(flat: np.ndarray, target_mean: float, mu: float) -> float:
     the mean, which lies on or above it. So every pass leaves r at or below
     the root, exact once the count repeats; r is returned when not positive,
     as inf after a pass telling inf from nan, or after _ROOT_PASSES passes.
+    Negative values lower mu and can put the start above the root; a pass
+    that counts more saturated values than the goal restarts r from goal
+    over the sum of all positive parts (one more pass), at or below the root.
     """
     goal = flat.size * target_mean
     r, last = _root(goal, 0, flat.size * mu), -1
@@ -203,9 +206,14 @@ def _saturation_root(flat: np.ndarray, target_mean: float, mu: float) -> float:
             unsaturated += float(band.sum())
         if r == math.inf:
             return r if saturated > goal else math.nan
-        if saturated == last:
+        if saturated > goal:
+            positive = sum(float(np.maximum(flat[rows], 0.0, dtype=np.float64).sum())
+                           for rows in _row_bands(flat.shape))
+            last, r = -1, _root(goal, 0, positive)
+        elif saturated == last:
             break
-        last, r = saturated, _root(goal, saturated, unsaturated)
+        else:
+            last, r = saturated, _root(goal, saturated, unsaturated)
     return r
 
 

@@ -70,11 +70,11 @@ from .pano import (
     DEFAULT_MERGE_TAU,
     MAX_PLANE_EXTENT,
     PanoProjection,
+    _crops,
+    _merged,
     ceiling_to_pano,
-    crop_set,
     crop_views,
     merge_mask,
-    merge_panorama,
     pano_to_ceiling,
 )
 from .render import (
@@ -394,18 +394,23 @@ def _cmd_merge(args, params, manifest, _) -> int:
                        pano_path=args.pano_hdr)
     m_p = merge_mask(ceil_ldr, proj, params["merge_tau"])
     del ceil_ldr  # one input image less during the blend
-    merged = merge_panorama(ceil_hdr, pano_hdr, m_p, proj).astype(np.float32)
+    # merge_panorama's float64 bands, each cast to float32 as it is made
+    merged = np.empty((pano_hdr.height, pano_hdr.width, 3), dtype=np.float32)
+    for rows, values in _merged(ceil_hdr, pano_hdr, m_p, proj):
+        merged[rows] = values
+    del ceil_hdr, pano_hdr, m_p
     _write_output(args.output, HdrImage(merged), manifest)
     return EXIT_OK
 
 
 def _cmd_crop_set(args, params, manifest, outs) -> int:
-    crops = crop_set(_read_hdr(args.pano), params["width"], params["height"],
-                     params["hfov_deg"], outdoor=params["outdoor"])
+    # crop_set's views, each written as it is made
+    crops = _crops(_read_hdr(args.pano), params["width"], params["height"],
+                   params["hfov_deg"], params["outdoor"])
     for (img, view), path in zip(crops, outs[1:]):  # after --out-dir, a file per view
         _write_output(path, HdrImage(img.astype(np.float32)),
                       {**manifest, "params": {**view, "outdoor": params["outdoor"]}})
-    _print_json({"crops": len(crops)})
+    _print_json({"crops": len(outs) - 1})
     return EXIT_OK
 
 

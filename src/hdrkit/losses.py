@@ -5,6 +5,16 @@ images in relative luminance are defined only up to a positive factor, the
 error between two images is measured after the optimal global log-offset,
 which has a closed form. All reductions accumulate in double precision and
 reduce sequentially per image, so results do not depend on chunking.
+
+scale_invariant_loss, log_psnr, preview_ssim and metric_report make no
+whole-image float64 array but the two channel means that SSIM compares.
+Each sum over an image is image._exact_sum over fresh float64 leaves, read
+from flat C-order ranges of the inputs, so it has the bits of numpy's
+pairwise sum of the whole array. A variance is the mean, then the mean of
+squared deviations from it, as ndarray.var takes it; min and max are taken
+band by band, which is exact in any order. metric_report makes its aligned
+and display-anchored images per band from the inputs, with the whole-image
+expressions.
 """
 
 from __future__ import annotations
@@ -14,7 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import _banded_preview, _check_hdr_bands, _row_bands, channel_mean, image_data
+from .image import (
+    _banded_preview,
+    _check_hdr_bands,
+    _exact_sum,
+    _row_bands,
+    channel_mean,
+    image_data,
+)
 
 __all__ = [
     "LossConfig",
@@ -91,8 +108,29 @@ def scale_invariant_loss(pred, gt, eps: float = 1e-6) -> float:
     squared log error, so it is invariant to a global rescaling of either
     image. Always >= 0 (it is a variance).
     """
-    d = _log_diff(pred, gt, eps)
-    return float(d.var())
+    return _log_diff_moments(*_pair(pred, gt), eps)[1]
+
+
+def _log_diff_moments(p: np.ndarray, g: np.ndarray, eps: float) -> tuple[float, float]:
+    """d.mean() and d.var() of d = _log_diff(p, g, eps), bit for bit, without
+    a whole d: _exact_sum of d's flat C-order bands, then of their squared
+    deviations from that mean, as ndarray.var takes them. The flat values
+    are views of contiguous inputs and a copy of any other."""
+    flat_p, flat_g = p.reshape(-1), g.reshape(-1)
+    n = p.size
+
+    def d(lo, hi):
+        return _log_diff(flat_p[lo:hi], flat_g[lo:hi], eps)
+
+    # np.divide, so that an empty d gives nan, as ndarray.mean does
+    mean = float(np.divide(_exact_sum(n, d), n))
+
+    def squared_deviation(lo, hi):
+        dev = d(lo, hi)
+        dev -= mean
+        return np.multiply(dev, dev, out=dev)
+
+    return mean, float(np.divide(_exact_sum(n, squared_deviation), n))
 
 
 def si_mse(pred, gt, eps: float = 1e-6) -> float:
@@ -180,24 +218,51 @@ def log_psnr(pred, gt, eps: float = 1e-6, cap_db: float = LOG_PSNR_CAP_DB) -> fl
     (empty log-range) falls back to unit span.
     """
     p, g = _pair(pred, gt)
-    # lg is the one full float64 image: it takes the normalized difference
-    # band by band, in the whole-image operation order, and then its square
-    lg = np.add(g, eps, dtype=np.float64)
-    np.log(lg, out=lg)
-    lo = float(lg.min())
-    span = float(lg.max()) - lo
+    return _log_psnr(p.size, _scaled(p.reshape(-1), 1.0), _scaled(g.reshape(-1), 1.0), eps,
+                     cap_db)
+
+
+def _scaled(a: np.ndarray, scale: float):
+    """values(key): a[key] * scale in float64; a scale of 1 gives a[key]'s
+    values exactly."""
+    return lambda key: np.multiply(a[key], scale, dtype=np.float64)
+
+
+def _logs(values, eps: float):
+    """leaf(lo, hi): log(values(slice(lo, hi)) + eps) as a fresh float64 array."""
+    def leaf(lo, hi):
+        v = np.add(values(slice(lo, hi)), eps, dtype=np.float64)
+        return np.log(v, out=v)
+    return leaf
+
+
+def _log_psnr(n: int, pred, gt, eps: float, cap_db: float) -> float:
+    """log_psnr of the two images of n values whose flat values `key` are
+    pred(key) and gt(key): gt's log range from one pass of band minima and
+    maxima, then the mean of the squared normalized differences in another,
+    each value made in the whole-image operation order."""
+    log_pred, log_gt = _logs(pred, eps), _logs(gt, eps)
+    lows, highs = [], []
+    for band in _row_bands((n,)):
+        lg = log_gt(band.start, min(band.stop, n))
+        lows.append(lg.min())
+        highs.append(lg.max())
+    low = float(np.min(lows))
+    span = float(np.max(highs)) - low
     if span <= 0:
         span = 1.0
-    for rows in _row_bands(lg.shape):
-        lp = np.add(p[rows], eps, dtype=np.float64)
-        np.log(lp, out=lp)
-        lp -= lo
+
+    def squared(lo, hi):
+        lp = log_pred(lo, hi)
+        lp -= low
         lp /= span
-        lgb = lg[rows]
-        lgb -= lo
-        lgb /= span
-        np.subtract(lp, lgb, out=lgb)
-    mse = float(np.square(lg, out=lg).mean())
+        lg = log_gt(lo, hi)
+        lg -= low
+        lg /= span
+        np.subtract(lp, lg, out=lg)
+        return np.square(lg, out=lg)
+
+    mse = _exact_sum(n, squared) / n
     if mse == 0.0:
         return cap_db
     return min(-10.0 * math.log10(mse), cap_db)
@@ -295,25 +360,33 @@ def preview_ssim(a, b, preview_ev: float = 0.0, preview_window_ev: float = 10.0)
     is clamped at 0 before its preview.
     """
     x, y = _pair(a, b)
-    scale = 1.0 / max(float(y.max()), 1e-30)
-    pa = _scaled_preview(x, scale, True, preview_ev, preview_window_ev)
-    pb = _scaled_preview(y, scale, False, preview_ev, preview_window_ev)
+    return _preview_ssim(x.shape, _scaled(x, 1.0), _scaled(y, 1.0), float(y.max()),
+                         preview_ev, preview_window_ev)
+
+
+def _preview_ssim(shape: tuple, a_rows, b_rows, b_max: float,
+                  preview_ev: float, preview_window_ev: float) -> float:
+    """preview_ssim of the two images of one shape whose rows `rows` are
+    a_rows(rows) and b_rows(rows), b's largest value being b_max."""
+    scale = 1.0 / max(b_max, 1e-30)
+    pa = _scaled_preview(shape, a_rows, scale, True, preview_ev, preview_window_ev)
+    pb = _scaled_preview(shape, b_rows, scale, False, preview_ev, preview_window_ev)
     return ssim(channel_mean(pa), channel_mean(pb))
 
 
-def _scaled_preview(x: np.ndarray, scale: float, clamp: bool,
+def _scaled_preview(shape: tuple, values, scale: float, clamp: bool,
                     preview_ev: float, preview_window_ev: float):
-    """exposure_preview(HdrImage(s), ...) of s = x * scale, clamped at 0
-    first when clamp, without a full-size s: each row band of s is made
-    once for HdrImage's checks (the same errors in the same order) and
-    once for the preview."""
+    """exposure_preview(HdrImage(s), ...) of s = x * scale, where values(rows)
+    is x[rows], clamped at 0 first when clamp, without a full-size s: each
+    row band of s is made once for HdrImage's checks (the same errors in the
+    same order) and once for the preview."""
 
     def scaled(rows):
-        s = np.multiply(x[rows], scale, dtype=np.float64)
+        s = np.multiply(values(rows), scale, dtype=np.float64)
         return np.clip(s, 0, None, out=s) if clamp else s
 
-    _check_hdr_bands(x.shape, scaled)
-    return _banded_preview(x.shape, scaled, preview_ev, preview_window_ev)
+    _check_hdr_bands(shape, scaled)
+    return _banded_preview(shape, scaled, preview_ev, preview_window_ev)
 
 
 def metric_report(pred, gt, ldr_linear=None, eps: float = 1e-6,
@@ -323,23 +396,26 @@ def metric_report(pred, gt, ldr_linear=None, eps: float = 1e-6,
     pred is aligned to gt by its optimal scale before log_psnr; when a
     linear LDR anchor is given, both images are display-anchored first.
     SSIM is that of preview_ssim. kappa and si_mse come from one log
-    difference, as in optimal_scale and scale_invariant_loss.
+    difference d, as in optimal_scale and scale_invariant_loss: exp of
+    -d.mean() and d.var(), bit for bit.
+
+    No whole-image float64 array is made: d is summed band by band twice,
+    for its mean and then for its squared deviations from it, and the
+    aligned and anchored images are made per band from pred and gt with the
+    whole-image expressions pred * (kappa * s) and gt * s, s being the
+    display anchor's factor, or 1 without an anchor (an exact product), for
+    log_psnr's two passes and the previews. The previews' scale comes from
+    max(gt) * s, the maximum of gt * s since s is positive.
     """
     p, g = _pair(pred, gt)
-    d = _log_diff(p, g, eps)
-    k = float(math.exp(-d.mean()))
-    si = float(d.var())
-    # d's buffer takes the aligned pred, the one float64 image kept alive
-    # through log_psnr and preview_ssim
-    if ldr_linear is not None:
-        s = _anchor_scale(g, ldr_linear)
-        p_cmp = np.multiply(p, k * s, out=d, dtype=np.float64)
-        g_cmp = np.multiply(g, s, dtype=np.float64)
-    else:
-        p_cmp, g_cmp = np.multiply(p, k, out=d, dtype=np.float64), g
+    mean, si = _log_diff_moments(p, g, eps)
+    k = math.exp(-mean)
+    s = 1.0 if ldr_linear is None else _anchor_scale(g, ldr_linear)
     return {
         "si_mse": si,
-        "log_psnr": log_psnr(p_cmp, g_cmp, eps),
-        "ssim": preview_ssim(p_cmp, g_cmp, preview_ev, preview_window_ev),
+        "log_psnr": _log_psnr(p.size, _scaled(p.reshape(-1), k * s), _scaled(g.reshape(-1), s),
+                              eps, LOG_PSNR_CAP_DB),
+        "ssim": _preview_ssim(p.shape, _scaled(p, k * s), _scaled(g, s), float(g.max()) * s,
+                              preview_ev, preview_window_ev),
         "kappa": k,
     }

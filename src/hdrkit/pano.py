@@ -18,14 +18,20 @@ Conventions, fixed throughout the toolkit:
 Resampling is split into an image-independent map (bilinear_map) and a
 gather (apply_bilinear_map). Both directions between panorama and ceiling
 view go through a plan: for each RGB row band of the target, the flat
-indices of the band's pixels the source can fill, and the map over those
-pixels alone. pano_to_ceiling's plan holds the ceiling pixels inside the
-imaged disk; ceiling_to_pano's holds the panorama pixels the plane reaches,
-all on or above the equator, and merge_mask and merge_panorama share it, so
-one merge builds the geometry once. Each plan is cached per projection and
-source size, and every consumer reads it through one band gather,
-_gathered, so the temporaries stay band-sized. A resampled image is 0
-outside its plan.
+indices of the band's pixels the source can fill, and a compact map over
+those pixels alone: the flat source index y0 * width + x0 of each pixel's
+top-left neighbour and the two lerp weights, 24 bytes per pixel with int32
+indices. The other three neighbours follow from that base by the wrap and
+clamp rules of bilinear_map, which derives its own the same way, and are
+made one band at a time when the band is gathered. pano_to_ceiling's plan
+holds the ceiling pixels inside the imaged disk; ceiling_to_pano's holds
+the panorama pixels the plane reaches, all on or above the equator, and
+merge_mask and merge_panorama share it, so one merge builds the geometry
+once. Each plan is cached per projection and source size, and every
+consumer reads it through one band gather, _gathered, so the temporaries
+stay band-sized. A resampled image is 0 outside its plan. Merges and crops
+are likewise made one band or one view at a time (_merged, _crops), so a
+caller can write them without holding a second whole-image copy.
 """
 
 from __future__ import annotations
@@ -136,6 +142,13 @@ def bilinear_map(x, y, width: int, height: int, wrap_x: bool = True) -> tuple:
     """The image-independent half of bilinear_sample: flat gather indices
     of the four neighbours and the two lerp weights, for sampling any
     width x height image at (x, y) with apply_bilinear_map."""
+    base, fx, fy = _compact_map(x, y, width, height, wrap_x)
+    return _neighbours(base, width, height, wrap_x) + (fx, fy)
+
+
+def _compact_map(x, y, width: int, height: int, wrap_x: bool) -> tuple:
+    """(base, fx, fy) of bilinear_map: the flat index y0 * width + x0 of
+    the top-left neighbour, as int64, and the two lerp weights."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -144,22 +157,32 @@ def bilinear_map(x, y, width: int, height: int, wrap_x: bool = True) -> tuple:
         x = np.mod(x, width)
         x0 = np.floor(x)
         fx = x - x0
+        # np.mod can round a tiny negative x up to width itself
         x0 = x0.astype(np.int64) % width
-        x1 = (x0 + 1) % width
     else:
         x = np.clip(x, 0.0, width - 1.0)
         x0 = np.floor(x)
         fx = x - x0
         x0 = x0.astype(np.int64)
-        x1 = np.minimum(x0 + 1, width - 1)
     y = np.clip(y, 0.0, height - 1.0)
     y0 = np.floor(y)
     fy = y - y0
-    y0 = y0.astype(np.int64)
-    y1 = np.minimum(y0 + 1, height - 1)
-    y0 *= width
-    y1 *= width
-    return y0 + x0, y0 + x1, y1 + x0, y1 + x1, fx, fy
+    base = y0.astype(np.int64)
+    base *= width
+    base += x0
+    return base, fx, fy
+
+
+def _neighbours(base: np.ndarray, width: int, height: int, wrap_x: bool) -> tuple:
+    """The flat indices (i00, i10, i01, i11) of the four bilinear
+    neighbours of the top-left ones base = y0 * width + x0 in a width x
+    height image: x0 + 1 wraps to 0 when wrap_x and clamps to width - 1
+    otherwise, and y0 + 1 clamps to height - 1."""
+    x0 = base % width
+    x1 = (x0 + 1) % width if wrap_x else np.minimum(x0 + 1, width - 1)
+    i10 = base - x0 + x1
+    down = np.where(base < (height - 1) * width, width, 0)
+    return base, i10, base + down, i10 + down
 
 
 def apply_bilinear_map(img: np.ndarray, smap: tuple) -> np.ndarray:
@@ -227,37 +250,51 @@ def sphere_to_plane(px, py, pz, offset: float = 1.0):
     return s * np.asarray(px, dtype=np.float64), s * np.asarray(py, dtype=np.float64)
 
 
-def _banded_plan(height: int, width: int, band_map) -> tuple:
-    """A resampling plan for a height x width target: one read-only entry
-    (idx, *smap) per RGB row band of the target, holding the band-local
-    flat indices of the pixels the source can fill and the bilinear_map
-    that samples the source at them. band_map(xs, ys), given the column
-    and row indices of one band, returns the band's validity mask and the
-    map over its valid pixels. Read-only, as every caller shares it."""
-    plan = []
+class _Plan(tuple):
+    """A resampling plan: one read-only entry (idx, base, fx, fy) per RGB
+    row band of its target, and wrap_x, the horizontal rule by which the
+    other neighbours of base are found in the source."""
+
+    wrap_x: bool
+
+
+def _banded_plan(height: int, width: int, source: tuple, wrap_x: bool, band_coords) -> _Plan:
+    """The plan for a height x width target sampling a source of shape
+    source = (source_height, source_width). band_coords(xs, ys), given the
+    column and row indices of one band, returns the band's validity mask
+    and the source coordinates (x, y) of its valid pixels. idx and base are
+    int32 unless target or source has 2^31 pixels or more. Read-only, as
+    every caller shares it."""
+    sh, sw = source
+    index = np.int32 if max(height * width, sh * sw) < 2 ** 31 else np.int64
+    bands = []
     for rows in _row_bands((height, width, 3)):
         xs, ys = np.meshgrid(np.arange(width), np.arange(height)[rows])
-        valid, smap = band_map(xs, ys)
-        entry = (np.flatnonzero(valid),) + tuple(smap)
+        valid, (x, y) = band_coords(xs, ys)
+        base, fx, fy = _compact_map(x, y, sw, sh, wrap_x)
+        entry = (np.flatnonzero(valid).astype(index), base.astype(index), fx, fy)
         for arr in entry:
             arr.flags.writeable = False
-        plan.append(entry)
-    return tuple(plan)
+        bands.append(entry)
+    plan = _Plan(bands)
+    plan.wrap_x = wrap_x
+    return plan
 
 
-def _gathered(a: np.ndarray, plan: tuple, height: int, width: int):
+def _gathered(a: np.ndarray, plan: _Plan, height: int, width: int):
     """(rows, values) for each RGB row band of the height x width image
     that the plan fills from a: sampled at the plan's pixels, 0 everywhere
     else, including the bands past the plan's last."""
     for band, rows in enumerate(_row_bands((height, width, 3))):
         values = np.zeros((len(range(height)[rows]), width) + a.shape[2:])
         if band < len(plan):
-            idx, *smap = plan[band]
+            idx, base, fx, fy = plan[band]
+            smap = _neighbours(base, a.shape[1], a.shape[0], plan.wrap_x) + (fx, fy)
             values.reshape((-1,) + a.shape[2:])[idx] = apply_bilinear_map(a, smap)
         yield rows, values
 
 
-def _gather(a: np.ndarray, plan: tuple, height: int, width: int) -> np.ndarray:
+def _gather(a: np.ndarray, plan: _Plan, height: int, width: int) -> np.ndarray:
     """The height x width image that the plan fills from a."""
     out = np.empty((height, width) + a.shape[2:])
     for rows, values in _gathered(a, plan, height, width):
@@ -266,20 +303,21 @@ def _gather(a: np.ndarray, plan: tuple, height: int, width: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _disk_plan(proj: PanoProjection, pano_height: int, pano_width: int) -> tuple:
+def _disk_plan(proj: PanoProjection, pano_height: int, pano_width: int) -> _Plan:
     """The plan of pano_to_ceiling for a pano_height x pano_width panorama:
     the ceiling pixels inside the imaged disk and the map that samples the
     panorama at them."""
     ext = proj.plane_extent
 
-    def band_map(xs, ys):
+    def band_coords(xs, ys):
         cx = ((xs + 0.5) / proj.ceil_width * 2.0 - 1.0) * ext
         cy = (1.0 - (ys + 0.5) / proj.ceil_height * 2.0) * ext
         px, py, pz, valid = plane_to_sphere(cx, cy, proj.camera_offset)
         dirs = np.stack((px[valid], py[valid], pz[valid]), axis=-1)
-        return valid, equirect_map(dirs, pano_width, pano_height)
+        return valid, dir_equirect(dirs, pano_width, pano_height)
 
-    return _banded_plan(proj.ceil_height, proj.ceil_width, band_map)
+    return _banded_plan(proj.ceil_height, proj.ceil_width, (pano_height, pano_width), True,
+                        band_coords)
 
 
 def pano_to_ceiling(pano, proj: PanoProjection) -> np.ndarray:
@@ -294,14 +332,14 @@ def pano_to_ceiling(pano, proj: PanoProjection) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _ceiling_plan(proj: PanoProjection, ceil_height: int, ceil_width: int) -> tuple:
+def _ceiling_plan(proj: PanoProjection, ceil_height: int, ceil_width: int) -> _Plan:
     """The plan of ceiling_to_pano for a ceil_height x ceil_width image:
     the panorama pixels the plane reaches and the map that samples the
     ceiling at them."""
     w, h = proj.pano_width, proj.pano_height
     ext = proj.plane_extent
 
-    def band_map(xs, ys):
+    def band_coords(xs, ys):
         dirs = equirect_dir(xs, ys, w, h)
         pz = dirs[..., 2]
         cx, cy = sphere_to_plane(dirs[..., 0], dirs[..., 1], pz, proj.camera_offset)
@@ -309,10 +347,10 @@ def _ceiling_plan(proj: PanoProjection, ceil_height: int, ceil_width: int) -> tu
         # Divide only in-extent coordinates: the rest overflow for a tiny extent.
         jc = (cx[valid] / ext + 1.0) / 2.0 * proj.ceil_width - 0.5
         ic = (1.0 - cy[valid] / ext) / 2.0 * proj.ceil_height - 0.5
-        return valid, bilinear_map(jc, ic, ceil_width, ceil_height, wrap_x=False)
+        return valid, (jc, ic)
 
     # Rows y >= (h + 1) // 2 lie a half row or more below the equator.
-    return _banded_plan((h + 1) // 2, w, band_map)
+    return _banded_plan((h + 1) // 2, w, (ceil_height, ceil_width), False, band_coords)
 
 
 def ceiling_to_pano(ceil, proj: PanoProjection) -> tuple[np.ndarray, np.ndarray]:
@@ -355,6 +393,15 @@ def merge_panorama(h_ceil, h_pano, m_p: np.ndarray, proj: PanoProjection) -> np.
     wherever the ceiling view does not reach. Where m_p is 0 this is
     h_pano, except that a -0.0 there becomes +0.0.
     """
+    out = np.empty(image_data(h_pano).shape)
+    for rows, values in _merged(h_ceil, h_pano, m_p, proj):
+        out[rows] = values
+    return out
+
+
+def _merged(h_ceil, h_pano, m_p: np.ndarray, proj: PanoProjection):
+    """(rows, values) for each RGB row band of merge_panorama's result,
+    the values in float64."""
     pano = image_data(h_pano)
     ceil = image_data(h_ceil)
     h, w = proj.pano_height, proj.pano_width
@@ -367,11 +414,9 @@ def merge_panorama(h_ceil, h_pano, m_p: np.ndarray, proj: PanoProjection) -> np.
     if m.ndim == 2:
         m = m[..., None]
     m = np.broadcast_to(m, pano.shape)
-    out = np.empty(pano.shape)
     for rows, c in _gathered(ceil, plan, h, w):
         mb = m[rows]
-        out[rows] = mb * c + (1.0 - mb) * pano[rows]
-    return out
+        yield rows, mb * c + (1.0 - mb) * pano[rows]
 
 
 def _camera_basis(yaw: float, pitch: float):
@@ -412,15 +457,17 @@ def crop_set(pano, out_width: int = 320, out_height: int = 240,
     45 degrees elevation (omitted for outdoor scenes). Returns a list of
     (image, params) pairs where params records yaw/pitch in degrees.
     """
+    return list(_crops(pano, out_width, out_height, hfov_deg, outdoor))
+
+
+def _crops(pano, out_width: int, out_height: int, hfov_deg: float, outdoor: bool):
+    """crop_set's (image, params) pairs, one view at a time."""
     a = image_data(pano)
-    crops = []
     for yaw_deg, pitch_deg in crop_views(outdoor):
         img = crop_perspective(a, math.radians(yaw_deg), math.radians(pitch_deg),
                                math.radians(hfov_deg), out_width, out_height)
-        crops.append((img, {"yaw_deg": yaw_deg, "pitch_deg": pitch_deg,
-                            "hfov_deg": hfov_deg,
-                            "width": out_width, "height": out_height}))
-    return crops
+        yield img, {"yaw_deg": yaw_deg, "pitch_deg": pitch_deg, "hfov_deg": hfov_deg,
+                    "width": out_width, "height": out_height}
 
 
 def crop_views(outdoor: bool = False) -> list:

@@ -309,6 +309,20 @@ def test_radix_root_leaves_out_values_below_zero():
                     == _outcome(_bisection_auto_expose, SimpleNamespace(data=raw), target))
 
 
+def test_auto_expose_keeps_its_bracket_on_negative_values(monkeypatch):
+    # the -1s lower the mean, which puts the start of the saturation root
+    # above the root; without a restart the bisection evaluated every step
+    calls = _counted_sums(monkeypatch)
+    evaluations = {}
+    for low in (-1.0, 0.0):
+        raw = np.array([low, 1.0, 1.0, 1.0] * 3000)
+        calls.clear()
+        exposure = auto_expose(raw, 0.5)
+        evaluations[low] = len(calls)
+        assert exposure == _bisection_auto_expose(SimpleNamespace(data=raw), 0.5)
+    assert evaluations[-1.0] <= evaluations[0.0]
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.float16])
 def test_auto_expose_integer_and_half_inputs(dtype):
     rng = np.random.default_rng(34)

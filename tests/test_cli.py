@@ -242,6 +242,28 @@ def test_merge_cli(workdir, capsys):
     assert np.array_equal(load(out).data, load(pano_hdr).data)
 
 
+def test_merge_cli_is_merge_panorama_cast_to_float32(workdir, capsys):
+    # the CLI casts each band of the blend as it is made; a 256x128
+    # panorama has two row bands
+    from hdrkit.image import srgb_to_linear
+    from hdrkit.pano import PanoProjection, merge_mask, merge_panorama
+
+    rng = np.random.default_rng(51)
+    ceil = rng.lognormal(0.0, 1.0, (64, 64, 3)).astype(np.float32)
+    pano = rng.lognormal(0.0, 1.0, (128, 256, 3)).astype(np.float32)
+    ldr = rng.integers(0, 256, (64, 64, 3), dtype=np.uint8)
+    out = workdir / "merged.pfm"
+    code, _, _ = run(capsys, "merge", save_pfm(workdir / "c.pfm", ceil),
+                     save_pfm(workdir / "p.pfm", pano), "--ceil-ldr",
+                     save_ppm(workdir / "c.ppm", ldr), "-o", out)
+    assert code == EXIT_OK
+    proj = PanoProjection(256, 128, 64, 64)
+    m = merge_mask(srgb_to_linear(LdrImage(ldr)), proj)
+    want = merge_panorama(ceil, pano, m, proj).astype(np.float32)
+    got = load(out).data
+    assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+
 # Each input is held to its command's geometry: a ceiling that is not
 # square, a ceiling LDR of another size than the ceiling HDR, or a panorama
 # that is not twice as wide as high, is a numeric failure naming that file,

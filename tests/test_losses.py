@@ -265,8 +265,11 @@ def test_anchored_report_takes_the_log_difference_once(monkeypatch):
 
     monkeypatch.setattr(np, "log", counting_log)
     metric_report(pred, gt, ldr)
-    # two for the log difference, two for log_psnr
-    assert len(calls) == 4
+    # 32x32x3 values make one band per pass, and each pass takes its logs
+    # once: two for the log difference's mean, two for its squared
+    # deviations, one for log_psnr's range of the anchored gt, and two for
+    # log_psnr's squared normalized differences
+    assert len(calls) == 7
 
 
 # --- log PSNR and SSIM ----------------------------------------------------------
@@ -557,6 +560,19 @@ def test_metric_report_matches_the_copying_recipe(dtype, anchored):
         ldr = np.random.default_rng(24).uniform(0.0, 1.0, gt.shape).astype(np.float32)
     assert metric_report(pred, gt, ldr) == copying_metric_report(pred, gt, ldr)
     assert metric_report(pred, gt, ldr, eps=1e-3) == copying_metric_report(pred, gt, ldr, 1e-3)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("anchored", [False, True])
+def test_banded_metrics_are_the_whole_image_formulas(dtype, anchored):
+    # 300x401x3 values make several exact-sum leaves and a short last band
+    pred, gt = (v.astype(dtype) for v in random_pair(25, (300, 401, 3)))
+    ldr = None
+    if anchored:
+        ldr = np.random.default_rng(26).uniform(0.0, 1.0, gt.shape).astype(np.float32)
+    assert metric_report(pred, gt, ldr) == copying_metric_report(pred, gt, ldr)
+    assert log_psnr(pred, gt) == whole_image_log_psnr(pred, gt)
+    assert preview_ssim(pred, gt) == full_copy_preview_ssim(pred, gt)
 
 
 def test_preview_ssim_of_float32_is_that_of_float64_copies():

@@ -323,6 +323,79 @@ def test_merge_builds_the_geometry_once(monkeypatch):
     assert len(calls) == 1
 
 
+def reference_bilinear_map(x, y, width, height, wrap_x):
+    """bilinear_map with each neighbour made from its own column and row."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if wrap_x:
+        x = np.mod(x, width)
+        x0 = np.floor(x)
+        fx = x - x0
+        x0 = x0.astype(np.int64) % width
+        x1 = (x0 + 1) % width
+    else:
+        x = np.clip(x, 0.0, width - 1.0)
+        x0 = np.floor(x)
+        fx = x - x0
+        x0 = x0.astype(np.int64)
+        x1 = np.minimum(x0 + 1, width - 1)
+    y = np.clip(y, 0.0, height - 1.0)
+    y0 = np.floor(y)
+    fy = y - y0
+    y0 = y0.astype(np.int64)
+    y1 = np.minimum(y0 + 1, height - 1)
+    return y0 * width + x0, y0 * width + x1, y1 * width + x0, y1 * width + x1, fx, fy
+
+
+@pytest.mark.parametrize("wrap_x", [True, False])
+def test_bilinear_map_is_the_reference(wrap_x):
+    # the seam, both edges, and a tiny negative x that np.mod rounds to width
+    rng = np.random.default_rng(13)
+    x = np.concatenate((rng.uniform(-3.0, 20.0, 400), [-1e-20, 0.0, 12.5, 13.0, 13.25, 14.0, -0.5]))
+    y = np.concatenate((rng.uniform(-2.0, 11.0, 400), [0.0, 8.0, 8.5, -1.0, 7.5, 3.0, 9.0]))
+    want = reference_bilinear_map(x, y, 14, 9, wrap_x)
+    for g, w in zip(bilinear_map(x, y, 14, 9, wrap_x), want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("kind, proj", [
+    ("disk", PanoProjection(256, 128, 96, 96)),
+    ("disk", PanoProjection(256, 128, 64, 64, 0.5, 1e-3)),
+    ("ceiling", PanoProjection(256, 128, 48, 48)),
+    ("ceiling", PanoProjection(256, 128, 48, 48, 0.3, 0.02)),
+], ids=["disk", "disk-tiny-extent", "ceiling", "ceiling-tiny-extent"])
+def test_plan_bands_expand_to_bilinear_map(kind, proj, monkeypatch):
+    # each band's compact entry, expanded as _gathered expands it, is the
+    # reference map of the coordinates the plan was built from
+    calls = []
+    compact = pano_module._compact_map
+
+    def recording(*args):
+        calls.append(args)
+        return compact(*args)
+
+    build = getattr(pano_module, f"_{kind}_plan")
+    source = (proj.pano_height, proj.pano_width) if kind == "disk" else (48, 48)
+    build.cache_clear()
+    monkeypatch.setattr(pano_module, "_compact_map", recording)
+    plan = build(proj, *source)
+    build.cache_clear()
+    assert len(calls) == len(plan) and plan.wrap_x == (kind == "disk")
+    seam = clamped = 0
+    for (idx, base, fx, fy), (x, y, width, height, wrap_x) in zip(plan, calls):
+        assert (height, width) == source and wrap_x == plan.wrap_x
+        assert idx.dtype == base.dtype == np.int32 and len(idx) == len(base) == len(x)
+        got = pano_module._neighbours(base, width, height, plan.wrap_x) + (fx, fy)
+        for g, w in zip(got, reference_bilinear_map(x, y, width, height, wrap_x)):
+            assert np.array_equal(g, w)
+        last = base % width == width - 1
+        seam += int(np.count_nonzero(last & (fx > 0)))
+        clamped += int(np.count_nonzero(last))
+    if proj.plane_extent == 1.0:
+        assert (seam if kind == "disk" else clamped) > 0
+    else:
+        assert len(np.concatenate([band[0] for band in plan])) > 0
+
+
 def test_cached_plan_is_read_only():
     proj = PanoProjection(64, 32, 16, 16)
     ceiling_to_pano(np.ones((16, 16, 3)), proj)
