@@ -59,6 +59,7 @@ CRF_N_RANGE = (0.8, 1.0)
 DEFAULT_TARGET_MEAN = 0.18  # photographic middle gray in linear light
 
 _BISECT_ITERS = 90
+_MEAN_TOL = 1e-4  # the most the final clipped mean may miss the target by
 _BRACKET_LOG2 = 40
 # Relative half-widths tried, in order, to bracket the root.
 _BRACKET_WIDTHS = (1e-14, 1e-12, 1e-9, 1e-6, 1e-3)
@@ -107,12 +108,13 @@ def identity_camera(dynamic_range_ev: float = DYNAMIC_RANGE_EV[1]) -> CameraSamp
     return CameraSample(dynamic_range_ev=dynamic_range_ev, crf_sigma=None, crf_n=None)
 
 
-def auto_expose(h, target_mean: float = DEFAULT_TARGET_MEAN, tol: float = 1e-4) -> float:
+def auto_expose(h, target_mean: float = DEFAULT_TARGET_MEAN) -> float:
     """Exposure multiplier e such that mean(clamp(e*h, 0, 1)) = target_mean.
 
     Defined as a fixed-count bisection on a mean-normalized copy g of the
     image, which makes the result deterministic and insensitive to a global
-    rescaling of the input (relative-luminance behavior).
+    rescaling of the input (relative-luminance behavior). A clipped mean
+    that ends more than 1e-4 from the target raises AutoExposureError.
 
     The bisection is replayed, not run blind. The float clipped mean never
     decreases as the multiplier grows (rounding, clipping and numpy's
@@ -172,7 +174,7 @@ def auto_expose(h, target_mean: float = DEFAULT_TARGET_MEAN, tol: float = 1e-4) 
         else:
             hi = mid
     m = 0.5 * (lo + hi)
-    if abs(clipped_mean(m) - target_mean) > tol:
+    if abs(clipped_mean(m) - target_mean) > _MEAN_TOL:
         raise AutoExposureError("auto-exposure did not converge to the target mean")
     return m / mu
 

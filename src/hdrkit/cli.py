@@ -72,7 +72,7 @@ from .pano import (
     PanoProjection,
     _crops,
     _merged,
-    ceiling_to_pano,
+    _to_pano,
     crop_views,
     merge_mask,
     pano_to_ceiling,
@@ -375,12 +375,10 @@ def _cmd_c2p(args, params, manifest, _) -> int:
     ceil = _read_hdr(args.ceil)
     proj = _projection(params, manifest, pano_width, pano_width // 2, ceil.width,
                        [(args.ceil, ceil)])
-    pano, validity = ceiling_to_pano(ceil, proj)
-    img = HdrImage(pano.astype(np.float32))
-    del pano  # the float64 panorama, before the validity image is made
-    _write_output(args.output, img, manifest)
+    _write_output(args.output, HdrImage(_to_pano(ceil.data, proj, np.float32)), manifest)
     if args.validity_out:
-        vimg = HdrImage(np.repeat(validity.astype(np.float32)[..., None], 3, axis=2))
+        # sampling a constant image is exact: the validity is the gather of ones
+        vimg = HdrImage(_to_pano(np.ones_like(ceil.data), proj, np.float32))
         _write_output(args.validity_out, vimg, {**manifest, "content": "validity mask"})
     return EXIT_OK
 

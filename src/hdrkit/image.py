@@ -165,19 +165,6 @@ def _exact_sum(n: int, leaf) -> float:
     return piece(0, n)
 
 
-def _check_hdr_bands(shape: tuple, values) -> None:
-    """Raise what HdrImage raises for the image whose rows `rows` are
-    values(rows), made one row band at a time: a bad shape, then a
-    non-finite value anywhere, then a negative one."""
-    _check_shape(shape)
-    negative = False
-    for rows in _row_bands(shape):
-        band = _float_finite(values(rows), "HDR image")
-        negative = negative or bool(band.min() < 0)
-    if negative:
-        raise ValueError("HDR image contains negative values")
-
-
 def image_data(img) -> np.ndarray:
     """Return the pixel buffer of a wrapper type, or the array itself."""
     if isinstance(img, np.ndarray):

@@ -15,6 +15,9 @@ squared deviations from it, as ndarray.var takes it; min and max are taken
 band by band, which is exact in any order. metric_report makes its aligned
 and display-anchored images per band from the inputs, with the whole-image
 expressions.
+
+The evaluation protocol is fixed by the constants LOG_PSNR_CAP_DB, the
+previews' PREVIEW_EV and PREVIEW_WINDOW_EV, and the anchor's DISPLAY_PEAK.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ import numpy as np
 
 from .image import (
     _banded_preview,
-    _check_hdr_bands,
+    _check_shape,
     _exact_sum,
+    _float_finite,
     _row_bands,
     channel_mean,
     image_data,
@@ -50,6 +54,9 @@ __all__ = [
 ]
 
 LOG_PSNR_CAP_DB = 99.0
+PREVIEW_EV = 0.0  # exposure of the SSIM previews
+PREVIEW_WINDOW_EV = 10.0  # their exposure window
+DISPLAY_PEAK = 255.0  # cd/m2 of the display anchor
 
 
 @dataclass(frozen=True)
@@ -57,15 +64,14 @@ class LossConfig:
     """Weights and the log-guard for the combined training losses.
 
     seg_cross_entropy is a plain sum over pixels and channels; total_loss
-    divides it by the pixel count when normalize_seg is set so that alpha
-    keeps its meaning across resolutions.
+    divides it by the pixel count so that alpha keeps its meaning across
+    resolutions.
     """
 
     epsilon: float = 1e-6
     alpha: float = 0.05
     beta1: float = 0.2
     beta2: float = 0.01
-    normalize_seg: bool = True
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -157,20 +163,18 @@ def total_loss(pred_hdr, gt_hdr, pred_mask, gt_mask, cfg: LossConfig = LossConfi
     """Combined reconstruction objective: scale-invariant + weighted segmentation."""
     si = scale_invariant_loss(pred_hdr, gt_hdr, cfg.epsilon)
     ce = seg_cross_entropy(pred_mask, gt_mask, cfg.epsilon)
-    if cfg.normalize_seg:
-        shape = image_data(gt_mask).shape
-        ce /= shape[0] * shape[1]
+    shape = image_data(gt_mask).shape
+    ce /= shape[0] * shape[1]
     return si + cfg.alpha * ce
 
 
-def pano_loss(pred, gt, merge_mask, cfg: LossConfig = LossConfig(), eps: float | None = None) -> float:
+def pano_loss(pred, gt, merge_mask, cfg: LossConfig = LossConfig()) -> float:
     """Panorama objective weighting highlight and background regions separately.
 
     With d the guarded log difference and m the merge mask broadcast over
     channels: beta1 * mean((m*d)**2) + beta2 * mean(((1-m)*d)**2).
     """
-    eps = cfg.epsilon if eps is None else eps
-    d = _log_diff(pred, gt, eps)
+    d = _log_diff(pred, gt, cfg.epsilon)
     m = np.asarray(image_data(merge_mask), dtype=np.float64)
     if m.ndim == 2:
         m = m[..., None]
@@ -181,22 +185,22 @@ def pano_loss(pred, gt, merge_mask, cfg: LossConfig = LossConfig(), eps: float |
     return cfg.beta1 * high + cfg.beta2 * low
 
 
-def display_anchor(pred, gt, ldr_linear, eps: float = 1e-6, peak: float = 255.0):
+def display_anchor(pred, gt, ldr_linear, eps: float = 1e-6):
     """Bring a predicted/ground-truth HDR pair onto an absolute display scale.
 
     pred is first multiplied by its optimal alignment scale against gt;
     both are then scaled so the gt value at the linear LDR's brightest
-    element maps to `peak` (cd/m2 for the conventional 255 anchor).
+    element maps to DISPLAY_PEAK (255 cd/m2).
     Returns (pred_anchored, gt_anchored) as float64 arrays.
     """
     p, g = _pair(pred, gt)
     k = optimal_scale(p, g, eps)
-    s = _anchor_scale(g, ldr_linear, peak)
+    s = _anchor_scale(g, ldr_linear)
     return np.multiply(p, k * s, dtype=np.float64), np.multiply(g, s, dtype=np.float64)
 
 
-def _anchor_scale(g, ldr_linear, peak: float = 255.0) -> float:
-    """The factor of display_anchor: peak over g at the LDR's brightest
+def _anchor_scale(g, ldr_linear) -> float:
+    """The factor of display_anchor: DISPLAY_PEAK over g at the LDR's brightest
     element (the first one, as np.argmax finds it)."""
     ldr = image_data(ldr_linear)
     if ldr.shape != g.shape:
@@ -206,20 +210,19 @@ def _anchor_scale(g, ldr_linear, peak: float = 255.0) -> float:
     ref = float(g.flat[int(np.argmax(ldr))])
     if ref <= 0:
         raise ValueError("ground truth is zero at the LDR's brightest element")
-    return peak / ref
+    return DISPLAY_PEAK / ref
 
 
-def log_psnr(pred, gt, eps: float = 1e-6, cap_db: float = LOG_PSNR_CAP_DB) -> float:
+def log_psnr(pred, gt, eps: float = 1e-6) -> float:
     """PSNR in dB between log-domain images normalized to gt's log-range.
 
     Both images are log-transformed with an epsilon guard and mapped by the
     affine transform that sends gt's log range onto [0, 1] (peak 1). A zero
-    MSE, or any value beyond it, reports the documented cap. A constant gt
+    MSE, or any value beyond it, reports LOG_PSNR_CAP_DB. A constant gt
     (empty log-range) falls back to unit span.
     """
     p, g = _pair(pred, gt)
-    return _log_psnr(p.size, _scaled(p.reshape(-1), 1.0), _scaled(g.reshape(-1), 1.0), eps,
-                     cap_db)
+    return _log_psnr(p.size, _scaled(p.reshape(-1), 1.0), _scaled(g.reshape(-1), 1.0), eps)
 
 
 def _scaled(a: np.ndarray, scale: float):
@@ -236,7 +239,7 @@ def _logs(values, eps: float):
     return leaf
 
 
-def _log_psnr(n: int, pred, gt, eps: float, cap_db: float) -> float:
+def _log_psnr(n: int, pred, gt, eps: float) -> float:
     """log_psnr of the two images of n values whose flat values `key` are
     pred(key) and gt(key): gt's log range from one pass of band minima and
     maxima, then the mean of the squared normalized differences in another,
@@ -264,8 +267,8 @@ def _log_psnr(n: int, pred, gt, eps: float, cap_db: float) -> float:
 
     mse = _exact_sum(n, squared) / n
     if mse == 0.0:
-        return cap_db
-    return min(-10.0 * math.log10(mse), cap_db)
+        return LOG_PSNR_CAP_DB
+    return min(-10.0 * math.log10(mse), LOG_PSNR_CAP_DB)
 
 
 def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
@@ -353,48 +356,52 @@ def ssim(
     return float(s[pad:-pad, pad:-pad].mean())
 
 
-def preview_ssim(a, b, preview_ev: float = 0.0, preview_window_ev: float = 10.0) -> float:
+def preview_ssim(a, b) -> float:
     """SSIM of the channel means of identical exposure previews of a and b.
 
     Both images are scaled by 1/max(b), so that b's peak maps to 1, and a
-    is clamped at 0 before its preview.
+    is clamped at 0. Each then gets exposure_preview at PREVIEW_EV through
+    a PREVIEW_WINDOW_EV window, checked as HdrImage checks it in that pass.
     """
     x, y = _pair(a, b)
-    return _preview_ssim(x.shape, _scaled(x, 1.0), _scaled(y, 1.0), float(y.max()),
-                         preview_ev, preview_window_ev)
+    return _preview_ssim(x.shape, _scaled(x, 1.0), _scaled(y, 1.0), float(y.max()))
 
 
-def _preview_ssim(shape: tuple, a_rows, b_rows, b_max: float,
-                  preview_ev: float, preview_window_ev: float) -> float:
+def _preview_ssim(shape: tuple, a_rows, b_rows, b_max: float) -> float:
     """preview_ssim of the two images of one shape whose rows `rows` are
     a_rows(rows) and b_rows(rows), b's largest value being b_max."""
     scale = 1.0 / max(b_max, 1e-30)
-    pa = _scaled_preview(shape, a_rows, scale, True, preview_ev, preview_window_ev)
-    pb = _scaled_preview(shape, b_rows, scale, False, preview_ev, preview_window_ev)
+    pa = _scaled_preview(shape, a_rows, scale, True)
+    pb = _scaled_preview(shape, b_rows, scale, False)
     return ssim(channel_mean(pa), channel_mean(pb))
 
 
-def _scaled_preview(shape: tuple, values, scale: float, clamp: bool,
-                    preview_ev: float, preview_window_ev: float):
-    """exposure_preview(HdrImage(s), ...) of s = x * scale, where values(rows)
-    is x[rows], clamped at 0 first when clamp, without a full-size s: each
-    row band of s is made once for HdrImage's checks (the same errors in the
-    same order) and once for the preview."""
+def _scaled_preview(shape: tuple, values, scale: float, clamp: bool):
+    """exposure_preview(HdrImage(s), PREVIEW_EV, PREVIEW_WINDOW_EV) of
+    s = x * scale, where values(rows) is x[rows], clamped at 0 first when
+    clamp, made one row band at a time. HdrImage's errors come in its
+    order: the shape, a non-finite value as soon as its band is made
+    (before the preview's uint8 cast), then a negative one."""
+    _check_shape(shape)
+    lows = []
 
     def scaled(rows):
         s = np.multiply(values(rows), scale, dtype=np.float64)
-        return np.clip(s, 0, None, out=s) if clamp else s
+        s = np.clip(s, 0, None, out=s) if clamp else s
+        lows.append(_float_finite(s, "HDR image").min())
+        return s
 
-    _check_hdr_bands(shape, scaled)
-    return _banded_preview(shape, scaled, preview_ev, preview_window_ev)
+    preview = _banded_preview(shape, scaled, PREVIEW_EV, PREVIEW_WINDOW_EV)
+    if min(lows) < 0:
+        raise ValueError("HDR image contains negative values")
+    return preview
 
 
-def metric_report(pred, gt, ldr_linear=None, eps: float = 1e-6,
-                  preview_ev: float = 0.0, preview_window_ev: float = 10.0) -> dict:
+def metric_report(pred, gt, ldr_linear=None, eps: float = 1e-6) -> dict:
     """The standard metric bundle: si_mse, log_psnr, ssim, and kappa.
 
     pred is aligned to gt by its optimal scale before log_psnr; when a
-    linear LDR anchor is given, both images are display-anchored first.
+    linear LDR anchor is given, both are display-anchored to DISPLAY_PEAK.
     SSIM is that of preview_ssim. kappa and si_mse come from one log
     difference d, as in optimal_scale and scale_invariant_loss: exp of
     -d.mean() and d.var(), bit for bit.
@@ -414,8 +421,7 @@ def metric_report(pred, gt, ldr_linear=None, eps: float = 1e-6,
     return {
         "si_mse": si,
         "log_psnr": _log_psnr(p.size, _scaled(p.reshape(-1), k * s), _scaled(g.reshape(-1), s),
-                              eps, LOG_PSNR_CAP_DB),
-        "ssim": _preview_ssim(p.shape, _scaled(p, k * s), _scaled(g, s), float(g.max()) * s,
-                              preview_ev, preview_window_ev),
+                              eps),
+        "ssim": _preview_ssim(p.shape, _scaled(p, k * s), _scaled(g, s), float(g.max()) * s),
         "kappa": k,
     }

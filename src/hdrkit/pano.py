@@ -294,9 +294,9 @@ def _gathered(a: np.ndarray, plan: _Plan, height: int, width: int):
         yield rows, values
 
 
-def _gather(a: np.ndarray, plan: _Plan, height: int, width: int) -> np.ndarray:
-    """The height x width image that the plan fills from a."""
-    out = np.empty((height, width) + a.shape[2:])
+def _gather(a: np.ndarray, plan: _Plan, height: int, width: int, dtype=np.float64) -> np.ndarray:
+    """The height x width image that the plan fills from a, in dtype."""
+    out = np.empty((height, width) + a.shape[2:], dtype=dtype)
     for rows, values in _gathered(a, plan, height, width):
         out[rows] = values
     return out
@@ -360,10 +360,14 @@ def ceiling_to_pano(ceil, proj: PanoProjection) -> tuple[np.ndarray, np.ndarray]
     outside the imaged plane region are 0 with validity 0.
     """
     ceil = image_data(ceil)
-    plan = _ceiling_plan(proj, ceil.shape[0], ceil.shape[1])
-    h, w = proj.pano_height, proj.pano_width
     # sampling a constant image is exact: the validity is the gather of ones
-    return _gather(ceil, plan, h, w), _gather(np.ones(ceil.shape[:2]), plan, h, w)
+    return _to_pano(ceil, proj, np.float64), _to_pano(np.ones(ceil.shape[:2]), proj, np.float64)
+
+
+def _to_pano(ceil: np.ndarray, proj: PanoProjection, dtype) -> np.ndarray:
+    """ceiling_to_pano's panorama of ceil in dtype."""
+    plan = _ceiling_plan(proj, ceil.shape[0], ceil.shape[1])
+    return _gather(ceil, plan, proj.pano_height, proj.pano_width, dtype)
 
 
 def merge_mask(i_ceil, proj: PanoProjection, tau: float = DEFAULT_MERGE_TAU) -> np.ndarray:
@@ -438,6 +442,8 @@ def crop_perspective(pano, yaw: float, pitch: float, hfov: float,
     """
     if not 0 < hfov < np.pi:
         raise ValueError("horizontal field of view must lie in (0, pi)")
+    if out_width < 1 or out_height < 1:
+        raise ValueError("output size must be at least 1x1")
     a = image_data(pano)
     forward, right, up = _camera_basis(yaw, pitch)
     tan_x = math.tan(hfov / 2.0)

@@ -433,7 +433,7 @@ def render(scene: SceneConfig, env) -> HdrImage:
     return render_many(scene, [env])[0]
 
 
-def compare_renders(a, b, preview_ev: float = 0.0, preview_window_ev: float = 10.0) -> dict:
+def compare_renders(a, b) -> dict:
     """Metric bundle for two renders: linear MSE, log-domain PSNR, and the
     preview_ssim of the pair."""
     pa, pb = image_data(a), image_data(b)
@@ -442,5 +442,5 @@ def compare_renders(a, b, preview_ev: float = 0.0, preview_window_ev: float = 10
     return {
         "mse": float((np.subtract(pa, pb, dtype=np.float64) ** 2).mean()),
         "log_psnr": log_psnr(pa, pb),
-        "ssim": preview_ssim(pa, pb, preview_ev, preview_window_ev),
+        "ssim": preview_ssim(pa, pb),
     }

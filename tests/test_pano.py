@@ -488,6 +488,14 @@ def test_crop_yaw_wrap_equivariance():
     assert np.allclose(direct, rolled, atol=1e-6)
 
 
+@pytest.mark.parametrize("out_width, out_height", [(0, 48), (64, 0), (-1, 48)])
+def test_crop_rejects_an_output_below_one_pixel(out_width, out_height):
+    # as it rejects hfov: no HdrImage holds an empty crop
+    pano = np.full((H, W, 3), 1.25)
+    with pytest.raises(ValueError, match="at least 1x1"):
+        crop_perspective(pano, 0.0, 0.0, math.radians(60), out_width, out_height)
+
+
 def test_crop_set_counts_and_aspect():
     pano = band_limited_pano()
     indoor = crop_set(pano, 80, 60)

@@ -124,10 +124,13 @@ def test_eval_ibl_process_peak_at_dataset_size(inputs):
 # cast to float32 band by band, metric_report's sums made band by band and
 # the crops written one at a time: merge 61.1, metrics 63.8, metrics --ldr
 # 70.0, crop-set 53.3 and p2c 54.5 MiB, against 81.2, 75.3, 94.0, 65.6 and
-# 62.1 MiB before. Each bound leaves 15% or more over the measured peak.
+# 62.1 MiB before. c2p, filling its float32 panorama and validity from the
+# gathered bands, peaks at 56.6 MiB, and 57.3 MiB with --validity-out,
+# against 67.2 and 67.0 MiB through float64 results cast afterwards. Each
+# bound leaves 15% or more over the measured peak.
 @pytest.mark.parametrize("command, bound_mib",
                          [("merge", 72), ("metrics", 74), ("metrics --ldr", 81), ("crop-set", 62),
-                          ("p2c", 65)])
+                          ("p2c", 65), ("c2p", 65), ("c2p --validity-out", 66)])
 def test_pano_process_peak_at_dataset_size(inputs, tmp_path, command, bound_mib):
     d = inputs
     args = {
@@ -137,5 +140,8 @@ def test_pano_process_peak_at_dataset_size(inputs, tmp_path, command, bound_mib)
         "metrics --ldr": ["metrics", d / "pred.pfm", d / "pano.pfm", "--ldr", d / "pano.ppm"],
         "crop-set": ["crop-set", d / "pano.pfm", "--out-dir", tmp_path / "crops"],
         "p2c": ["p2c", d / "pano.pfm", "-o", tmp_path / "ceil.pfm", "--ceil-size", 512],
+        "c2p": ["c2p", d / "ceil.pfm", "-o", tmp_path / "pano.pfm", "--pano-width", 1024],
+        "c2p --validity-out": ["c2p", d / "ceil.pfm", "-o", tmp_path / "pano.pfm",
+                               "--pano-width", 1024, "--validity-out", tmp_path / "valid.pfm"],
     }[command]
     assert peak_mib(args) < bound_mib

@@ -6,9 +6,12 @@ import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hdrkit import cli
+from hdrkit.fileio import write_ppm, write_rgbe
+from hdrkit.image import HdrImage, LinearLdr, linear_to_srgb
 
 ROOT = Path(__file__).resolve().parents[1]
 LAUNCHER = ROOT / "perfbench" / "launcher.py"
@@ -24,6 +27,17 @@ def test_benchmark_traced_names_exist():
                for name in names
                if not callable(getattr(importlib.import_module(f"hdrkit.{layer}"), name, None))]
     assert missing == []
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    # the python block under "## Library", run as documented on a 64x32 scene
+    readme = (ROOT / "README.md").read_text()
+    example = re.search(r"^## Library\n.*?^```python\n(.*?)^```", readme, re.S | re.M).group(1)
+    hdr = np.random.default_rng(5).lognormal(-1.0, 1.0, (32, 64, 3)).astype(np.float32)
+    (tmp_path / "scene.hdr").write_bytes(write_rgbe(HdrImage(hdr)))
+    (tmp_path / "scene.ppm").write_bytes(write_ppm(linear_to_srgb(LinearLdr(np.minimum(hdr, 1)))))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(example, "README.md", "exec"), {})
 
 
 def test_package_imports_no_scipy():
