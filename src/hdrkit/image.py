@@ -12,7 +12,10 @@ integer image gets the values its float64 copy would give, without that
 copy. (A float32 array times a Python float stays float32, so the
 promotion must be explicit.) Per-pixel stages run in the row bands of
 _row_bands, and a float64 sum over the whole image is made band by band
-by _exact_sum, with the bits of numpy's sum over a float64 copy.
+by _exact_sum, with the bits of numpy's sum over a float64 copy. The one
+exception is calibrate_hdr's masked sums: numpy sums float32 data reduced
+with dtype=np.float64 in buffers of 8192 values, so the scale factor of a
+float32 pair can differ in its last bits from that of its float64 copies.
 """
 
 from __future__ import annotations
@@ -154,15 +157,17 @@ def _exact_sum(n: int, leaf) -> float:
     np.add.reduce, makes the same additions in the same order. (Reducing
     float32 data with dtype=np.float64 does not: numpy casts it in buffers
     of 8192 values and sums each buffer apart.) A mean is this sum over n.
+    _pairwise recurses at module level, so no cycle keeps leaf alive.
     """
-    def piece(lo: int, count: int) -> float:
-        if count <= _BAND_VALUES:
-            return float(np.add.reduce(leaf(lo, lo + count)))
-        half = count // 2
-        half -= half % 8
-        return piece(lo, half) + piece(lo + half, count - half)
+    return _pairwise(leaf, 0, n)
 
-    return piece(0, n)
+
+def _pairwise(leaf, lo: int, count: int) -> float:
+    if count <= _BAND_VALUES:
+        return float(np.add.reduce(leaf(lo, lo + count)))
+    half = count // 2
+    half -= half % 8
+    return _pairwise(leaf, lo, half) + _pairwise(leaf, lo + half, count - half)
 
 
 def image_data(img) -> np.ndarray:

@@ -6,15 +6,16 @@ error between two images is measured after the optimal global log-offset,
 which has a closed form. All reductions accumulate in double precision and
 reduce sequentially per image, so results do not depend on chunking.
 
-scale_invariant_loss, log_psnr, preview_ssim and metric_report make no
-whole-image float64 array but the two channel means that SSIM compares.
-Each sum over an image is image._exact_sum over fresh float64 leaves, read
-from flat C-order ranges of the inputs, so it has the bits of numpy's
-pairwise sum of the whole array. A variance is the mean, then the mean of
-squared deviations from it, as ndarray.var takes it; min and max are taken
-band by band, which is exact in any order. metric_report makes its aligned
-and display-anchored images per band from the inputs, with the whole-image
-expressions.
+optimal_scale, scale_invariant_loss, log_psnr, preview_ssim and
+metric_report make no whole-image float64 array but the two channel means
+that SSIM compares. Their private passes read the input arrays and float64
+factors, and make each band of an image times its factor k as the
+whole-image np.multiply(a, k, dtype=np.float64) would (a k of 1 gives a's
+values exactly). Each sum over an image is image._exact_sum over fresh
+float64 leaves, read from flat C-order ranges of the inputs, so it has the
+bits of numpy's pairwise sum of the whole array. A variance is the mean,
+then the mean of squared deviations from it, as ndarray.var takes it; min
+and max are taken band by band, which is exact in any order.
 
 The evaluation protocol is fixed by the constants LOG_PSNR_CAP_DB, the
 previews' PREVIEW_EV and PREVIEW_WINDOW_EV, and the anchor's DISPLAY_PEAK.
@@ -104,7 +105,7 @@ def optimal_scale(pred, gt, eps: float = 1e-6) -> float:
     Closed form: log k is the mean over all elements of
     log(gt + eps) - log(pred + eps).
     """
-    return float(math.exp(-_log_diff(pred, gt, eps).mean()))
+    return float(math.exp(-_log_diff_mean(*_pair(pred, gt), eps)))
 
 
 def scale_invariant_loss(pred, gt, eps: float = 1e-6) -> float:
@@ -117,26 +118,28 @@ def scale_invariant_loss(pred, gt, eps: float = 1e-6) -> float:
     return _log_diff_moments(*_pair(pred, gt), eps)[1]
 
 
-def _log_diff_moments(p: np.ndarray, g: np.ndarray, eps: float) -> tuple[float, float]:
-    """d.mean() and d.var() of d = _log_diff(p, g, eps), bit for bit, without
-    a whole d: _exact_sum of d's flat C-order bands, then of their squared
-    deviations from that mean, as ndarray.var takes them. The flat values
-    are views of contiguous inputs and a copy of any other."""
+def _log_diff_mean(p: np.ndarray, g: np.ndarray, eps: float) -> float:
+    """d.mean() of d = _log_diff(p, g, eps), bit for bit, from d's flat
+    C-order bands. The flat values are views of contiguous inputs and a
+    copy of any other, made once per pass."""
     flat_p, flat_g = p.reshape(-1), g.reshape(-1)
-    n = p.size
-
-    def d(lo, hi):
-        return _log_diff(flat_p[lo:hi], flat_g[lo:hi], eps)
-
+    total = _exact_sum(p.size, lambda lo, hi: _log_diff(flat_p[lo:hi], flat_g[lo:hi], eps))
     # np.divide, so that an empty d gives nan, as ndarray.mean does
-    mean = float(np.divide(_exact_sum(n, d), n))
+    return float(np.divide(total, p.size))
+
+
+def _log_diff_moments(p: np.ndarray, g: np.ndarray, eps: float) -> tuple[float, float]:
+    """d.mean() and d.var() of d = _log_diff(p, g, eps), bit for bit: the
+    mean, then the mean of d's squared deviations from it, band by band."""
+    mean = _log_diff_mean(p, g, eps)
+    flat_p, flat_g = p.reshape(-1), g.reshape(-1)
 
     def squared_deviation(lo, hi):
-        dev = d(lo, hi)
+        dev = _log_diff(flat_p[lo:hi], flat_g[lo:hi], eps)
         dev -= mean
         return np.multiply(dev, dev, out=dev)
 
-    return mean, float(np.divide(_exact_sum(n, squared_deviation), n))
+    return mean, float(np.divide(_exact_sum(p.size, squared_deviation), p.size))
 
 
 def si_mse(pred, gt, eps: float = 1e-6) -> float:
@@ -221,33 +224,25 @@ def log_psnr(pred, gt, eps: float = 1e-6) -> float:
     MSE, or any value beyond it, reports LOG_PSNR_CAP_DB. A constant gt
     (empty log-range) falls back to unit span.
     """
-    p, g = _pair(pred, gt)
-    return _log_psnr(p.size, _scaled(p.reshape(-1), 1.0), _scaled(g.reshape(-1), 1.0), eps)
+    return _log_psnr(*_pair(pred, gt), 1.0, 1.0, eps)
 
 
-def _scaled(a: np.ndarray, scale: float):
-    """values(key): a[key] * scale in float64; a scale of 1 gives a[key]'s
-    values exactly."""
-    return lambda key: np.multiply(a[key], scale, dtype=np.float64)
+def _log_psnr(p: np.ndarray, g: np.ndarray, kp: float, kg: float, eps: float) -> float:
+    """log_psnr of p * kp against g * kg: gt's log range from one pass of
+    band minima and maxima, then the mean of the squared normalized
+    differences in another, each value made per flat C-order band in the
+    whole-image operation order."""
+    flat_p, flat_g = p.reshape(-1), g.reshape(-1)
+    n = flat_p.size
 
-
-def _logs(values, eps: float):
-    """leaf(lo, hi): log(values(slice(lo, hi)) + eps) as a fresh float64 array."""
-    def leaf(lo, hi):
-        v = np.add(values(slice(lo, hi)), eps, dtype=np.float64)
+    def log(a, k, key):
+        v = np.multiply(a[key], k, dtype=np.float64)
+        v += eps
         return np.log(v, out=v)
-    return leaf
 
-
-def _log_psnr(n: int, pred, gt, eps: float) -> float:
-    """log_psnr of the two images of n values whose flat values `key` are
-    pred(key) and gt(key): gt's log range from one pass of band minima and
-    maxima, then the mean of the squared normalized differences in another,
-    each value made in the whole-image operation order."""
-    log_pred, log_gt = _logs(pred, eps), _logs(gt, eps)
     lows, highs = [], []
     for band in _row_bands((n,)):
-        lg = log_gt(band.start, min(band.stop, n))
+        lg = log(flat_g, kg, band)
         lows.append(lg.min())
         highs.append(lg.max())
     low = float(np.min(lows))
@@ -256,10 +251,10 @@ def _log_psnr(n: int, pred, gt, eps: float) -> float:
         span = 1.0
 
     def squared(lo, hi):
-        lp = log_pred(lo, hi)
+        lp = log(flat_p, kp, slice(lo, hi))
         lp -= low
         lp /= span
-        lg = log_gt(lo, hi)
+        lg = log(flat_g, kg, slice(lo, hi))
         lg -= low
         lg /= span
         np.subtract(lp, lg, out=lg)
@@ -363,35 +358,35 @@ def preview_ssim(a, b) -> float:
     is clamped at 0. Each then gets exposure_preview at PREVIEW_EV through
     a PREVIEW_WINDOW_EV window, checked as HdrImage checks it in that pass.
     """
-    x, y = _pair(a, b)
-    return _preview_ssim(x.shape, _scaled(x, 1.0), _scaled(y, 1.0), float(y.max()))
+    return _preview_ssim(*_pair(a, b), 1.0, 1.0)
 
 
-def _preview_ssim(shape: tuple, a_rows, b_rows, b_max: float) -> float:
-    """preview_ssim of the two images of one shape whose rows `rows` are
-    a_rows(rows) and b_rows(rows), b's largest value being b_max."""
-    scale = 1.0 / max(b_max, 1e-30)
-    pa = _scaled_preview(shape, a_rows, scale, True)
-    pb = _scaled_preview(shape, b_rows, scale, False)
-    return ssim(channel_mean(pa), channel_mean(pb))
+def _preview_ssim(a: np.ndarray, b: np.ndarray, ka: float, kb: float) -> float:
+    """preview_ssim of a * ka against b * kb, two images of one shape, its
+    scale taken from max(b) * kb (b * kb's maximum for a positive kb)
+    before any shape check. Each preview is freed once it is averaged."""
+    scale = 1.0 / max(float(b.max()) * kb, 1e-30)
+    mean_a = channel_mean(_scaled_preview(a, ka, scale, True))
+    return ssim(mean_a, channel_mean(_scaled_preview(b, kb, scale, False)))
 
 
-def _scaled_preview(shape: tuple, values, scale: float, clamp: bool):
+def _scaled_preview(a: np.ndarray, k: float, scale: float, clamp: bool):
     """exposure_preview(HdrImage(s), PREVIEW_EV, PREVIEW_WINDOW_EV) of
-    s = x * scale, where values(rows) is x[rows], clamped at 0 first when
-    clamp, made one row band at a time. HdrImage's errors come in its
-    order: the shape, a non-finite value as soon as its band is made
-    (before the preview's uint8 cast), then a negative one."""
-    _check_shape(shape)
+    s = (a * k) * scale, clamped at 0 first when clamp, made one row band at
+    a time. HdrImage's errors come in its order: the shape, a non-finite
+    value as soon as its band is made (before the preview's uint8 cast),
+    then a negative one."""
+    _check_shape(a.shape)
     lows = []
 
     def scaled(rows):
-        s = np.multiply(values(rows), scale, dtype=np.float64)
+        s = np.multiply(a[rows], k, dtype=np.float64)
+        s *= scale
         s = np.clip(s, 0, None, out=s) if clamp else s
         lows.append(_float_finite(s, "HDR image").min())
         return s
 
-    preview = _banded_preview(shape, scaled, PREVIEW_EV, PREVIEW_WINDOW_EV)
+    preview = _banded_preview(a.shape, scaled, PREVIEW_EV, PREVIEW_WINDOW_EV)
     if min(lows) < 0:
         raise ValueError("HDR image contains negative values")
     return preview
@@ -407,12 +402,9 @@ def metric_report(pred, gt, ldr_linear=None, eps: float = 1e-6) -> dict:
     -d.mean() and d.var(), bit for bit.
 
     No whole-image float64 array is made: d is summed band by band twice,
-    for its mean and then for its squared deviations from it, and the
-    aligned and anchored images are made per band from pred and gt with the
-    whole-image expressions pred * (kappa * s) and gt * s, s being the
-    display anchor's factor, or 1 without an anchor (an exact product), for
-    log_psnr's two passes and the previews. The previews' scale comes from
-    max(gt) * s, the maximum of gt * s since s is positive.
+    for its mean and then for its squared deviations from it, and log_psnr
+    and the previews read pred and gt with the factors kappa * s and s, s
+    being the display anchor's factor, or 1 without an anchor.
     """
     p, g = _pair(pred, gt)
     mean, si = _log_diff_moments(p, g, eps)
@@ -420,8 +412,7 @@ def metric_report(pred, gt, ldr_linear=None, eps: float = 1e-6) -> dict:
     s = 1.0 if ldr_linear is None else _anchor_scale(g, ldr_linear)
     return {
         "si_mse": si,
-        "log_psnr": _log_psnr(p.size, _scaled(p.reshape(-1), k * s), _scaled(g.reshape(-1), s),
-                              eps),
-        "ssim": _preview_ssim(p.shape, _scaled(p, k * s), _scaled(g, s), float(g.max()) * s),
+        "log_psnr": _log_psnr(p, g, k * s, s, eps),
+        "ssim": _preview_ssim(p, g, k * s, s),
         "kappa": k,
     }

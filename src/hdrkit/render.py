@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -362,23 +361,13 @@ def _shade(sp: _SpherePlan, part: slice, stack: np.ndarray, texels) -> np.ndarra
 
 
 # Shading tasks of every render in the process run on this one pool, sized
-# to the usable CPUs when first needed. Tasks never submit tasks, so
-# renders on several threads at once share it without deadlock.
-_POOL = None
-_POOL_LOCK = threading.Lock()
-
-
-def _shading_pool() -> ThreadPoolExecutor:
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            if hasattr(os, "sched_getaffinity"):
-                workers = len(os.sched_getaffinity(0))
-            else:
-                workers = os.cpu_count() or 1
-            _POOL = ThreadPoolExecutor(max_workers=workers,
-                                       thread_name_prefix="hdrkit-render")
-        return _POOL
+# to the usable CPUs; its threads start with its first task, not at import.
+# Tasks never submit tasks, so renders on several threads at once share it
+# without deadlock.
+_POOL = ThreadPoolExecutor(
+    max_workers=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1,
+    thread_name_prefix="hdrkit-render")
 
 
 def render_many(scene: SceneConfig, envs) -> list[HdrImage]:
@@ -418,9 +407,9 @@ def render_many(scene: SceneConfig, envs) -> list[HdrImage]:
     diffuse = [sp.material.kind == "diffuse" for sp, _ in tasks]
     texels = None
     if any(diffuse):
-        texels = _shading_pool().submit(_env_texel_table, stack).result()
-    shaded = _shading_pool().map(lambda task, table: _shade(*task, stack, table), tasks,
-                                 [texels if d else None for d in diffuse])
+        texels = _POOL.submit(_env_texel_table, stack).result()
+    shaded = _POOL.map(lambda task, table: _shade(*task, stack, table), tasks,
+                       [texels if d else None for d in diffuse])
     del texels
     flat = outs.reshape(len(stack), -1, 3)
     for (sp, part), radiance in zip(tasks, shaded):

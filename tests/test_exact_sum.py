@@ -7,6 +7,9 @@ If a numpy release changes that order, they fail, and so would the
 auto-exposure's promise to equal the plain bisection.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -75,6 +78,25 @@ def test_exact_sum_leaves_are_fresh_bands_of_at_most_band_values():
     assert seen[0][0] == 0 and seen[-1][1] == n
     assert all(a[1] == b[0] for a, b in zip(seen, seen[1:]))
     assert max(hi - lo for lo, hi in seen) <= _BAND_VALUES
+
+
+def test_exact_sum_frees_what_its_leaf_holds_on_return():
+    # no reference cycle keeps the leaf alive, so its data goes when the
+    # sum returns, with the cyclic collector off
+    def leaf_over(a):
+        return lambda lo, hi: a[lo:hi]
+
+    data = np.ones(2 * _BAND_VALUES + 1)
+    ref = weakref.ref(data)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert _exact_sum(data.size, leaf_over(data)) == data.size
+        del data
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_float32_reduce_with_dtype_is_not_the_float64_sum():

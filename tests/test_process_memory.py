@@ -70,42 +70,28 @@ def inputs(tmp_path_factory):
     return d
 
 
-# Measured with numpy 2.4 and Python 3.11 on Linux x86-64: p2c 74, merge
-# 87.5 and metrics 83.5 MiB, of which 29 MiB is the interpreter with numpy
-# and hdrkit imported, against 104.5, 124.5 and 128 MiB with whole-image
-# temporaries. crop-set peaks at 65 MiB, against 79 MiB with a float64 copy
-# of the panorama. synth --jobs 2 of two RGBE panoramas peaked at 79.4 MiB
-# with one float64 copy per file in auto-exposure, against 101 MiB with two;
-# its bound here is from then, and test_label_process_peak_at_dataset_size
-# bounds it as it is now. Each bound leaves 15% over the measured peak.
+# Measured with numpy 2.4 and Python 3.11 on Linux x86-64, of which about
+# 29 MiB is the interpreter with numpy and hdrkit imported: synth --jobs 2
+# of two RGBE panoramas peaks at 60.5 MiB and calibrate of an RGBE panorama
+# against a PPM at 58 MiB, against 79.4 and 62 MiB while auto-exposure held
+# a float64 copy of each image and calibration a float64 rescale of it.
+# synth --jobs 1 of four RGBE
+# panoramas peaks at 48.6 MiB, against 66.1 MiB while a reference cycle in
+# image._exact_sum kept each finished sum's leaf, and the image it read,
+# alive until the cyclic collector ran. Each bound leaves 15% over the peak.
 @pytest.mark.parametrize("command, bound_mib",
-                         [("p2c", 85), ("merge", 100), ("metrics", 96), ("crop-set", 75),
-                          ("synth", 91)])
-def test_cli_process_peak_at_dataset_size(inputs, tmp_path, command, bound_mib):
-    d = inputs
-    args = {
-        "p2c": ["p2c", d / "pano.pfm", "-o", tmp_path / "ceil.pfm", "--ceil-size", 512],
-        "merge": ["merge", d / "ceil.pfm", d / "pano.pfm", "--ceil-ldr", d / "ceil.ppm",
-                  "-o", tmp_path / "merged.pfm"],
-        "metrics": ["metrics", d / "pred.pfm", d / "pano.pfm"],
-        "crop-set": ["crop-set", d / "pano.pfm", "--out-dir", tmp_path / "crops"],
-        "synth": ["synth", d / "pano.hdr", d / "pred.hdr", "--seed", 7, "--jobs", 2,
-                  "--out-dir", tmp_path / "ldr"],
-    }[command]
-    assert peak_mib(args) < bound_mib
-
-
-# Measured as above: synth --jobs 2 of two RGBE panoramas peaks at 60.5 MiB
-# and calibrate of an RGBE panorama against a PPM at 58 MiB, against 79.4
-# and 62 MiB while auto-exposure held a float64 copy of each image and
-# calibration a float64 rescale of it. Each bound leaves 15% over the peak.
-@pytest.mark.parametrize("command, bound_mib", [("synth", 70), ("calibrate", 67)])
+                         [("synth", 70), ("calibrate", 67), ("synth 4 files --jobs 1", 56)])
 def test_label_process_peak_at_dataset_size(inputs, tmp_path, command, bound_mib):
     d = inputs
+    four = [tmp_path / f"{name}{i}.hdr" for i in range(2) for name in ("pano", "pred")]
+    for path in four:
+        path.write_bytes((d / f"{path.stem[:-1]}.hdr").read_bytes())
     args = {
         "synth": ["synth", d / "pano.hdr", d / "pred.hdr", "--seed", 7, "--jobs", 2,
                   "--out-dir", tmp_path / "ldr"],
         "calibrate": ["calibrate", d / "pano.hdr", d / "pano.ppm", "-o", tmp_path / "cal.hdr"],
+        "synth 4 files --jobs 1": ["synth", *four, "--seed", 7, "--jobs", 1,
+                                   "--out-dir", tmp_path / "ldr"],
     }[command]
     assert peak_mib(args) < bound_mib
 
