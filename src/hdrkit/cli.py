@@ -447,6 +447,7 @@ def _cmd_eval_ibl(args, params, *_) -> int:
     ldr = _read_linear_ldr(args.ldr_env, params["ldr_space"])
     pred = calibrate_hdr(_read_hdr(args.pred_env), ldr, params["tau"]).calibrated
     gt = calibrate_hdr(_read_hdr(args.gt_env), ldr, params["tau"]).calibrated
+    del ldr  # freed before the render, which sets the peak
     _print_json(compare_renders(*render_many(scene, [pred, gt])))
     return EXIT_OK
 

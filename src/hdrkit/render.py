@@ -9,7 +9,9 @@ Diffuse irradiance is a direct sum over environment texels, so renders are
 bit-deterministic and can be checked against the analytic uniform-
 environment value. Glossy lobes use a fixed stratified sample grid (a
 mirror's lobe is one sample), shaded in bands of pixels; each pixel's lobe
-mean is one reduction over all of its samples, so bands move no byte.
+mean is one reduction over all of its samples, so bands move no byte. The
+environments of one render are stacked once, channel-interleaved, and each
+lookup gathers all of them.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ __all__ = [
 
 GLOSSY_GRID = (16, 16)  # stratified samples per glossy shading point
 # Rendering two 512 x 256 environments peaks at about 100 MiB per million
-# camera pixels (tracemalloc, default scene), so this cap (2048 x 2048)
-# bounds a render near 0.4 GB whatever size a scene file claims.
+# camera pixels (tracemalloc, default scene at 1024 x 768 and 2048 x 1536,
+# numpy 2.4), so this cap (2048 x 2048) bounds a render near 0.4 GB
+# whatever size a scene file claims.
 MAX_CAMERA_PIXELS = 1 << 22
 # Bound on every scene length: sphere centres and radii, camera span and
 # centre. Hit-testing squares coordinates up to span * height / width, which
@@ -53,10 +56,12 @@ MAX_CAMERA_PIXELS = 1 << 22
 # radius is also at least 1 / MAX_SCENE_LENGTH, so that its square does not
 # underflow and the normals (hit offset / radius) stay unit length.
 MAX_SCENE_LENGTH = 1e100
-# One clamped-cosine tile is 512 x 256 float64 = 1 MiB, which stays in a
-# 2 MiB L2 cache while it is reduced against each environment.
+# One clamped-cosine tile is 512 x 256 float64 = 1 MiB, one buffer per
+# irradiance sum that stays in a 2 MiB L2 cache while it is reduced against
+# each environment. Texel data is made for 32 tiles at a time.
 _NORMAL_TILE = 512
 _TEXEL_TILE = 256
+_TEXEL_BAND = 32 * _TEXEL_TILE
 _VIEW_DIR = np.array([0.0, -1.0, 0.0])  # the orthographic camera looks along -y
 
 
@@ -204,14 +209,14 @@ def default_scene_text(width: int = 160, height: int = 120) -> str:
     ])
 
 
-def _env_texel_table(envs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Texel directions (3, T) and solid-angle-weighted radiance (K, T, 3)
-    of a (K, h, w, 3) stack of environments sharing one resolution."""
-    k, h, w = envs.shape[:3]
-    dirs = equirect_dir(np.arange(w)[None, :], np.arange(h)[:, None], w, h)
-    d_omega = (2.0 * np.pi / w) * (np.pi / h) * np.sin(np.pi * (np.arange(h) + 0.5) / h)
-    weighted = envs * d_omega[:, None, None]
-    return np.ascontiguousarray(dirs.reshape(-1, 3).T), weighted.reshape(k, -1, 3)
+def _env_stack(arrs) -> np.ndarray:
+    """One C-contiguous (h, w, K, 3) stack of K environments of one shape,
+    channel-interleaved, so that one gather through its (h, w, 3K) view
+    looks up every environment. One C-contiguous environment is viewed,
+    not copied."""
+    if len(arrs) == 1:
+        return np.ascontiguousarray(arrs[0])[:, :, None]
+    return np.stack(arrs, axis=2)
 
 
 def diffuse_irradiance(normals, env) -> np.ndarray:
@@ -223,35 +228,55 @@ def diffuse_irradiance(normals, env) -> np.ndarray:
     uniform environment L0 the sum converges to pi * L0.
 
     The sum runs over tiles of normals x texels small enough for the
-    clamped-cosine tile to stay in cache, so memory does not grow with the
-    environment's resolution. Each tile is computed once and reduced against
-    every environment with one same-shaped product, so an environment's
+    clamped-cosine tile to stay in cache, and texel directions and weights
+    are made one band of tiles at a time, so memory does not grow with the
+    environment's resolution, apart from the partial rows of directions at
+    a band's ends. Each tile is computed once and reduced against every
+    environment with one same-shaped product, so an environment's
     result does not depend on the others in the stack.
     """
     n = np.asarray(normals, dtype=np.float64)
     envs = image_data(env)
     stacked = envs.ndim == 4
-    if not stacked:
-        envs = envs[None]
-    out = _irradiance(n, _env_texel_table(envs))
+    out = _irradiance(n, _env_stack(list(envs) if stacked else [envs]))
     return out if stacked else out[0]
 
 
-def _irradiance(normals: np.ndarray, texels: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _irradiance(normals: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """(K, ..., 3) irradiance at float64 normals (..., 3) under the K
-    environments of an _env_texel_table, summed tile by tile."""
-    dirs, weighted = texels
+    environments of an _env_stack, summed tile by tile. Each band's texel
+    directions come from equirect_dir on the rows it touches, and its
+    weighted radiance is one C-contiguous block per environment: a
+    Fortran-ordered operand, or one product for all environments, would
+    round differently."""
+    h, w, k = stack.shape[:3]
+    texels = stack.reshape(h * w, k, 3)
+    d_omega = (2.0 * np.pi / w) * (np.pi / h) * np.sin(np.pi * (np.arange(h) + 0.5) / h)
     flat = normals.reshape(-1, 3)
-    out = np.zeros((len(weighted), len(flat), 3))
-    for n0 in range(0, len(flat), _NORMAL_TILE):
-        chunk = flat[n0:n0 + _NORMAL_TILE]
-        acc = out[:, n0:n0 + _NORMAL_TILE]
-        for t0 in range(0, dirs.shape[1], _TEXEL_TILE):
-            cos = chunk @ dirs[:, t0:t0 + _TEXEL_TILE]
-            np.maximum(cos, 0.0, out=cos)
-            for k in range(len(weighted)):
-                acc[k] += cos @ weighted[k, t0:t0 + _TEXEL_TILE]
-    return out.reshape((len(weighted),) + normals.shape)
+    out = np.zeros((k, len(flat), 3))
+    band_weights = np.empty((k, _TEXEL_BAND, 3))
+    cos_tile = np.empty(_NORMAL_TILE * _TEXEL_TILE)
+    product = np.empty((_NORMAL_TILE, 3))
+    for b0 in range(0, h * w, _TEXEL_BAND):
+        b1 = min(b0 + _TEXEL_BAND, h * w)
+        y = np.arange(b0, b1) // w
+        # whole rows' directions: one sine per row and column, not per texel
+        rows = equirect_dir(np.arange(w), np.arange(y[0], y[-1] + 1)[:, None], w, h)
+        dirs = np.ascontiguousarray(rows.reshape(-1, 3)[b0 - y[0] * w:b1 - y[0] * w].T)
+        weighted = band_weights[:, :len(y)]
+        np.multiply(texels[b0:b0 + len(y)], d_omega[y, None, None],
+                    out=weighted.transpose(1, 0, 2))
+        for n0 in range(0, len(flat), _NORMAL_TILE):
+            chunk = flat[n0:n0 + _NORMAL_TILE]
+            acc = out[:, n0:n0 + _NORMAL_TILE]
+            for t0 in range(0, len(y), _TEXEL_TILE):
+                cols = dirs[:, t0:t0 + _TEXEL_TILE]
+                cos = cos_tile[:len(chunk) * cols.shape[1]].reshape(len(chunk), -1)
+                np.maximum(np.matmul(chunk, cols, out=cos), 0.0, out=cos)
+                for acc_k, weighted_k in zip(acc, weighted):
+                    acc_k += np.matmul(cos, weighted_k[t0:t0 + _TEXEL_TILE],
+                                       out=product[:len(chunk)])
+    return out.reshape((k,) + normals.shape)
 
 
 def _orthonormal_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -329,35 +354,36 @@ def _plan_scene(scene: SceneConfig, env_w: int, env_h: int):
     return background, spheres
 
 
-def _shade(sp: _SpherePlan, part: slice, stack: np.ndarray, texels) -> np.ndarray:
+def _shade(sp: _SpherePlan, part: slice, stack: np.ndarray) -> np.ndarray:
     """(K, n, 3) radiance of the pixels `part` of one sphere under each of
-    the K environments in `stack`, whose _env_texel_table is `texels`
-    (None unless the sphere is diffuse). A mirror or glossy pixel is its
-    albedo times one mean over all of its lobe samples' lookups (a mirror
-    has one, along the reflected direction), taken in row bands of
-    (n, samples, 3) whose lookups are freed in turn. A diffuse part that
-    starts at a multiple of _NORMAL_TILE runs the same irradiance tiles as
-    the whole sphere, so it gets the same bytes; other cuts may not (a
-    one-row matrix product rounds differently)."""
+    the K environments of the _env_stack `stack`. A mirror or glossy pixel
+    is its albedo times one mean over all of its lobe samples' lookups (a
+    mirror has one, along the reflected direction), taken in row bands of
+    (n, samples, 3K) with one gather for all K environments, whose lookups
+    are freed in turn. A diffuse part that starts at a multiple of
+    _NORMAL_TILE runs the same irradiance tiles as the whole sphere, so it
+    gets the same bytes; other cuts may not (a one-row matrix product
+    rounds differently)."""
     mat = sp.material
     albedo = np.asarray(mat.albedo)
     normals = sp.normals[part]
     if mat.kind == "diffuse":
-        return albedo * _irradiance(normals, texels) / np.pi
-    env_h, env_w = stack.shape[1:3]
+        return albedo * _irradiance(normals, stack) / np.pi
+    env_h, env_w, k = stack.shape[:3]
+    envs = stack.reshape(env_h, env_w, 3 * k)
     # reflect the view direction about the normal
     dot = normals @ _VIEW_DIR
     reflect = _VIEW_DIR[None, :] - 2.0 * dot[:, None] * normals
     reflect /= np.linalg.norm(reflect, axis=-1, keepdims=True)
     mirror = mat.kind == "mirror"
-    out = np.empty((len(stack), len(reflect), 3))
-    for band in _row_bands((len(reflect), 1 if mirror else math.prod(GLOSSY_GRID), 3)):
+    out = np.empty((len(reflect), k, 3))
+    for band in _row_bands((len(reflect), 1 if mirror else math.prod(GLOSSY_GRID), 3 * k)):
         lookup = equirect_map(reflect[band, None] if mirror
                               else _glossy_dirs(reflect[band], mat.exponent), env_w, env_h)
-        for radiance, arr in zip(out, stack):
-            radiance[band] = albedo * apply_bilinear_map(arr, lookup).mean(axis=1)
+        mean = apply_bilinear_map(envs, lookup).mean(axis=1)
         del lookup  # before the next band's is built
-    return out
+        out[band] = albedo * mean.reshape(-1, k, 3)
+    return out.transpose(1, 0, 2)
 
 
 # Shading tasks of every render in the process run on this one pool, sized
@@ -373,13 +399,14 @@ _POOL = ThreadPoolExecutor(
 def render_many(scene: SceneConfig, envs) -> list[HdrImage]:
     """Render the scene under each environment map; deterministic.
 
-    The scene is hit-tested once, and the environments' texel table is
-    built once for all diffuse chunks. Each visible sphere's pixels are cut
-    into chunks of at most _NORMAL_TILE, one irradiance tile, and each chunk
-    is shaded under every environment as one task on a shared thread pool.
-    Results are written back in task order, so no byte depends on the
-    number of workers, and each result is byte-identical to rendering its
-    environment alone. The environments must share one shape.
+    The scene is hit-tested once, and the environments are stacked once,
+    channel-interleaved, so each lookup gathers all of them together. Each
+    visible sphere's pixels are cut into chunks of at most _NORMAL_TILE,
+    one irradiance tile, and each chunk is shaded under every environment
+    as one task on a shared thread pool. Results are written back in task
+    order, so no byte depends on the number of workers, and each result is
+    byte-identical to rendering its environment alone. The environments
+    must share one shape.
     """
     arrs = [image_data(e) for e in envs]
     if not arrs:
@@ -387,31 +414,19 @@ def render_many(scene: SceneConfig, envs) -> list[HdrImage]:
     shapes = {a.shape for a in arrs}
     if len(shapes) > 1:
         raise ValueError(f"environments differ in shape: {sorted(shapes)}")
-    stack = np.stack(arrs)
-    env_h, env_w = stack.shape[1:3]
+    stack = _env_stack(arrs)
+    env_h, env_w, k = stack.shape[:3]
     background, spheres = _plan_scene(scene, env_w, env_h)
     cam = scene.camera
-    outs = np.zeros((len(stack), cam.height, cam.width, 3))
+    outs = np.zeros((k, cam.height, cam.width, 3))
     if background is not None:
-        for out, arr in zip(outs, stack):
-            out[:, :] = apply_bilinear_map(arr, background)
-    # Diffuse chunks go first, and only their tasks hold the texel table, so
-    # it is freed once they have run, not kept beside the glossy chunks'
-    # temporaries. It is built on a pool thread, like the tasks that free
-    # it: built on the calling thread, more of its freed heap stayed
-    # resident (eval-ibl's peak RSS rose by up to 7 MB). Spheres' pixels
-    # are disjoint, so the task order moves no byte.
-    tasks = sorted(((sp, slice(n0, n0 + _NORMAL_TILE))
-                    for sp in spheres for n0 in range(0, len(sp.pixels), _NORMAL_TILE)),
-                   key=lambda task: task[0].material.kind != "diffuse")
-    diffuse = [sp.material.kind == "diffuse" for sp, _ in tasks]
-    texels = None
-    if any(diffuse):
-        texels = _POOL.submit(_env_texel_table, stack).result()
-    shaded = _POOL.map(lambda task, table: _shade(*task, stack, table), tasks,
-                       [texels if d else None for d in diffuse])
-    del texels
-    flat = outs.reshape(len(stack), -1, 3)
+        # the camera is orthographic: one lookup colours the whole background
+        outs[:] = apply_bilinear_map(stack.reshape(env_h, env_w, 3 * k),
+                                     background).reshape(k, 1, 1, 3)
+    tasks = [(sp, slice(n0, n0 + _NORMAL_TILE))
+             for sp in spheres for n0 in range(0, len(sp.pixels), _NORMAL_TILE)]
+    shaded = _POOL.map(lambda task: _shade(*task, stack), tasks)
+    flat = outs.reshape(k, -1, 3)
     for (sp, part), radiance in zip(tasks, shaded):
         flat[:, sp.pixels[part]] = radiance
     return [HdrImage(np.maximum(out, 0.0).astype(np.float32)) for out in outs]

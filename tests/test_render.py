@@ -267,17 +267,24 @@ def test_irradiance_stack_matches_single_environments():
         assert np.array_equal(stacked[k], diffuse_irradiance(n, envs[k]))
 
 
-def test_irradiance_memory_independent_of_environment_size():
-    # the untiled sum peaked at 808 MB here: a 512 x 131072 cosine block
-    env = uniform_env().data
-    n = random_normals(2048, seed=15)
+def irradiance_peak(normals, env):
     tracemalloc.start()
     try:
-        diffuse_irradiance(n, env)
-        peak = tracemalloc.get_traced_memory()[1]
+        diffuse_irradiance(normals, env)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_irradiance_memory_independent_of_environment_size():
+    # the untiled sum peaked at 808 MB here: a 512 x 131072 cosine block.
+    # A table of every texel's direction and weighted radiance peaked at
+    # 9.0 MiB at 256 x 512 and 36.0 MiB at 512 x 1024; texel data made one
+    # band of tiles at a time peaks at 2.0 MiB at both (numpy 2.4)
+    n = random_normals(2048, seed=15)
+    peak = irradiance_peak(n, uniform_env().data)
     assert peak < 32 * 2 ** 20
+    assert irradiance_peak(n, uniform_env(shape=(512, 1024, 3)).data) - peak < 2 ** 20
 
 
 def test_irradiance_linearity():
@@ -387,6 +394,42 @@ def test_render_many_matches_single_renders():
         assert made.data.tobytes() == render(scene, env).data.tobytes()
 
 
+def test_render_many_environments_are_independent():
+    # one interleaved stack of a float32, a float64 and a transposed view
+    # renders each environment as it renders alone
+    scene = parse_scene(default_scene_text(64, 48))
+    rng = np.random.default_rng(17)
+    envs = [rng.lognormal(0.0, 1.0, (32, 64, 3)).astype(np.float32),
+            rng.uniform(0.05, 4.0, (32, 64, 3)),
+            rng.lognormal(0.0, 1.5, (64, 32, 3)).astype(np.float32).transpose(1, 0, 2)]
+    assert not envs[2].flags.c_contiguous
+    envs[1][2:5, 10:20] = 60.0
+    made = render_many(scene, envs)
+    assert len(made) == 3
+    for image, env in zip(made, envs):
+        assert image.data.tobytes() == render(scene, env).data.tobytes()
+
+
+def test_render_many_memory_at_dataset_size(monkeypatch):
+    # two 512 x 256 float32 environments under the default scene, shaded by
+    # two workers: the render peaked 17.6 MiB above its inputs with a table
+    # of every texel's direction and weighted radiance, and peaks at 8.0 MiB
+    # with texel data made in bands and one interleaved stack (numpy 2.4);
+    # the bound leaves 15% over that peak
+    scene = parse_scene(default_scene_text())
+    rng = np.random.default_rng(18)
+    envs = [rng.lognormal(0.0, 1.0, (256, 512, 3)).astype(np.float32) for _ in range(2)]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        monkeypatch.setattr(render_mod, "_POOL", pool)
+        tracemalloc.start()
+        try:
+            render_many(scene, envs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 9.2 * 2 ** 20
+
+
 # every sphere covers more than one 512-pixel chunk; the last glossy sphere
 # is cut by the diffuse sphere in front of it
 MULTI_CHUNK_SCENE = """camera 96 72 3 0 1
@@ -409,16 +452,16 @@ def test_render_many_matches_unchunked_shading():
     # the oracle shades each sphere whole, in one piece
     scene = parse_scene(MULTI_CHUNK_SCENE)
     envs = random_envs(21)
-    stack = np.stack([e.data.astype(np.float64) for e in envs])
+    arrs = [e.data.astype(np.float64) for e in envs]
     background, plans = render_mod._plan_scene(scene, 64, 32)
     sizes = [len(sp.pixels) for sp in plans]
     assert len(sizes) == 5 and min(sizes) > render_mod._NORMAL_TILE
     assert sizes[4] < sizes[1]  # cut by the sphere in front
     want = np.zeros((2, 72 * 96, 3))
-    want[:] = np.stack([apply_bilinear_map(arr, background) for arr in stack])[:, None]
-    texels = render_mod._env_texel_table(stack)
+    want[:] = np.stack([apply_bilinear_map(arr, background) for arr in arrs])[:, None]
+    stack = render_mod._env_stack(arrs)
     for sp in plans:
-        want[:, sp.pixels] = render_mod._shade(sp, slice(None), stack, texels)
+        want[:, sp.pixels] = render_mod._shade(sp, slice(None), stack)
     want = np.maximum(want, 0.0).astype(np.float32).reshape(2, 72, 96, 3)
     for made, expected in zip(render_many(scene, envs), want):
         assert made.data.tobytes() == expected.tobytes()
@@ -433,10 +476,16 @@ def glossy_plan(exponent, env_w, env_h):
     return sp
 
 
+def glossy_band(stack):
+    # pixels in one band of (pixels, samples, 3K) lookups for a K-environment stack
+    return _BAND_VALUES // (math.prod(render_mod.GLOSSY_GRID) * 3 * stack.shape[2])
+
+
 @pytest.mark.parametrize("exponent", [8, 64])
 def test_glossy_bands_match_whole_chunk_formula(exponent):
-    band = _BAND_VALUES // (math.prod(render_mod.GLOSSY_GRID) * 3)
-    stack = np.stack([e.data for e in random_envs(25, shape=(32, 64, 3))])
+    arrs = [e.data for e in random_envs(25, shape=(32, 64, 3))]
+    stack = render_mod._env_stack(arrs)
+    band = glossy_band(stack)
     sp = glossy_plan(exponent, 64, 32)
     for count in (1, band - 1, band, band + 1, 290, 512):
         part = slice(7, 7 + count)
@@ -446,15 +495,15 @@ def test_glossy_bands_match_whole_chunk_formula(exponent):
         reflect /= np.linalg.norm(reflect, axis=-1, keepdims=True)
         lookup = equirect_map(render_mod._glossy_dirs(reflect, exponent), 64, 32)
         want = np.stack([np.asarray(sp.material.albedo)
-                         * apply_bilinear_map(arr, lookup).mean(axis=1) for arr in stack])
-        got = render_mod._shade(sp, part, stack, None)
+                         * apply_bilinear_map(arr, lookup).mean(axis=1) for arr in arrs])
+        got = render_mod._shade(sp, part, stack)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def glossy_shade_peak(sp, stack, count):
     tracemalloc.start()
     try:
-        render_mod._shade(sp, slice(0, count), stack, None)
+        render_mod._shade(sp, slice(0, count), stack)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -462,8 +511,9 @@ def glossy_shade_peak(sp, stack, count):
 
 def test_glossy_shading_memory_is_band_sized():
     # a 512-pixel chunk under two 512 x 256 environments peaked at 17.0 MiB
-    # with whole-chunk temporaries and at 3.9 MiB in bands (numpy 2.4)
-    stack = np.stack([e.data for e in random_envs(26, shape=(256, 512, 3))])
+    # with whole-chunk temporaries, 3.9 MiB in bands gathered one environment
+    # at a time and 2.0 MiB in bands that gather both at once (numpy 2.4)
+    stack = render_mod._env_stack([e.data for e in random_envs(26, shape=(256, 512, 3))])
     sp = glossy_plan(64, 512, 256)
     chunk = glossy_shade_peak(sp, stack, 512)
     assert chunk < 4.44 * 2 ** 20
@@ -473,11 +523,12 @@ def test_glossy_shading_memory_is_band_sized():
 
 
 def test_glossy_chunk_peaks_near_one_band():
-    # each band's lookup is freed before the next is built: a 512-pixel
-    # chunk peaked 1.36 times one 85-pixel band's peak while the previous
-    # band's lookup stayed alive
-    band = _BAND_VALUES // (math.prod(render_mod.GLOSSY_GRID) * 3)
-    stack = np.stack([e.data for e in random_envs(26, shape=(256, 512, 3))])
+    # each band's lookup is freed before the next is built: under one
+    # environment a 512-pixel chunk peaked 1.34 times one 85-pixel band's
+    # peak while the previous band's lookup stayed alive. Under two, a
+    # band's gather outweighs a lookup, and a kept lookup does not show.
+    stack = render_mod._env_stack([random_envs(26, count=1, shape=(256, 512, 3))[0].data])
+    band = glossy_band(stack)
     sp = glossy_plan(64, 512, 256)
     single = glossy_shade_peak(sp, stack, band)
     assert glossy_shade_peak(sp, stack, 512) < 1.15 * single
@@ -492,20 +543,6 @@ def test_render_many_independent_of_pool_size(monkeypatch):
             monkeypatch.setattr(render_mod, "_POOL", pool)
             results.append([r.data.tobytes() for r in render_many(scene, envs)])
     assert results[0] == results[1]
-
-
-def test_render_many_builds_one_texel_table(monkeypatch):
-    # two diffuse spheres of several chunks each share one table
-    calls = []
-    build = render_mod._env_texel_table
-
-    def counting_build(envs):
-        calls.append(envs.shape)
-        return build(envs)
-
-    monkeypatch.setattr(render_mod, "_env_texel_table", counting_build)
-    render_many(parse_scene(MULTI_CHUNK_SCENE), random_envs(24))
-    assert calls == [(2, 32, 64, 3)]
 
 
 def test_render_many_reuses_one_pool():
