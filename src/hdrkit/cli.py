@@ -70,9 +70,9 @@ from .pano import (
     DEFAULT_MERGE_TAU,
     MAX_PLANE_EXTENT,
     PanoProjection,
-    _crops,
-    _merged,
+    _merge,
     _to_pano,
+    crop_perspective,
     crop_views,
     merge_mask,
     pano_to_ceiling,
@@ -118,12 +118,13 @@ def _exit_code(exc: Exception) -> int:
 
 @contextlib.contextmanager
 def _naming(path):
-    """Attach the file's name to a failure inside the block, for the error
-    line that main prints."""
+    """Attach the file's name, unless path is None, to a failure inside the
+    block, for the error line that main prints."""
     try:
         yield
     except Exception as exc:
-        exc.file = str(path)
+        if path is not None:
+            exc.file = str(path)
         raise
 
 
@@ -255,7 +256,8 @@ def _print_json(obj) -> None:
 def _cmd_calibrate(args, params, manifest, _) -> int:
     hdr = _read_hdr(args.hdr)
     ldr = _read_linear_ldr(args.ldr, params["ldr_space"])
-    result = calibrate_hdr(hdr, ldr, params["tau"])
+    with _naming(args.ldr if ldr.data.shape != hdr.data.shape else None):  # checked first
+        result = calibrate_hdr(hdr, ldr, params["tau"])
     _write_output(args.output, result.calibrated,
                   {**manifest, "result": {"scale_factor": result.scale_factor}})
     _print_json({"scale_factor": result.scale_factor})
@@ -332,7 +334,10 @@ def _cmd_metrics(args, params, *_) -> int:
     pred = _read_hdr(args.pred)
     gt = _read_hdr(args.gt)
     anchor = _read_linear_ldr(args.ldr, params["ldr_space"]) if args.ldr else None
-    _print_json(metric_report(pred, gt, anchor, params["eps"]))
+    # metric_report checks gt's shape, then the anchor's, before any other failure
+    with _naming(args.gt if gt.data.shape != pred.data.shape else
+                 args.ldr if anchor and anchor.data.shape != gt.data.shape else None):
+        _print_json(metric_report(pred, gt, anchor, params["eps"]))
     return EXIT_OK
 
 
@@ -347,7 +352,7 @@ def _projection(params, manifest, pano_width, pano_height, ceil_size, ceilings=(
     geometry = {"pano_width": pano_width, "pano_height": pano_height, "ceil_size": ceil_size,
                 "camera_d": params["camera_d"], "plane_extent": params["plane_extent"]}
     manifest["params"] = {**params, **geometry}
-    with _naming(pano_path) if pano_path else contextlib.nullcontext():
+    with _naming(pano_path):
         proj = PanoProjection(pano_width, pano_height, ceil_size, ceil_size,
                               geometry["camera_d"], geometry["plane_extent"])
     for path, img in ceilings:
@@ -392,22 +397,20 @@ def _cmd_merge(args, params, manifest, _) -> int:
                        pano_path=args.pano_hdr)
     m_p = merge_mask(ceil_ldr, proj, params["merge_tau"])
     del ceil_ldr  # one input image less during the blend
-    # merge_panorama's float64 bands, each cast to float32 as it is made
-    merged = np.empty((pano_hdr.height, pano_hdr.width, 3), dtype=np.float32)
-    for rows, values in _merged(ceil_hdr, pano_hdr, m_p, proj):
-        merged[rows] = values
+    merged = _merge(ceil_hdr, pano_hdr, m_p, proj, np.float32)
     del ceil_hdr, pano_hdr, m_p
     _write_output(args.output, HdrImage(merged), manifest)
     return EXIT_OK
 
 
 def _cmd_crop_set(args, params, manifest, outs) -> int:
-    # crop_set's views, each written as it is made
-    crops = _crops(_read_hdr(args.pano), params["width"], params["height"],
-                   params["hfov_deg"], params["outdoor"])
-    for (img, view), path in zip(crops, outs[1:]):  # after --out-dir, a file per view
+    # crop_set's views, each written before the next is made
+    pano = _read_hdr(args.pano)
+    for (yaw, pitch), path in zip(crop_views(params["outdoor"]), outs[1:]):  # after --out-dir
+        img = crop_perspective(pano, math.radians(yaw), math.radians(pitch),
+                               math.radians(params["hfov_deg"]), params["width"], params["height"])
         _write_output(path, HdrImage(img.astype(np.float32)),
-                      {**manifest, "params": {**view, "outdoor": params["outdoor"]}})
+                      {**manifest, "params": {**params, "yaw_deg": yaw, "pitch_deg": pitch}})
     _print_json({"crops": len(outs) - 1})
     return EXIT_OK
 
@@ -445,10 +448,14 @@ def _read_scene(path) -> SceneConfig:
 def _cmd_eval_ibl(args, params, *_) -> int:
     scene = _read_scene(args.scene)
     ldr = _read_linear_ldr(args.ldr_env, params["ldr_space"])
-    pred = calibrate_hdr(_read_hdr(args.pred_env), ldr, params["tau"]).calibrated
-    gt = calibrate_hdr(_read_hdr(args.gt_env), ldr, params["tau"]).calibrated
+    envs = []
+    for path in (args.pred_env, args.gt_env):
+        hdr = _read_hdr(path)
+        with _naming(path if hdr.data.shape != ldr.data.shape else None):  # checked first
+            envs.append(calibrate_hdr(hdr, ldr, params["tau"]).calibrated)
+        del hdr
     del ldr  # freed before the render, which sets the peak
-    _print_json(compare_renders(*render_many(scene, [pred, gt])))
+    _print_json(compare_renders(*render_many(scene, envs)))
     return EXIT_OK
 
 

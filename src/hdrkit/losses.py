@@ -17,8 +17,8 @@ bits of numpy's pairwise sum of the whole array. A variance is the mean,
 then the mean of squared deviations from it, as ndarray.var takes it; min
 and max are taken band by band, which is exact in any order.
 
-The evaluation protocol is fixed by the constants LOG_PSNR_CAP_DB, the
-previews' PREVIEW_EV and PREVIEW_WINDOW_EV, and the anchor's DISPLAY_PEAK.
+The evaluation protocol is fixed by constants: LOG_PSNR_CAP_DB, the previews'
+PREVIEW_EV and PREVIEW_WINDOW_EV, SSIM's SSIM_*, and the anchor's DISPLAY_PEAK.
 """
 
 from __future__ import annotations
@@ -57,6 +57,9 @@ __all__ = [
 LOG_PSNR_CAP_DB = 99.0
 PREVIEW_EV = 0.0  # exposure of the SSIM previews
 PREVIEW_WINDOW_EV = 10.0  # their exposure window
+SSIM_DATA_RANGE = 255.0  # L of SSIM's stabilizers (k1 * L)^2 and (k2 * L)^2
+SSIM_K1, SSIM_K2 = 0.01, 0.03
+SSIM_WIN_SIZE, SSIM_SIGMA = 11, 1.5  # its Gaussian window's width and sigma
 DISPLAY_PEAK = 255.0  # cd/m2 of the display anchor
 
 
@@ -296,23 +299,15 @@ def _correlate_valid(img: np.ndarray, taps: np.ndarray, axis: int) -> np.ndarray
     return out
 
 
-def ssim(
-    a,
-    b,
-    data_range: float = 255.0,
-    k1: float = 0.01,
-    k2: float = 0.03,
-    win_size: int = 11,
-    sigma: float = 1.5,
-) -> float:
+def ssim(a, b) -> float:
     """Structural similarity of two single-channel images.
 
     Gaussian-weighted 11x11 local statistics (sigma 1.5), stabilizers
     (k1*L)^2 and (k2*L)^2, averaged over the region where the window fits
-    entirely inside the image.
+    entirely inside the image: the SSIM_* constants.
 
     Only that region of the SSIM map is computed, one row band at a time,
-    each band read with a halo of win_size // 2 rows, so the statistics
+    each band read with a halo of SSIM_WIN_SIZE // 2 rows, so the statistics
     stay band-sized. The values are those of filtering the whole image
     with edge padding: no window in the region reaches the padding.
     """
@@ -321,12 +316,12 @@ def ssim(
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     if x.ndim != 2:
         raise ValueError("ssim expects single-channel (H, W) images")
-    pad = win_size // 2
-    if min(x.shape) < win_size:
-        raise ValueError(f"image smaller than the {win_size}x{win_size} window")
-    taps = _gaussian_taps(win_size, sigma)
-    c1 = (k1 * data_range) ** 2
-    c2 = (k2 * data_range) ** 2
+    pad = SSIM_WIN_SIZE // 2
+    if min(x.shape) < SSIM_WIN_SIZE:
+        raise ValueError(f"image smaller than the {SSIM_WIN_SIZE}x{SSIM_WIN_SIZE} window")
+    taps = _gaussian_taps(SSIM_WIN_SIZE, SSIM_SIGMA)
+    c1 = (SSIM_K1 * SSIM_DATA_RANGE) ** 2
+    c2 = (SSIM_K2 * SSIM_DATA_RANGE) ** 2
 
     def smooth(img):
         return _correlate_valid(_correlate_valid(img, taps, 0), taps, 1)

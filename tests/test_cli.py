@@ -296,6 +296,36 @@ def test_ceiling_off_the_geometry_exits_3(workdir, capsys, monkeypatch, argv, re
     assert not (workdir / "out").exists()
 
 
+# A calibration, metric or eval-ibl input whose size differs from its
+# counterpart's fails with the library's shape message, naming that file:
+# calibrate's LDR, metrics' gt (checked first) or anchor, or the
+# environment that eval-ibl calibrates.
+@pytest.mark.parametrize("argv, refused", [
+    (["calibrate", "p.pfm", "l16.ppm", "-o", "out/c.pfm"], "l16.ppm"),
+    (["metrics", "p.pfm", "q16.pfm"], "q16.pfm"),
+    (["metrics", "p.pfm", "p.pfm", "--ldr", "l16.ppm"], "l16.ppm"),
+    (["metrics", "p.pfm", "q16.pfm", "--ldr", "l16.ppm"], "q16.pfm"),
+    (["eval-ibl", "q16.pfm", "p.pfm", "l32.ppm", "scene.txt"], "q16.pfm"),
+    (["eval-ibl", "p.pfm", "q16.pfm", "l32.ppm", "scene.txt"], "q16.pfm"),
+], ids=["calibrate-ldr", "metrics-gt", "metrics-anchor", "metrics-gt-and-anchor",
+        "eval-ibl-pred", "eval-ibl-gt"])
+def test_shape_mismatch_names_the_input(workdir, capsys, monkeypatch, argv, refused):
+    monkeypatch.chdir(workdir)
+    rng = np.random.default_rng(28)
+    save_pfm(workdir / "p.pfm", rng.uniform(0.1, 2.0, (32, 64, 3)))
+    save_pfm(workdir / "q16.pfm", rng.uniform(0.1, 2.0, (16, 32, 3)))
+    save_ppm(workdir / "l16.ppm", rng.integers(0, 256, (16, 32, 3)))
+    save_ppm(workdir / "l32.ppm", rng.integers(0, 256, (32, 64, 3)))
+    (workdir / "scene.txt").write_text(default_scene_text(8, 6))
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_NUMERIC and out == ""
+    (line,) = err.strip().splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "ValueError" and error["file"] == refused
+    assert "shape" in error["message"]
+    assert not (workdir / "out").exists()
+
+
 def test_crop_set_cli(workdir, capsys):
     pano = np.full((32, 64, 3), 2.0)
     pano_path = save_pfm(workdir / "pano.pfm", pano)
@@ -308,6 +338,27 @@ def test_crop_set_cli(workdir, capsys):
     assert len(files) == 9
     man = json.loads((out_dir / "pano_yaw060_pitch00.pfm.json").read_text())
     assert man["params"]["hfov_deg"] == 60.0
+
+
+@pytest.mark.parametrize("outdoor", [False, True])
+def test_crop_set_cli_is_crop_set_cast_to_float32(workdir, capsys, outdoor):
+    # the CLI makes and writes one view at a time, without crop_set
+    from hdrkit.pano import crop_set
+
+    pano = np.random.default_rng(27).lognormal(0.0, 1.0, (32, 64, 3)).astype(np.float32)
+    out_dir = workdir / "crops"
+    argv = ["crop-set", save_pfm(workdir / "pano.pfm", pano), "--out-dir", out_dir,
+            "--width", 24, "--height", 18, "--hfov-deg", 75] + (["--outdoor"] if outdoor else [])
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    views = crop_set(pano, 24, 18, 75.0, outdoor)
+    assert json.loads(out)["crops"] == len(views) == len(list(out_dir.glob("*.pfm")))
+    for img, params in views:
+        yaw, pitch = int(params["yaw_deg"]), int(params["pitch_deg"])
+        path = out_dir / f"pano_yaw{yaw:03d}_pitch{pitch:02d}.pfm"
+        assert path.read_bytes() == write_pfm(HdrImage(img.astype(np.float32)))
+        man = json.loads(path.with_name(path.name + ".json").read_text())
+        assert man["params"] == {**params, "outdoor": outdoor}
 
 
 def test_render_and_eval_ibl(workdir, capsys):
