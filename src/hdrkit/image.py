@@ -131,7 +131,8 @@ class SegMask(_Image):
         arr = arr.astype(np.uint8, copy=False)
         if not np.all((arr == 0) | (arr == 1)):
             raise ValueError("segmentation mask must be one-hot (0/1 values)")
-        if not np.all(arr.sum(axis=2) == 1):
+        # the values are 0 or 1, so the uint8 sum of the planes cannot overflow
+        if not np.all(arr[..., 0] + arr[..., 1] + arr[..., 2] == 1):
             raise ValueError("segmentation mask channels must sum to 1 per pixel")
         return arr
 

@@ -5,13 +5,13 @@ equirectangular environment map and seen by an orthographic camera looking
 along -y. No shadows or interreflections: the
 point is a reproducible relighting comparison, not photorealism.
 
-Diffuse irradiance is a direct sum over environment texels, so renders are
-bit-deterministic and can be checked against the analytic uniform-
-environment value. Glossy lobes use a fixed stratified sample grid (a
-mirror's lobe is one sample), shaded in bands of pixels; each pixel's lobe
-mean is one reduction over all of its samples, so bands move no byte. The
-environments of one render are stacked once, channel-interleaved, and each
-lookup gathers all of them.
+Diffuse irradiance is the direct sum over environment texels, grouped per
+row into arcs of lit columns, so renders are bit-deterministic and can be
+checked against the analytic uniform-environment value. Glossy lobes use a
+fixed stratified sample grid (a mirror's lobe is one sample), shaded in
+bands of pixels; each pixel's lobe mean is one reduction over all of its
+samples, so bands move no byte. The environments of one render are stacked
+once, channel-interleaved, and each lookup gathers all of them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .image import HdrImage, _row_bands, image_data
 from .losses import log_psnr, preview_ssim
-from .pano import apply_bilinear_map, equirect_dir, equirect_map
+from .pano import apply_bilinear_map, dir_equirect, equirect_dir, equirect_map
 
 __all__ = [
     "Material",
@@ -46,9 +46,11 @@ __all__ = [
 
 GLOSSY_GRID = (16, 16)  # stratified samples per glossy shading point
 # Rendering two 512 x 256 environments peaks at about 100 MiB per million
-# camera pixels (tracemalloc, default scene at 1024 x 768 and 2048 x 1536,
-# numpy 2.4), so this cap (2048 x 2048) bounds a render near 0.4 GB
-# whatever size a scene file claims.
+# camera pixels (tracemalloc, default scene: 100.8 at 1024 x 768 and 97.7 at
+# 2048 x 1536, numpy 2.4), nearly all of it the float64 results and their
+# float32 copies; the banded hit test peaks at 7.3 MiB at 1024 x 768. So
+# this cap (2048 x 2048) bounds a render near 0.4 GB whatever size a scene
+# file claims.
 MAX_CAMERA_PIXELS = 1 << 22
 # Bound on every scene length: sphere centres and radii, camera span and
 # centre. Hit-testing squares coordinates up to span * height / width, which
@@ -56,12 +58,14 @@ MAX_CAMERA_PIXELS = 1 << 22
 # radius is also at least 1 / MAX_SCENE_LENGTH, so that its square does not
 # underflow and the normals (hit offset / radius) stay unit length.
 MAX_SCENE_LENGTH = 1e100
-# One clamped-cosine tile is 512 x 256 float64 = 1 MiB, one buffer per
-# irradiance sum that stays in a 2 MiB L2 cache while it is reduced against
-# each environment. Texel data is made for 32 tiles at a time.
+# Pixels of one sphere shaded as one task of render_many.
 _NORMAL_TILE = 512
-_TEXEL_TILE = 256
-_TEXEL_BAND = 32 * _TEXEL_TILE
+# Irradiance prefix tables are made for a band of about _ARC_TEXELS texels
+# and at most _ARC_ROWS rows, and arcs are gathered from them for about
+# _ARC_TEXELS (row, normal) pairs at a time, so that neither grows with the
+# environment's size or the number of normals.
+_ARC_TEXELS = 4096
+_ARC_ROWS = 8
 _VIEW_DIR = np.array([0.0, -1.0, 0.0])  # the orthographic camera looks along -y
 
 
@@ -227,13 +231,15 @@ def diffuse_irradiance(normals, env) -> np.ndarray:
     (K, ..., 3). Outgoing diffuse radiance is albedo * E / pi. Under a
     uniform environment L0 the sum converges to pi * L0.
 
-    The sum runs over tiles of normals x texels small enough for the
-    clamped-cosine tile to stay in cache, and texel directions and weights
-    are made one band of tiles at a time, so memory does not grow with the
-    environment's resolution, apart from the partial rows of directions at
-    a band's ends. Each tile is computed once and reduced against every
-    environment with one same-shaped product, so an environment's
-    result does not depend on the others in the stack.
+    The sum is grouped per environment row: a normal's lit texels in one
+    row form one arc of columns, and the arc's weighted radiance is a
+    difference of prefix sums along the row. Prefix sums are made one band
+    of rows at a time, and gathered for a chunk of normals at a time, so
+    memory grows with neither the environment's resolution nor, beyond
+    each normal's own sums, the number of normals. Each normal's sum under
+    each environment is made on its own, so neither the other environments
+    of a stack nor how the normals are cut changes a byte of it, and an
+    arc of zero texels sums to zero.
     """
     n = np.asarray(normals, dtype=np.float64)
     envs = image_data(env)
@@ -244,39 +250,63 @@ def diffuse_irradiance(normals, env) -> np.ndarray:
 
 def _irradiance(normals: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """(K, ..., 3) irradiance at float64 normals (..., 3) under the K
-    environments of an _env_stack, summed tile by tile. Each band's texel
-    directions come from equirect_dir on the rows it touches, and its
-    weighted radiance is one C-contiguous block per environment: a
-    Fortran-ordered operand, or one product for all environments, would
-    round differently."""
+    environments of an _env_stack, summed as arcs of rows.
+
+    With texel directions d(theta, phi) from equirect_dir, n . d is
+    c + r cos(phi - phi0), with c = n_z cos(theta), r = sin(theta)
+    hypot(n_x, n_y) and phi0 the normal's azimuth, so a normal's lit texels
+    in one row are the columns of one arc around phi0: all of them when
+    c >= r, none when c <= -r. Texels weighted by solid angle and by each
+    component of their direction are prefix-summed along each row, so a
+    row's share of a normal's irradiance is n times one difference of
+    prefixes per component, plus the row's total when the arc wraps the
+    seam. Prefixes are made one band of rows at a time and read for a
+    chunk of normals at a time; each normal's sum is gathered and reduced
+    on its own, so no normal or environment changes another's bytes."""
     h, w, k = stack.shape[:3]
-    texels = stack.reshape(h * w, k, 3)
-    d_omega = (2.0 * np.pi / w) * (np.pi / h) * np.sin(np.pi * (np.arange(h) + 0.5) / h)
     flat = normals.reshape(-1, 3)
-    out = np.zeros((k, len(flat), 3))
-    band_weights = np.empty((k, _TEXEL_BAND, 3))
-    cos_tile = np.empty(_NORMAL_TILE * _TEXEL_TILE)
-    product = np.empty((_NORMAL_TILE, 3))
-    for b0 in range(0, h * w, _TEXEL_BAND):
-        b1 = min(b0 + _TEXEL_BAND, h * w)
-        y = np.arange(b0, b1) // w
-        # whole rows' directions: one sine per row and column, not per texel
-        rows = equirect_dir(np.arange(w), np.arange(y[0], y[-1] + 1)[:, None], w, h)
-        dirs = np.ascontiguousarray(rows.reshape(-1, 3)[b0 - y[0] * w:b1 - y[0] * w].T)
-        weighted = band_weights[:, :len(y)]
-        np.multiply(texels[b0:b0 + len(y)], d_omega[y, None, None],
-                    out=weighted.transpose(1, 0, 2))
-        for n0 in range(0, len(flat), _NORMAL_TILE):
-            chunk = flat[n0:n0 + _NORMAL_TILE]
-            acc = out[:, n0:n0 + _NORMAL_TILE]
-            for t0 in range(0, len(y), _TEXEL_TILE):
-                cols = dirs[:, t0:t0 + _TEXEL_TILE]
-                cos = cos_tile[:len(chunk) * cols.shape[1]].reshape(len(chunk), -1)
-                np.maximum(np.matmul(chunk, cols, out=cos), 0.0, out=cos)
-                for acc_k, weighted_k in zip(acc, weighted):
-                    acc_k += np.matmul(cos, weighted_k[t0:t0 + _TEXEL_TILE],
-                                       out=product[:len(chunk)])
-    return out.reshape((k,) + normals.shape)
+    rho = np.hypot(flat[:, 0], flat[:, 1])
+    # the column of each normal's azimuth; a NaN normal's sum is NaN anyway
+    mid = np.nan_to_num(dir_equirect(flat, w, h)[0])
+    sums = np.zeros((len(flat), 3, 3 * k))
+    rows = max(1, min(_ARC_ROWS, _ARC_TEXELS // w))
+    chunk = _ARC_TEXELS // rows  # normals whose arcs are gathered together
+    prefix = np.empty((rows, w + 1, 3, 3 * k))
+    prefix[:, 0] = 0.0
+    for y0 in range(0, h, rows):
+        y = np.arange(y0, min(y0 + rows, h))
+        table = prefix[:len(y)]
+        theta = np.pi * (y + 0.5) / h
+        cos_t, sin_t = np.cos(theta), np.sin(theta)
+        d_omega = (2.0 * np.pi / w) * (np.pi / h) * sin_t
+        dirs = equirect_dir(np.arange(w), y[:, None], w, h) * d_omega[:, None, None]
+        np.multiply(stack[y0:y0 + len(y)].reshape(len(y), w, 1, 3 * k), dirs[..., None],
+                    out=table[:, 1:])
+        np.cumsum(table, axis=1, out=table)
+        lines = table.reshape(-1, 3, 3 * k)
+        base = (w + 1) * np.arange(len(y))[:, None]
+        for n0 in range(0, len(flat), chunk):
+            part = slice(n0, n0 + chunk)
+            # lit columns x of row y: |x - mid| < half, mod w
+            c = np.multiply.outer(cos_t, flat[part, 2])
+            r = np.multiply.outer(sin_t, rho[part])
+            full = c >= r
+            arc = (c > -r) & ~full
+            half = np.divide(-c, r, out=np.zeros_like(c), where=arc)
+            np.arccos(half, out=half, where=arc)
+            half *= w / (2.0 * np.pi)
+            start = np.floor(mid[part] - half).astype(np.intp) + 1
+            count = np.where(full, w,
+                             np.clip(np.ceil(mid[part] + half).astype(np.intp) - start, 0, w))
+            start = np.where(start < 0, start + w, start)  # now 0 <= start <= w
+            seam = np.where(start + count > w, w, 0)  # a wrapped arc adds the row's total
+            lit = lines.take(base + start + count - seam, axis=0)
+            lit -= lines.take(base + start, axis=0)
+            lit += lines.take(base + seam, axis=0)
+            sums[part] += lit.sum(axis=0)
+    out = (flat[:, 0, None] * sums[:, 0] + flat[:, 1, None] * sums[:, 1]
+           + flat[:, 2, None] * sums[:, 2])
+    return out.reshape(-1, k, 3).transpose(1, 0, 2).reshape((k,) + normals.shape)
 
 
 def _orthonormal_basis(axis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -320,37 +350,46 @@ class _SpherePlan:
 def _plan_scene(scene: SceneConfig, env_w: int, env_h: int):
     """Everything in a render that depends on the scene and the environment
     resolution but not on its values: the background lookup and one
-    _SpherePlan per visible sphere."""
+    _SpherePlan per visible sphere. Pixels are hit-tested in bands of camera
+    rows, so only the plans, not the hit test's temporaries, grow with the
+    camera; each plan joins its bands in row order."""
     cam = scene.camera
     w, h = cam.width, cam.height
     span_z = cam.span * h / w
     xs = cam.center_x + (2.0 * (np.arange(w) + 0.5) / w - 1.0) * cam.span
     zs = cam.center_z + (1.0 - 2.0 * (np.arange(h) + 0.5) / h) * span_z
-    X, Z = np.meshgrid(xs, zs)
-
-    hit_y = np.full((h, w), -np.inf)
-    hit_index = np.full((h, w), -1, dtype=np.int64)
-    for si, sphere in enumerate(scene.spheres):
-        cx, cy, cz = sphere.center
-        dx = X - cx
-        dz = Z - cz
-        rr = sphere.radius ** 2 - dx ** 2 - dz ** 2
-        visible = rr >= 0
-        y = np.where(visible, cy + np.sqrt(np.maximum(rr, 0.0)), -np.inf)
-        closer = visible & (y > hit_y)
-        hit_y[closer] = y[closer]
-        hit_index[closer] = si
+    pixels = [[] for _ in scene.spheres]
+    normals = [[] for _ in scene.spheres]
+    for band in _row_bands((h, w)):
+        z = zs[band, None]
+        hit_y = np.full((len(z), w), -np.inf)
+        hit_index = np.full((len(z), w), -1, dtype=np.int64)
+        for si, sphere in enumerate(scene.spheres):
+            cx, cy, cz = sphere.center
+            rr = sphere.radius ** 2 - (xs - cx) ** 2 - (z - cz) ** 2
+            visible = rr >= 0
+            y = np.where(visible, cy + np.sqrt(np.maximum(rr, 0.0)), -np.inf)
+            closer = visible & (y > hit_y)
+            hit_y[closer] = y[closer]
+            hit_index[closer] = si
+        for si, sphere in enumerate(scene.spheres):
+            mask = hit_index == si
+            if not mask.any():
+                continue
+            rows, cols = np.nonzero(mask)
+            cx, cy, cz = sphere.center
+            normals[si].append(np.stack([xs[cols] - cx, hit_y[mask] - cy, z[rows, 0] - cz],
+                                        axis=-1) / sphere.radius)
+            pixels[si].append(np.flatnonzero(mask) + band.start * w)
 
     background = equirect_map(_VIEW_DIR, env_w, env_h) if scene.background else None
     spheres = []
-    for si, sphere in enumerate(scene.spheres):
-        mask = hit_index == si
-        if not mask.any():
-            continue
-        cx, cy, cz = sphere.center
-        normals = np.stack([(X[mask] - cx), (hit_y[mask] - cy), (Z[mask] - cz)],
-                           axis=-1) / sphere.radius
-        spheres.append(_SpherePlan(np.flatnonzero(mask), sphere.material, normals))
+    for sphere, bands, band_normals in zip(scene.spheres, pixels, normals):
+        if bands:
+            spheres.append(_SpherePlan(np.concatenate(bands), sphere.material,
+                                       np.concatenate(band_normals)))
+            bands.clear()  # each sphere's bands go as it is joined
+            band_normals.clear()
     return background, spheres
 
 
@@ -360,10 +399,8 @@ def _shade(sp: _SpherePlan, part: slice, stack: np.ndarray) -> np.ndarray:
     is its albedo times one mean over all of its lobe samples' lookups (a
     mirror has one, along the reflected direction), taken in row bands of
     (n, samples, 3K) with one gather for all K environments, whose lookups
-    are freed in turn. A diffuse part that starts at a multiple of
-    _NORMAL_TILE runs the same irradiance tiles as the whole sphere, so it
-    gets the same bytes; other cuts may not (a one-row matrix product
-    rounds differently)."""
+    are freed in turn. A diffuse pixel's irradiance is summed on its own,
+    so no cut of a sphere's pixels changes a byte of any material."""
     mat = sp.material
     albedo = np.asarray(mat.albedo)
     normals = sp.normals[part]
@@ -402,11 +439,10 @@ def render_many(scene: SceneConfig, envs) -> list[HdrImage]:
     The scene is hit-tested once, and the environments are stacked once,
     channel-interleaved, so each lookup gathers all of them together. Each
     visible sphere's pixels are cut into chunks of at most _NORMAL_TILE,
-    one irradiance tile, and each chunk is shaded under every environment
-    as one task on a shared thread pool. Results are written back in task
-    order, so no byte depends on the number of workers, and each result is
-    byte-identical to rendering its environment alone. The environments
-    must share one shape.
+    and each chunk is shaded under every environment as one task on a
+    shared thread pool. Results are written back in task order, so no byte
+    depends on the number of workers, and each result is byte-identical to
+    rendering its environment alone. The environments must share one shape.
     """
     arrs = [image_data(e) for e in envs]
     if not arrs:

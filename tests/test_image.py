@@ -44,6 +44,54 @@ def test_seg_mask_must_be_one_hot():
         SegMask(bad)
 
 
+def reduced_one_hot_check(arr):
+    """The one-hot check as a reduction over the channel axis: the error
+    message it raises, or None."""
+    arr = np.ascontiguousarray(arr).astype(np.uint8, copy=False)
+    if not np.all((arr == 0) | (arr == 1)):
+        return "segmentation mask must be one-hot (0/1 values)"
+    if not np.all(arr.sum(axis=2) == 1):
+        return "segmentation mask channels must sum to 1 per pixel"
+    return None
+
+
+def seg_mask_error(arr):
+    try:
+        SegMask(arr)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def seg_mask_cases():
+    rng = np.random.default_rng(41)
+    for shape in [(1, 1), (3, 5), (64, 128)]:
+        valid = np.eye(3, dtype=np.uint8)[rng.integers(0, 3, shape)]
+        yield valid
+        yield valid.astype(np.int64)
+        yield valid.astype(np.float32)
+        yield valid.transpose(1, 0, 2)
+        for value in (2, 255):
+            bad = valid.copy()
+            bad[-1, -1, rng.integers(3)] = value
+            yield bad
+            zeroed = bad.copy()
+            zeroed[0, 0] = 0  # a value of 2 and an all-zero pixel: the value is named
+            yield zeroed
+        for hot in ([0, 0, 0], [1, 1, 0], [0, 1, 1], [1, 1, 1]):
+            bad = valid.copy()
+            bad[rng.integers(shape[0]), rng.integers(shape[1])] = hot
+            yield bad
+
+
+def test_seg_mask_check_matches_the_channel_reduction():
+    errors = [(reduced_one_hot_check(arr), seg_mask_error(arr)) for arr in seg_mask_cases()]
+    assert all(want == got for want, got in errors)
+    assert {want for want, _ in errors} == {
+        None, "segmentation mask must be one-hot (0/1 values)",
+        "segmentation mask channels must sum to 1 per pixel"}
+
+
 def test_srgb_extremes():
     codes = np.zeros((1, 2, 3), dtype=np.uint8)
     codes[0, 1] = 255

@@ -64,6 +64,15 @@ def environment(seed):
     return env
 
 
+def large_environment(seed):
+    """A 512x256 lognormal environment with a bright sun patch, the size of
+    a render-based evaluation."""
+    rng = np.random.default_rng(seed)
+    env = rng.lognormal(-1.0, 1.0, (256, 512, 3))
+    env[30:38, 300:312] = 400.0
+    return env
+
+
 def panorama():
     ys, xs = np.mgrid[0:32, 0:64]
     rng = np.random.default_rng(602)
@@ -117,6 +126,30 @@ def test_render_pinned(workdir, capsys):
         "log_psnr": 29.334229915308725,
         "mse": 0.001525044305596903,
         "ssim": 0.9764926051400008,
+    }
+
+
+def test_render_pinned_at_evaluation_size(workdir, capsys):
+    scene = workdir / "scene.txt"
+    scene.write_text(default_scene_text())
+    env = save_pfm(workdir / "env.pfm", large_environment(608))
+    out = workdir / "render.pfm"
+    run(capsys, "render", scene, env, "-o", out)
+    assert digest(out) == "aa5ba96a9102497c671cc33ffedf682391258ea88389815b29c01a974e466937"
+
+
+def test_eval_ibl_pinned_at_evaluation_size(workdir, capsys):
+    gt = large_environment(609)
+    pred = gt * np.random.default_rng(610).lognormal(0.3, 0.4, gt.shape)
+    scene = workdir / "scene.txt"
+    scene.write_text(default_scene_text())
+    out = run(capsys, "eval-ibl", save_pfm(workdir / "pred.pfm", pred),
+              save_pfm(workdir / "gt.pfm", gt),
+              save_srgb_ppm(workdir / "env.ppm", gt / 8.0), scene)
+    assert json.loads(out) == {
+        "log_psnr": 27.541129511427023,
+        "mse": 0.005388112769645099,
+        "ssim": 0.9986798308552359,
     }
 
 

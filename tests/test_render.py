@@ -287,6 +287,16 @@ def test_irradiance_memory_independent_of_environment_size():
     assert irradiance_peak(n, uniform_env(shape=(512, 1024, 3)).data) - peak < 2 ** 20
 
 
+def test_irradiance_memory_grows_only_by_each_normals_sums():
+    # arcs gathered for all normals of a band at once grew by 1.7 KiB per
+    # normal (8 rows x 3 gathers x 9 float64 values); gathered a chunk of
+    # normals at a time they grow by 104 bytes per normal, its own sums and
+    # result (numpy 2.4). The bound leaves 15% over that.
+    env = uniform_env().data
+    small = irradiance_peak(random_normals(2048, seed=15), env)
+    assert irradiance_peak(random_normals(20000, seed=15), env) - small < 120 * (20000 - 2048)
+
+
 def test_irradiance_linearity():
     rng = np.random.default_rng(4)
     e1 = rng.uniform(0, 2, (32, 64, 3))
@@ -304,6 +314,71 @@ def test_irradiance_energy_bound():
     E = diffuse_irradiance(n, env)
     # diffuse radiance E/pi never exceeds the max environment value
     assert np.all(E / np.pi <= env.max() * (1 + 1e-9))
+
+
+AXES = np.concatenate([np.eye(3), -np.eye(3)])
+
+
+def weighted_total(env):
+    """Per channel, the environment's radiance weighted by texel solid angle."""
+    h, w = env.shape[:2]
+    d_omega = (2.0 * np.pi / w) * (np.pi / h) * np.sin(np.pi * (np.arange(h) + 0.5) / h)
+    return (env * d_omega[:, None, None]).sum(axis=(0, 1))
+
+
+@pytest.mark.parametrize("bright", [1e6, 1e12])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 9000), (37, 75),
+                                   (256, 512)])
+def test_arc_sums_match_the_clamped_cosine_sum(shape, bright):
+    # rounding of the prefix differences stays within 1e-13 of the
+    # environment's whole weighted radiance, even beside one huge texel
+    rng = np.random.default_rng([31, *shape])
+    env = rng.lognormal(0.0, 1.0, shape + (3,))
+    env[rng.integers(shape[0]), rng.integers(shape[1])] = bright
+    n = np.concatenate([AXES, random_normals(200, seed=32)])
+    err = np.abs(diffuse_irradiance(n, env) - reference_irradiance(n, env))
+    assert np.all(err <= 1e-13 * weighted_total(env))
+
+
+def test_irradiance_is_independent_of_how_normals_are_cut():
+    rng = np.random.default_rng(33)
+    env = rng.lognormal(0.0, 1.0, (37, 75, 3))
+    env[5, 60] = 1e9
+    n = np.concatenate([AXES, random_normals(1600, seed=34)])
+    whole = diffuse_irradiance(n, env)
+    singles = np.concatenate([diffuse_irradiance(n[i:i + 1], env) for i in range(0, 60)])
+    assert singles.tobytes() == whole[:60].tobytes()
+    cuts = [0, 1, 8, 300, 813, 1100, len(n)]  # no cut but the ends is a multiple of 512
+    parts = [diffuse_irradiance(n[a:b], env) for a, b in zip(cuts, cuts[1:])]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+def test_non_finite_normals_give_non_finite_irradiance():
+    # as the clamped cosines did, without a warning from the arc indices
+    env = np.random.default_rng(37).lognormal(0.0, 1.0, (8, 16, 3))
+    n = np.array([[np.nan, 0.0, 0.0], [0.0, np.nan, 1.0], [np.inf, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    E = diffuse_irradiance(n, env)
+    assert np.isnan(E[:2]).all() and np.isinf(E[2]).all() and np.isfinite(E[3]).all()
+
+
+def test_unlit_texels_give_exact_zeros():
+    # a bright patch around phi = 0 (+x) in a black environment: every normal
+    # whose lit half-space misses the patch sums only zeros, exactly. The lit
+    # arcs of -x wrap the seam at phi = +-pi.
+    h, w = 64, 128
+    env = np.zeros((h, w, 3))
+    env[20:44, 56:72] = np.random.default_rng(35).lognormal(3.0, 1.0, (24, 16, 3))
+    theta = np.pi * (np.arange(h) + 0.5) / h
+    phi = 2.0 * np.pi * (np.arange(w) + 0.5) / w - np.pi
+    dirs = np.stack(np.broadcast_arrays(np.sin(theta)[:, None] * np.cos(phi),
+                                        np.sin(theta)[:, None] * np.sin(phi),
+                                        np.cos(theta)[:, None]), axis=-1)
+    lit_patch = dirs[env[..., 0] > 0]
+    n = np.concatenate([[[-1.0, 0.0, 0.0]], random_normals(400, seed=36)])
+    dark = n[(n @ lit_patch.T).max(axis=1) < 0]
+    assert len(dark) > 50 and dark[0, 0] == -1.0
+    assert np.all(diffuse_irradiance(dark, env) == 0.0)
+    assert np.all(diffuse_irradiance(-dark, env) > 0.0)
 
 
 # --- rendering -------------------------------------------------------------------
@@ -465,6 +540,72 @@ def test_render_many_matches_unchunked_shading():
     want = np.maximum(want, 0.0).astype(np.float32).reshape(2, 72, 96, 3)
     for made, expected in zip(render_many(scene, envs), want):
         assert made.data.tobytes() == expected.tobytes()
+
+
+def whole_camera_hits(scene):
+    """(pixels, normals) per visible sphere, hit-tested on whole-camera
+    arrays at once."""
+    cam = scene.camera
+    w, h = cam.width, cam.height
+    xs = cam.center_x + (2.0 * (np.arange(w) + 0.5) / w - 1.0) * cam.span
+    span_z = cam.span * h / w
+    zs = cam.center_z + (1.0 - 2.0 * (np.arange(h) + 0.5) / h) * span_z
+    X, Z = np.meshgrid(xs, zs)
+    hit_y = np.full((h, w), -np.inf)
+    hit_index = np.full((h, w), -1)
+    for si, sphere in enumerate(scene.spheres):
+        cx, cy, cz = sphere.center
+        rr = sphere.radius ** 2 - (X - cx) ** 2 - (Z - cz) ** 2
+        y = np.where(rr >= 0, cy + np.sqrt(np.maximum(rr, 0.0)), -np.inf)
+        closer = (rr >= 0) & (y > hit_y)
+        hit_y[closer] = y[closer]
+        hit_index[closer] = si
+    hits = []
+    for si, sphere in enumerate(scene.spheres):
+        mask = hit_index == si
+        if mask.any():
+            cx, cy, cz = sphere.center
+            normals = np.stack([X[mask] - cx, hit_y[mask] - cy, Z[mask] - cz],
+                               axis=-1) / sphere.radius
+            hits.append((np.flatnonzero(mask), normals))
+    return hits
+
+
+@pytest.mark.parametrize("text", [
+    default_scene_text(1024, 768),
+    MULTI_CHUNK_SCENE,
+    # 93-row bands cut every sphere; the third hides behind the first
+    "camera 700 500 2 0.1 0.2\nsphere -0.8 0 0 0.9 diffuse 0.5 0.5 0.5\n"
+    "sphere 0.7 1 0.3 1.1 glossy 8 0.9 0.9 0.9\nsphere -0.8 -1 0 0.5 mirror\n"
+    "sphere 0.5 -2 -0.2 0.7 mirror\nbackground off\n",
+])
+def test_banded_hit_test_matches_whole_camera(text):
+    scene = parse_scene(text)
+    background, plans = render_mod._plan_scene(scene, 64, 32)
+    hits = whole_camera_hits(scene)
+    assert len(plans) == len(hits)
+    for sp, (pixels, normals) in zip(plans, hits):
+        assert sp.pixels.dtype == pixels.dtype and sp.pixels.tobytes() == pixels.tobytes()
+        assert sp.normals.shape == normals.shape and sp.normals.tobytes() == normals.tobytes()
+    if scene.background:
+        want = equirect_map(render_mod._VIEW_DIR, 64, 32)
+        assert all(np.array_equal(a, b) for a, b in zip(background, want))
+    else:
+        assert background is None
+
+
+def test_hit_test_memory_is_band_sized():
+    # the default scene at 1024 x 768 keeps 4.0 MiB of plans; hit-testing
+    # on whole-camera arrays peaked at 61.5 MiB, in row bands at 7.3 MiB
+    # (numpy 2.4). The bound leaves 15% over that peak.
+    scene = parse_scene(default_scene_text(1024, 768))
+    tracemalloc.start()
+    try:
+        render_mod._plan_scene(scene, 512, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8.4 * 2 ** 20
 
 
 def glossy_plan(exponent, env_w, env_h):
