@@ -152,8 +152,9 @@ def auto_expose(h, target_mean: float = DEFAULT_TARGET_MEAN) -> float:
 
         return _exact_sum(n, leaf) / n
 
+    lo, hi = 2.0 ** -_BRACKET_LOG2, 2.0 ** _BRACKET_LOG2
     root = _saturation_root(flat, target_mean, mu)
-    below, above = _bracket(clipped_mean, root * mu, target_mean)
+    below, above = _bracket(clipped_mean, root * mu, target_mean, lo, hi)
 
     def under_target(m: float) -> bool:
         if m <= below:
@@ -162,7 +163,6 @@ def auto_expose(h, target_mean: float = DEFAULT_TARGET_MEAN) -> float:
             return False
         return clipped_mean(m) < target_mean
 
-    lo, hi = 2.0 ** -_BRACKET_LOG2, 2.0 ** _BRACKET_LOG2
     if under_target(hi):
         raise AutoExposureError(
             f"target mean {target_mean} unreachable: too few positive pixels"
@@ -224,20 +224,25 @@ def _root(goal: float, saturated: int, unsaturated_sum: float) -> float:
     return (goal - saturated) / unsaturated_sum if unsaturated_sum > 0 else math.nan
 
 
-def _bracket(clipped_mean, root: float, target_mean: float) -> tuple[float, float]:
+def _bracket(clipped_mean, root: float, target_mean: float,
+             lo: float, hi: float) -> tuple[float, float]:
     """Multipliers (below, above) with clipped_mean(below) < target_mean
     <= clipped_mean(above), found by evaluating around `root` at the
-    relative widths of _BRACKET_WIDTHS. A side that no width bounds stays
-    at 0 or inf, and the bisection then evaluates every step there; so do
-    both sides when root is not a positive finite number."""
+    relative widths of _BRACKET_WIDTHS. Only multipliers in the bisection's
+    range [lo, hi] are evaluated, so the bracket overflows the scaled image
+    only where the bisection's first step, at hi, does too. A side that no
+    width bounds stays at 0 or inf, and the bisection then evaluates every
+    step there; so do both sides when root is not a positive finite number."""
     below, above = 0.0, math.inf
     if not 0 < root < math.inf:
         return below, above
     for delta in _BRACKET_WIDTHS:
-        if below == 0.0 and clipped_mean(root * (1.0 - delta)) < target_mean:
-            below = root * (1.0 - delta)
-        if above == math.inf and clipped_mean(root * (1.0 + delta)) >= target_mean:
-            above = root * (1.0 + delta)
+        m = root * (1.0 - delta)
+        if below == 0.0 and lo <= m <= hi and clipped_mean(m) < target_mean:
+            below = m
+        m = root * (1.0 + delta)
+        if above == math.inf and lo <= m <= hi and clipped_mean(m) >= target_mean:
+            above = m
         if below > 0.0 and above < math.inf:
             break
     return below, above

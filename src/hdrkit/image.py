@@ -128,9 +128,10 @@ class SegMask(_Image):
     """One-hot three-class luminance map (dim / mid / bright per pixel)."""
 
     def _checked(self, arr):
-        arr = arr.astype(np.uint8, copy=False)
+        # checked before the cast, which would wrap 256 to 0 and cut 1.7 to 1
         if not np.all((arr == 0) | (arr == 1)):
             raise ValueError("segmentation mask must be one-hot (0/1 values)")
+        arr = arr.astype(np.uint8, copy=False)
         # the values are 0 or 1, so the uint8 sum of the planes cannot overflow
         if not np.all(arr[..., 0] + arr[..., 1] + arr[..., 2] == 1):
             raise ValueError("segmentation mask channels must sum to 1 per pixel")

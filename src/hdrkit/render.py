@@ -11,14 +11,13 @@ checked against the analytic uniform-environment value. Glossy lobes use a
 fixed stratified sample grid (a mirror's lobe is one sample), shaded in
 bands of pixels; each pixel's lobe mean is one reduction over all of its
 samples, so bands move no byte. The environments of one render are stacked
-once, channel-interleaved, and each lookup gathers all of them.
+once, channel-interleaved, and each lookup gathers all of them. Spheres
+are shaded on the calling thread, up to _SHADE_NORMALS pixels at a time.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +45,13 @@ __all__ = [
 
 GLOSSY_GRID = (16, 16)  # stratified samples per glossy shading point
 # Rendering two 512 x 256 environments peaks at about 100 MiB per million
-# camera pixels (tracemalloc, default scene: 100.8 at 1024 x 768 and 97.7 at
-# 2048 x 1536, numpy 2.4), nearly all of it the float64 results and their
-# float32 copies; the banded hit test peaks at 7.3 MiB at 1024 x 768. So
-# this cap (2048 x 2048) bounds a render near 0.4 GB whatever size a scene
-# file claims.
+# camera pixels for the default scene and 126 for one diffuse sphere that
+# fills the frame (tracemalloc, numpy 2.4: 100.6 and 125.9 at 1024 x 768,
+# 97.7 and 123.0 at 2048 x 1536). The peak comes at the end: the float64
+# results, their float32 copies and the spheres' pixels and normals. The
+# banded hit test peaks at 7.3 MiB at 1024 x 768, and a diffuse _shade call
+# of _SHADE_NORMALS pixels at 9.6 MiB. So this cap (2048 x 2048) bounds a
+# render near 0.55 GB whatever a scene file claims.
 MAX_CAMERA_PIXELS = 1 << 22
 # Bound on every scene length: sphere centres and radii, camera span and
 # centre. Hit-testing squares coordinates up to span * height / width, which
@@ -58,14 +59,18 @@ MAX_CAMERA_PIXELS = 1 << 22
 # radius is also at least 1 / MAX_SCENE_LENGTH, so that its square does not
 # underflow and the normals (hit offset / radius) stay unit length.
 MAX_SCENE_LENGTH = 1e100
-# Pixels of one sphere shaded as one task of render_many.
-_NORMAL_TILE = 512
 # Irradiance prefix tables are made for a band of about _ARC_TEXELS texels
 # and at most _ARC_ROWS rows, and arcs are gathered from them for about
 # _ARC_TEXELS (row, normal) pairs at a time, so that neither grows with the
 # environment's size or the number of normals.
 _ARC_TEXELS = 4096
 _ARC_ROWS = 8
+# Normals of one sphere shaded by one _shade call of render_many. A diffuse
+# call keeps 72 bytes of float64 sums per normal and environment, so a
+# sphere that fills a large camera is shaded in calls of bounded memory,
+# each building its prefix tables once; the default and evaluation scenes'
+# spheres are one call each.
+_SHADE_NORMALS = 1 << 15
 _VIEW_DIR = np.array([0.0, -1.0, 0.0])  # the orthographic camera looks along -y
 
 
@@ -393,18 +398,16 @@ def _plan_scene(scene: SceneConfig, env_w: int, env_h: int):
     return background, spheres
 
 
-def _shade(sp: _SpherePlan, part: slice, stack: np.ndarray) -> np.ndarray:
-    """(K, n, 3) radiance of the pixels `part` of one sphere under each of
-    the K environments of the _env_stack `stack`. A mirror or glossy pixel
-    is its albedo times one mean over all of its lobe samples' lookups (a
-    mirror has one, along the reflected direction), taken in row bands of
+def _shade(material: Material, normals: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """(K, n, 3) radiance at the float64 normals (n, 3) of one material under
+    each of the K environments of the _env_stack `stack`. A mirror or glossy
+    pixel is its albedo times one mean over all of its lobe samples' lookups
+    (a mirror has one, along the reflected direction), taken in row bands of
     (n, samples, 3K) with one gather for all K environments, whose lookups
     are freed in turn. A diffuse pixel's irradiance is summed on its own,
-    so no cut of a sphere's pixels changes a byte of any material."""
-    mat = sp.material
-    albedo = np.asarray(mat.albedo)
-    normals = sp.normals[part]
-    if mat.kind == "diffuse":
+    so no cut of the normals changes a byte of any material."""
+    albedo = np.asarray(material.albedo)
+    if material.kind == "diffuse":
         return albedo * _irradiance(normals, stack) / np.pi
     env_h, env_w, k = stack.shape[:3]
     envs = stack.reshape(env_h, env_w, 3 * k)
@@ -412,25 +415,15 @@ def _shade(sp: _SpherePlan, part: slice, stack: np.ndarray) -> np.ndarray:
     dot = normals @ _VIEW_DIR
     reflect = _VIEW_DIR[None, :] - 2.0 * dot[:, None] * normals
     reflect /= np.linalg.norm(reflect, axis=-1, keepdims=True)
-    mirror = mat.kind == "mirror"
+    mirror = material.kind == "mirror"
     out = np.empty((len(reflect), k, 3))
     for band in _row_bands((len(reflect), 1 if mirror else math.prod(GLOSSY_GRID), 3 * k)):
         lookup = equirect_map(reflect[band, None] if mirror
-                              else _glossy_dirs(reflect[band], mat.exponent), env_w, env_h)
+                              else _glossy_dirs(reflect[band], material.exponent), env_w, env_h)
         mean = apply_bilinear_map(envs, lookup).mean(axis=1)
         del lookup  # before the next band's is built
         out[band] = albedo * mean.reshape(-1, k, 3)
     return out.transpose(1, 0, 2)
-
-
-# Shading tasks of every render in the process run on this one pool, sized
-# to the usable CPUs; its threads start with its first task, not at import.
-# Tasks never submit tasks, so renders on several threads at once share it
-# without deadlock.
-_POOL = ThreadPoolExecutor(
-    max_workers=len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-    else os.cpu_count() or 1,
-    thread_name_prefix="hdrkit-render")
 
 
 def render_many(scene: SceneConfig, envs) -> list[HdrImage]:
@@ -438,11 +431,10 @@ def render_many(scene: SceneConfig, envs) -> list[HdrImage]:
 
     The scene is hit-tested once, and the environments are stacked once,
     channel-interleaved, so each lookup gathers all of them together. Each
-    visible sphere's pixels are cut into chunks of at most _NORMAL_TILE,
-    and each chunk is shaded under every environment as one task on a
-    shared thread pool. Results are written back in task order, so no byte
-    depends on the number of workers, and each result is byte-identical to
-    rendering its environment alone. The environments must share one shape.
+    visible sphere is shaded under every environment on the calling thread,
+    _SHADE_NORMALS pixels at a time; no cut of the normals changes a byte,
+    and each result is byte-identical to rendering its environment alone.
+    The environments must share one shape.
     """
     arrs = [image_data(e) for e in envs]
     if not arrs:
@@ -459,12 +451,11 @@ def render_many(scene: SceneConfig, envs) -> list[HdrImage]:
         # the camera is orthographic: one lookup colours the whole background
         outs[:] = apply_bilinear_map(stack.reshape(env_h, env_w, 3 * k),
                                      background).reshape(k, 1, 1, 3)
-    tasks = [(sp, slice(n0, n0 + _NORMAL_TILE))
-             for sp in spheres for n0 in range(0, len(sp.pixels), _NORMAL_TILE)]
-    shaded = _POOL.map(lambda task: _shade(*task, stack), tasks)
     flat = outs.reshape(k, -1, 3)
-    for (sp, part), radiance in zip(tasks, shaded):
-        flat[:, sp.pixels[part]] = radiance
+    for sp in spheres:
+        for n0 in range(0, len(sp.pixels), _SHADE_NORMALS):
+            part = slice(n0, n0 + _SHADE_NORMALS)
+            flat[:, sp.pixels[part]] = _shade(sp.material, sp.normals[part], stack)
     return [HdrImage(np.maximum(out, 0.0).astype(np.float32)) for out in outs]
 
 

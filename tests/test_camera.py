@@ -151,6 +151,18 @@ def test_auto_expose_bit_identical_to_bisection(case):
     assert _outcome(auto_expose, img, target) == _outcome(_bisection_auto_expose, img, target)
 
 
+def test_auto_expose_huge_root_fails_like_bisection():
+    # 46 of 48 values saturate short of the target and the next one is
+    # 3e-303, so the multiplier of the mean-normalized image that reaches it
+    # is near 4e306: far past the bisection's range, and scaling the
+    # largest value by it overflows
+    arr = np.ones((2, 8, 3))
+    arr[0, 0, 0], arr[1, 7, 1], arr[1, 7, 2] = 0.0, 684206.0, 3.33026789e-303
+    img = HdrImage(arr)
+    assert _outcome(auto_expose, img, 0.9765625) == ("error", AutoExposureError)
+    assert _outcome(_bisection_auto_expose, img, 0.9765625) == ("error", AutoExposureError)
+
+
 def test_auto_expose_bit_identical_on_large_image():
     rng = np.random.default_rng(15)
     arr = rng.lognormal(0, 2.0, (96, 128, 3)).astype(np.float32)

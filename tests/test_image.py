@@ -44,6 +44,13 @@ def test_seg_mask_must_be_one_hot():
         SegMask(bad)
 
 
+def test_seg_mask_checks_values_before_the_uint8_cast():
+    # as uint8, both of these would read [0, 1, 0]
+    for values in ([0.5, 1.7, 0.0], [256, 1, 0]):
+        with pytest.raises(ValueError, match="one-hot"):
+            SegMask(np.array([[values]]))
+
+
 def reduced_one_hot_check(arr):
     """The one-hot check as a reduction over the channel axis: the error
     message it raises, or None."""

@@ -97,15 +97,16 @@ def test_label_process_peak_at_dataset_size(inputs, tmp_path, command, bound_mib
 
 
 # Measured as above: eval-ibl of a 512x256 RGBE pair against a PPM under the
-# default 160x120 scene peaks at 45.9 MiB with the render's texel data made
-# band by band and the linear LDR freed before it, against 58.5 MiB with a
-# table of every texel's direction and weighted radiance, and about 73 MiB
-# while each glossy chunk was shaded with whole-chunk (512, 256, 3) float64
+# default 160x120 scene peaks at 40.2-40.4 MiB with each sphere shaded whole
+# on the calling thread, against 45.8-46.4 MiB with 512-pixel tasks on a
+# shading thread pool (six runs each), 58.5 MiB with a table of every
+# texel's direction and weighted radiance, and about 73 MiB while each
+# glossy chunk was shaded with whole-chunk (512, 256, 3) float64
 # temporaries. The bound leaves 15% over the peak.
 def test_eval_ibl_process_peak_at_dataset_size(inputs):
     d = inputs
     args = ["eval-ibl", d / "env_pred.hdr", d / "env_gt.hdr", d / "env.ppm", d / "scene.txt"]
-    assert peak_mib(args) < 53
+    assert peak_mib(args) < 47
 
 
 # Measured as above, with the resampling plans stored compactly, the merge

@@ -3,7 +3,6 @@ import math
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -485,27 +484,26 @@ def test_render_many_environments_are_independent():
         assert image.data.tobytes() == render(scene, env).data.tobytes()
 
 
-def test_render_many_memory_at_dataset_size(monkeypatch):
-    # two 512 x 256 float32 environments under the default scene, shaded by
-    # two workers: the render peaked 17.6 MiB above its inputs with a table
-    # of every texel's direction and weighted radiance, and peaks at 8.0 MiB
-    # with texel data made in bands and one interleaved stack (numpy 2.4);
-    # the bound leaves 15% over that peak
+def test_render_many_memory_at_dataset_size():
+    # two 512 x 256 float32 environments under the default scene: the render
+    # peaked 17.6 MiB above its inputs with a table of every texel's
+    # direction and weighted radiance, 7.7-7.9 MiB with texel data made in
+    # bands and 512-pixel tasks on a two-worker pool, and 6.1 MiB with each
+    # sphere shaded in one call on the calling thread (numpy 2.4); the bound
+    # leaves 15% over that peak
     scene = parse_scene(default_scene_text())
     rng = np.random.default_rng(18)
     envs = [rng.lognormal(0.0, 1.0, (256, 512, 3)).astype(np.float32) for _ in range(2)]
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        monkeypatch.setattr(render_mod, "_POOL", pool)
-        tracemalloc.start()
-        try:
-            render_many(scene, envs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    assert peak < 9.2 * 2 ** 20
+    tracemalloc.start()
+    try:
+        render_many(scene, envs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.1 * 2 ** 20
 
 
-# every sphere covers more than one 512-pixel chunk; the last glossy sphere
+# every sphere covers more than 512 pixels; the last glossy sphere
 # is cut by the diffuse sphere in front of it
 MULTI_CHUNK_SCENE = """camera 96 72 3 0 1
 sphere -1.9 0 0.1 1 diffuse 0.8 0.7 0.6
@@ -530,16 +528,45 @@ def test_render_many_matches_unchunked_shading():
     arrs = [e.data.astype(np.float64) for e in envs]
     background, plans = render_mod._plan_scene(scene, 64, 32)
     sizes = [len(sp.pixels) for sp in plans]
-    assert len(sizes) == 5 and min(sizes) > render_mod._NORMAL_TILE
+    assert len(sizes) == 5 and min(sizes) > 512
     assert sizes[4] < sizes[1]  # cut by the sphere in front
     want = np.zeros((2, 72 * 96, 3))
     want[:] = np.stack([apply_bilinear_map(arr, background) for arr in arrs])[:, None]
     stack = render_mod._env_stack(arrs)
     for sp in plans:
-        want[:, sp.pixels] = render_mod._shade(sp, slice(None), stack)
+        want[:, sp.pixels] = render_mod._shade(sp.material, sp.normals, stack)
     want = np.maximum(want, 0.0).astype(np.float32).reshape(2, 72, 96, 3)
     for made, expected in zip(render_many(scene, envs), want):
         assert made.data.tobytes() == expected.tobytes()
+
+
+def test_render_many_shading_calls_move_no_byte(monkeypatch):
+    # every sphere of the scene is cut into several _shade calls
+    scene = parse_scene(MULTI_CHUNK_SCENE)
+    envs = random_envs(25)
+    whole = [r.data.tobytes() for r in render_many(scene, envs)]
+    monkeypatch.setattr(render_mod, "_SHADE_NORMALS", 300)
+    assert [r.data.tobytes() for r in render_many(scene, envs)] == whole
+
+
+FRAME_FILLING_SCENE = "camera 384 288 1 0 0\nsphere 0 0 0 2 diffuse 0.8 0.7 0.6\n"
+
+
+def test_render_many_memory_of_a_frame_filling_sphere():
+    # a diffuse sphere filling a 384 x 288 camera under two 32 x 16
+    # environments: the render peaks at 17.4 MiB with the sphere shaded
+    # _SHADE_NORMALS pixels per call, against 36.4 MiB in one call, which
+    # holds the irradiance sums of every pixel at once, and 13.6 MiB in
+    # 512-pixel calls (numpy 2.4); the bound leaves 15% over the peak
+    scene = parse_scene(FRAME_FILLING_SCENE)
+    envs = random_envs(26, shape=(16, 32, 3))
+    tracemalloc.start()
+    try:
+        render_many(scene, envs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20.0 * 2 ** 20
 
 
 def whole_camera_hits(scene):
@@ -637,14 +664,14 @@ def test_glossy_bands_match_whole_chunk_formula(exponent):
         lookup = equirect_map(render_mod._glossy_dirs(reflect, exponent), 64, 32)
         want = np.stack([np.asarray(sp.material.albedo)
                          * apply_bilinear_map(arr, lookup).mean(axis=1) for arr in arrs])
-        got = render_mod._shade(sp, part, stack)
+        got = render_mod._shade(sp.material, sp.normals[part], stack)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def glossy_shade_peak(sp, stack, count):
     tracemalloc.start()
     try:
-        render_mod._shade(sp, slice(0, count), stack)
+        render_mod._shade(sp.material, sp.normals[:count], stack)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -675,30 +702,15 @@ def test_glossy_chunk_peaks_near_one_band():
     assert glossy_shade_peak(sp, stack, 512) < 1.15 * single
 
 
-def test_render_many_independent_of_pool_size(monkeypatch):
-    scene = parse_scene(MULTI_CHUNK_SCENE)
-    envs = random_envs(22)
-    results = []
-    for workers in (1, 4):
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            monkeypatch.setattr(render_mod, "_POOL", pool)
-            results.append([r.data.tobytes() for r in render_many(scene, envs)])
-    assert results[0] == results[1]
-
-
-def test_render_many_reuses_one_pool():
-    scene = parse_scene(MULTI_CHUNK_SCENE)
-    envs = random_envs(23)
-    render_many(scene, envs)
-    after_first = threading.active_count()
-    render_many(scene, envs)
-    render_many(scene, envs)
-    assert threading.active_count() <= after_first
+def test_render_many_starts_no_threads():
+    before = threading.active_count()
+    render_many(parse_scene(MULTI_CHUNK_SCENE), random_envs(23))
+    assert threading.active_count() == before
 
 
 def test_concurrent_renders_are_exact():
     # renders on several threads at once, as render --jobs runs them, with
-    # frequent thread switches, share the one pool: every result is exact
+    # frequent thread switches: every result is exact
     scene = parse_scene(default_scene_text(32, 24))
     env = random_envs(24, count=1, shape=(16, 32, 3))
     want = render(scene, env[0]).data.tobytes()
