@@ -178,10 +178,13 @@ def pano_loss(pred, gt, merge_mask, cfg: LossConfig = LossConfig()) -> float:
     """Panorama objective weighting highlight and background regions separately.
 
     With d the guarded log difference and m the merge mask broadcast over
-    channels: beta1 * mean((m*d)**2) + beta2 * mean(((1-m)*d)**2).
+    channels: beta1 * mean((m*d)**2) + beta2 * mean(((1-m)*d)**2). The
+    mask is (H, W), (H, W, 1) or (H, W, C) for an (H, W, C) image.
     """
     d = _log_diff(pred, gt, cfg.epsilon)
     m = np.asarray(image_data(merge_mask), dtype=np.float64)
+    if m.shape not in (d.shape[:2], d.shape[:2] + (1,), d.shape):
+        raise ValueError(f"merge mask of shape {m.shape} does not fit the images' {d.shape}")
     if m.ndim == 2:
         m = m[..., None]
     if m.min() < 0 or m.max() > 1:

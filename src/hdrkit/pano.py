@@ -398,7 +398,8 @@ def merge_panorama(h_ceil, h_pano, m_p: np.ndarray, proj: PanoProjection) -> np.
 
     m_p * c + (1 - m_p) * h_pano in float64, where c is c2p(h_ceil): 0
     wherever the ceiling view does not reach. Where m_p is 0 this is
-    h_pano, except that a -0.0 there becomes +0.0.
+    h_pano, except that a -0.0 there becomes +0.0. m_p is (H, W), (H, W, 1)
+    or (H, W, C) for an (H, W, C) panorama.
     """
     return _merge(h_ceil, h_pano, m_p, proj, np.float64)
 
@@ -413,10 +414,12 @@ def _merge(h_ceil, h_pano, m_p: np.ndarray, proj: PanoProjection, dtype) -> np.n
         raise ValueError(
             f"shape mismatch: converted ceiling {(h, w) + ceil.shape[2:]} vs panorama {pano.shape}"
         )
-    plan = _ceiling_plan(proj, ceil.shape[0], ceil.shape[1])
     m = np.asarray(m_p, dtype=np.float64)
+    if m.shape not in (pano.shape[:2], pano.shape[:2] + (1,), pano.shape):
+        raise ValueError(f"merge mask of shape {m.shape} does not fit the panorama's {pano.shape}")
     if m.ndim == 2:
         m = m[..., None]
+    plan = _ceiling_plan(proj, ceil.shape[0], ceil.shape[1])
     m = np.broadcast_to(m, pano.shape)
     out = np.empty(pano.shape, dtype=dtype)
     for rows, c in _gathered(ceil, plan, h, w):

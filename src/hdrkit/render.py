@@ -11,8 +11,8 @@ checked against the analytic uniform-environment value. Glossy lobes use a
 fixed stratified sample grid (a mirror's lobe is one sample), shaded in
 bands of pixels; each pixel's lobe mean is one reduction over all of its
 samples, so bands move no byte. The environments of one render are stacked
-once, channel-interleaved, and each lookup gathers all of them. Spheres
-are shaded on the calling thread, up to _SHADE_NORMALS pixels at a time.
+once, channel-interleaved, and each lookup gathers all of them. Ranges of
+camera pixels are hit-tested, shaded and written into float32 results.
 """
 
 from __future__ import annotations
@@ -44,14 +44,12 @@ __all__ = [
 ]
 
 GLOSSY_GRID = (16, 16)  # stratified samples per glossy shading point
-# Rendering two 512 x 256 environments peaks at about 100 MiB per million
-# camera pixels for the default scene and 126 for one diffuse sphere that
-# fills the frame (tracemalloc, numpy 2.4: 100.6 and 125.9 at 1024 x 768,
-# 97.7 and 123.0 at 2048 x 1536). The peak comes at the end: the float64
-# results, their float32 copies and the spheres' pixels and normals. The
-# banded hit test peaks at 7.3 MiB at 1024 x 768, and a diffuse _shade call
-# of _SHADE_NORMALS pixels at 9.6 MiB. So this cap (2048 x 2048) bounds a
-# render near 0.55 GB whatever a scene file claims.
+# Rendering two 512 x 256 environments peaks at the 24 bytes per pixel of
+# its float32 results plus one pixel range's temporaries (tracemalloc, numpy
+# 2.4): 24.3 and 84.0 MiB for the default scene at 1024 x 768 and 2048 x
+# 1536, and 28.3 and 84.0 MiB for one diffuse sphere that fills the frame.
+# So this cap (2048 x 2048) bounds such a render near 0.11 GB whatever a
+# scene file claims.
 MAX_CAMERA_PIXELS = 1 << 22
 # Bound on every scene length: sphere centres and radii, camera span and
 # centre. Hit-testing squares coordinates up to span * height / width, which
@@ -65,12 +63,6 @@ MAX_SCENE_LENGTH = 1e100
 # environment's size or the number of normals.
 _ARC_TEXELS = 4096
 _ARC_ROWS = 8
-# Normals of one sphere shaded by one _shade call of render_many. A diffuse
-# call keeps 72 bytes of float64 sums per normal and environment, so a
-# sphere that fills a large camera is shaded in calls of bounded memory,
-# each building its prefix tables once; the default and evaluation scenes'
-# spheres are one call each.
-_SHADE_NORMALS = 1 << 15
 _VIEW_DIR = np.array([0.0, -1.0, 0.0])  # the orthographic camera looks along -y
 
 
@@ -150,10 +142,12 @@ def parse_scene(text: str) -> SceneConfig:
       sphere CX CY CZ RADIUS mirror
       sphere CX CY CZ RADIUS glossy EXPONENT R G B
       background on|off
+    A scene has one camera line and at most one background line.
     """
     camera = None
     spheres: list[Sphere] = []
     background = True
+    once: dict[str, int] = {}  # line of each camera or background directive
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -196,6 +190,10 @@ def parse_scene(text: str) -> SceneConfig:
                 raise SceneParseError(f"unknown directive {word!r}")
             if len(args) > used:
                 raise SceneParseError(f"unexpected {' '.join(args[used:])!r} after {word!r}")
+            if word in once:
+                raise SceneParseError(f"second {word!r} line (the first is line {once[word]})")
+            if word != "sphere":
+                once[word] = lineno
         except (IndexError, ValueError) as exc:
             if isinstance(exc, SceneParseError):
                 raise SceneParseError(f"line {lineno}: {exc}") from None
@@ -343,59 +341,34 @@ def _glossy_dirs(reflect: np.ndarray, exponent: float) -> np.ndarray:
             + local[None, :, 2, None] * reflect[:, None, :])
 
 
-@dataclass(frozen=True)
-class _SpherePlan:
-    """What shading one sphere needs, independent of the environment."""
-
-    pixels: np.ndarray   # (N,) flat indices of the pixels where it is the nearest hit
-    material: Material
-    normals: np.ndarray  # (N, 3) unit normals at those pixels
-
-
-def _plan_scene(scene: SceneConfig, env_w: int, env_h: int):
-    """Everything in a render that depends on the scene and the environment
-    resolution but not on its values: the background lookup and one
-    _SpherePlan per visible sphere. Pixels are hit-tested in bands of camera
-    rows, so only the plans, not the hit test's temporaries, grow with the
-    camera; each plan joins its bands in row order."""
-    cam = scene.camera
+def _hits(cam: OrthoCamera, spheres, band: slice):
+    """(sphere, flat pixel indices, unit normals) for each sphere that is
+    the nearest hit of some of the camera's row-major pixels in the range
+    `band`, in pixel order. Each value is made elementwise from its pixel's
+    index, so no cut of the pixels changes a bit."""
     w, h = cam.width, cam.height
-    span_z = cam.span * h / w
-    xs = cam.center_x + (2.0 * (np.arange(w) + 0.5) / w - 1.0) * cam.span
-    zs = cam.center_z + (1.0 - 2.0 * (np.arange(h) + 0.5) / h) * span_z
-    pixels = [[] for _ in scene.spheres]
-    normals = [[] for _ in scene.spheres]
-    for band in _row_bands((h, w)):
-        z = zs[band, None]
-        hit_y = np.full((len(z), w), -np.inf)
-        hit_index = np.full((len(z), w), -1, dtype=np.int64)
-        for si, sphere in enumerate(scene.spheres):
+    pixels = np.arange(band.start, min(band.stop, w * h))
+    rows, cols = np.divmod(pixels, w)
+    x = cam.center_x + (2.0 * (cols + 0.5) / w - 1.0) * cam.span
+    z = cam.center_z + (1.0 - 2.0 * (rows + 0.5) / h) * (cam.span * h / w)
+    hit_y = np.full(len(pixels), -np.inf)
+    hit_index = np.full(len(pixels), -1)
+    for si, sphere in enumerate(spheres):
+        cx, cy, cz = sphere.center
+        rr = sphere.radius ** 2 - (x - cx) ** 2 - (z - cz) ** 2
+        visible = rr >= 0
+        y = np.where(visible, cy + np.sqrt(np.maximum(rr, 0.0)), -np.inf)
+        closer = visible & (y > hit_y)
+        hit_y[closer] = y[closer]
+        hit_index[closer] = si
+    hits = []
+    for si, sphere in enumerate(spheres):
+        mask = hit_index == si
+        if mask.any():
             cx, cy, cz = sphere.center
-            rr = sphere.radius ** 2 - (xs - cx) ** 2 - (z - cz) ** 2
-            visible = rr >= 0
-            y = np.where(visible, cy + np.sqrt(np.maximum(rr, 0.0)), -np.inf)
-            closer = visible & (y > hit_y)
-            hit_y[closer] = y[closer]
-            hit_index[closer] = si
-        for si, sphere in enumerate(scene.spheres):
-            mask = hit_index == si
-            if not mask.any():
-                continue
-            rows, cols = np.nonzero(mask)
-            cx, cy, cz = sphere.center
-            normals[si].append(np.stack([xs[cols] - cx, hit_y[mask] - cy, z[rows, 0] - cz],
-                                        axis=-1) / sphere.radius)
-            pixels[si].append(np.flatnonzero(mask) + band.start * w)
-
-    background = equirect_map(_VIEW_DIR, env_w, env_h) if scene.background else None
-    spheres = []
-    for sphere, bands, band_normals in zip(scene.spheres, pixels, normals):
-        if bands:
-            spheres.append(_SpherePlan(np.concatenate(bands), sphere.material,
-                                       np.concatenate(band_normals)))
-            bands.clear()  # each sphere's bands go as it is joined
-            band_normals.clear()
-    return background, spheres
+            normals = np.stack([x[mask] - cx, hit_y[mask] - cy, z[mask] - cz], axis=-1)
+            hits.append((sphere, pixels[mask], normals / sphere.radius))
+    return hits
 
 
 def _shade(material: Material, normals: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -429,12 +402,13 @@ def _shade(material: Material, normals: np.ndarray, stack: np.ndarray) -> np.nda
 def render_many(scene: SceneConfig, envs) -> list[HdrImage]:
     """Render the scene under each environment map; deterministic.
 
-    The scene is hit-tested once, and the environments are stacked once,
-    channel-interleaved, so each lookup gathers all of them together. Each
-    visible sphere is shaded under every environment on the calling thread,
-    _SHADE_NORMALS pixels at a time; no cut of the normals changes a byte,
-    and each result is byte-identical to rendering its environment alone.
-    The environments must share one shape.
+    The environments, which must share one shape, are stacked once,
+    channel-interleaved, so each lookup gathers all of them. The camera's
+    flat pixels are taken in ranges of at most 21845 (the _row_bands of
+    their RGB values); each range is hit-tested, shaded and written into
+    the float32 results, so a render keeps only those and one range's
+    temporaries. No cut of the pixels changes a byte, and each result is
+    byte-identical to rendering its environment alone.
     """
     arrs = [image_data(e) for e in envs]
     if not arrs:
@@ -444,19 +418,17 @@ def render_many(scene: SceneConfig, envs) -> list[HdrImage]:
         raise ValueError(f"environments differ in shape: {sorted(shapes)}")
     stack = _env_stack(arrs)
     env_h, env_w, k = stack.shape[:3]
-    background, spheres = _plan_scene(scene, env_w, env_h)
-    cam = scene.camera
-    outs = np.zeros((k, cam.height, cam.width, 3))
-    if background is not None:
+    out = np.zeros((k, scene.camera.height, scene.camera.width, 3), dtype=np.float32)
+    if scene.background:
         # the camera is orthographic: one lookup colours the whole background
-        outs[:] = apply_bilinear_map(stack.reshape(env_h, env_w, 3 * k),
-                                     background).reshape(k, 1, 1, 3)
-    flat = outs.reshape(k, -1, 3)
-    for sp in spheres:
-        for n0 in range(0, len(sp.pixels), _SHADE_NORMALS):
-            part = slice(n0, n0 + _SHADE_NORMALS)
-            flat[:, sp.pixels[part]] = _shade(sp.material, sp.normals[part], stack)
-    return [HdrImage(np.maximum(out, 0.0).astype(np.float32)) for out in outs]
+        out[:] = np.maximum(apply_bilinear_map(stack.reshape(env_h, env_w, 3 * k),
+                                               equirect_map(_VIEW_DIR, env_w, env_h)),
+                            0.0).reshape(k, 1, 1, 3)
+    flat = out.reshape(k, -1, 3)
+    for band in _row_bands((flat.shape[1], 3)):
+        for sphere, pixels, normals in _hits(scene.camera, scene.spheres, band):
+            flat[:, pixels] = np.maximum(_shade(sphere.material, normals, stack), 0.0)
+    return [HdrImage(image) for image in out]
 
 
 def render(scene: SceneConfig, env) -> HdrImage:

@@ -225,6 +225,22 @@ def test_pano_loss_rejects_bad_mask():
         pano_loss(pred, gt, np.full((4, 4), 1.5))
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (4, 1), (1, 8), (8, 4), (4, 8, 2), (1, 1, 1), (4, 8, 1, 1)])
+def test_pano_loss_refuses_a_mask_of_another_size(shape):
+    # such masks used to broadcast over the image silently
+    pred, gt = random_pair(9, shape=(4, 8, 3))
+    with pytest.raises(ValueError, match=r"merge mask of shape .* does not fit"):
+        pano_loss(pred, gt, np.full(shape, 0.5))
+
+
+def test_pano_loss_takes_masks_of_the_image_size():
+    pred, gt = random_pair(9, shape=(4, 8, 3))
+    m = np.random.default_rng(3).uniform(size=(4, 8))
+    want = pano_loss(pred, gt, m)
+    assert pano_loss(pred, gt, m[..., None]) == want
+    assert pano_loss(pred, gt, np.repeat(m[..., None], 3, axis=2)) == want
+
+
 # --- display anchoring ---------------------------------------------------------
 
 def test_display_anchor_identity():

@@ -438,6 +438,15 @@ def test_merge_full_mask_uses_ceiling():
     assert np.array_equal(merged[~vmask], h_p[~vmask])
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (16, 1), (32, 32), (16, 32, 2), (1, 1, 3), (16, 32, 1, 1)])
+def test_merge_refuses_a_mask_of_another_size(shape):
+    # such masks used to broadcast over the panorama silently
+    proj = PanoProjection(32, 16, 16, 16)
+    h_c, h_p = np.ones((16, 16, 3)), np.ones((16, 32, 3))
+    with pytest.raises(ValueError, match=r"merge mask of shape .* does not fit"):
+        merge_panorama(h_c, h_p, np.full(shape, 0.5), proj)
+
+
 def test_merge_half_mask_blends():
     proj = PanoProjection(64, 32, 32, 32)
     h_c = np.full((32, 32, 3), 2.0)

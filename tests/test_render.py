@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hdrkit.image
 import hdrkit.render as render_mod
-from hdrkit.image import _BAND_VALUES, HdrImage
+from hdrkit.image import _BAND_VALUES, HdrImage, _row_bands
 from hdrkit.pano import apply_bilinear_map, equirect_map
 from hdrkit.render import (
     MAX_CAMERA_PIXELS,
@@ -90,6 +92,19 @@ def test_parse_errors():
 def test_parse_rejects_typos_and_extra_tokens(line, message):
     with pytest.raises(SceneParseError, match=f"^line 2: {message}$"):
         parse_scene(f"camera 16 12 4.5 0 0.9\n{line}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("camera 10 10\ncamera 20 30\n", "line 2: second 'camera' line (the first is line 1)"),
+    ("camera 8 8 1\nbackground off\n# on after all\nbackground on\n",
+     "line 4: second 'background' line (the first is line 2)"),
+    ("background on\ncamera 8 8\nBACKGROUND on\n",
+     "line 3: second 'background' line (the first is line 1)"),
+])
+def test_parse_rejects_a_repeated_camera_or_background(text, message):
+    # a second line used to replace the first silently
+    with pytest.raises(SceneParseError, match=f"^{re.escape(message)}$"):
+        parse_scene(text)
 
 
 @pytest.mark.parametrize("word", ["on", "ON", "true", "1", "yes", "off", "Off", "false", "0", "no"])
@@ -522,30 +537,33 @@ def random_envs(seed, count=2, shape=(32, 64, 3)):
 
 
 def test_render_many_matches_unchunked_shading():
-    # the oracle shades each sphere whole, in one piece
+    # the oracle hit-tests the whole camera and shades each sphere whole,
+    # in one piece
     scene = parse_scene(MULTI_CHUNK_SCENE)
     envs = random_envs(21)
     arrs = [e.data.astype(np.float64) for e in envs]
-    background, plans = render_mod._plan_scene(scene, 64, 32)
-    sizes = [len(sp.pixels) for sp in plans]
+    hits = whole_camera_hits(scene)
+    sizes = [len(pixels) for _, pixels, _ in hits]
     assert len(sizes) == 5 and min(sizes) > 512
     assert sizes[4] < sizes[1]  # cut by the sphere in front
+    background = equirect_map(render_mod._VIEW_DIR, 64, 32)
     want = np.zeros((2, 72 * 96, 3))
     want[:] = np.stack([apply_bilinear_map(arr, background) for arr in arrs])[:, None]
     stack = render_mod._env_stack(arrs)
-    for sp in plans:
-        want[:, sp.pixels] = render_mod._shade(sp.material, sp.normals, stack)
+    for sphere, pixels, normals in hits:
+        want[:, pixels] = render_mod._shade(sphere.material, normals, stack)
     want = np.maximum(want, 0.0).astype(np.float32).reshape(2, 72, 96, 3)
     for made, expected in zip(render_many(scene, envs), want):
         assert made.data.tobytes() == expected.tobytes()
 
 
 def test_render_many_shading_calls_move_no_byte(monkeypatch):
-    # every sphere of the scene is cut into several _shade calls
+    # ranges of 300 pixels cut every sphere of the scene into several
+    # _hits and _shade calls
     scene = parse_scene(MULTI_CHUNK_SCENE)
     envs = random_envs(25)
     whole = [r.data.tobytes() for r in render_many(scene, envs)]
-    monkeypatch.setattr(render_mod, "_SHADE_NORMALS", 300)
+    monkeypatch.setattr(hdrkit.image, "_BAND_VALUES", 900)
     assert [r.data.tobytes() for r in render_many(scene, envs)] == whole
 
 
@@ -554,10 +572,12 @@ FRAME_FILLING_SCENE = "camera 384 288 1 0 0\nsphere 0 0 0 2 diffuse 0.8 0.7 0.6\
 
 def test_render_many_memory_of_a_frame_filling_sphere():
     # a diffuse sphere filling a 384 x 288 camera under two 32 x 16
-    # environments: the render peaks at 17.4 MiB with the sphere shaded
-    # _SHADE_NORMALS pixels per call, against 36.4 MiB in one call, which
-    # holds the irradiance sums of every pixel at once, and 13.6 MiB in
-    # 512-pixel calls (numpy 2.4); the bound leaves 15% over the peak
+    # environments: the render peaks at 9.2 MiB, hit-testing and shading
+    # ranges of 21845 pixels into float32 results, against 17.4 MiB with
+    # float64 results and the sphere's pixels and normals kept whole and
+    # shaded in 32768-pixel calls, and 36.4 MiB in one call, which holds
+    # the irradiance sums of every pixel at once (numpy 2.4); the bound
+    # leaves 15% over the peak
     scene = parse_scene(FRAME_FILLING_SCENE)
     envs = random_envs(26, shape=(16, 32, 3))
     tracemalloc.start()
@@ -566,12 +586,29 @@ def test_render_many_memory_of_a_frame_filling_sphere():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 20.0 * 2 ** 20
+    assert peak < 10.6 * 2 ** 20
+
+
+def test_render_many_memory_of_a_wide_camera():
+    # a diffuse sphere filling a 400000 x 1 camera under two 32 x 16
+    # environments: ranges of pixels peak at 15.9 MiB, 9.2 of them the
+    # float32 results, against 48.9 MiB with float64 results and a
+    # hit test in bands of whole rows (numpy 2.4); the bound leaves 15%
+    # over the peak
+    scene = parse_scene("camera 400000 1 1 0 0\nsphere 0 0 0 2 diffuse 0.8 0.7 0.6\n")
+    envs = random_envs(26, shape=(16, 32, 3))
+    tracemalloc.start()
+    try:
+        render_many(scene, envs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18.3 * 2 ** 20
 
 
 def whole_camera_hits(scene):
-    """(pixels, normals) per visible sphere, hit-tested on whole-camera
-    arrays at once."""
+    """(sphere, pixels, normals) per visible sphere, hit-tested on
+    whole-camera arrays at once."""
     cam = scene.camera
     w, h = cam.width, cam.height
     xs = cam.center_x + (2.0 * (np.arange(w) + 0.5) / w - 1.0) * cam.span
@@ -594,54 +631,63 @@ def whole_camera_hits(scene):
             cx, cy, cz = sphere.center
             normals = np.stack([X[mask] - cx, hit_y[mask] - cy, Z[mask] - cz],
                                axis=-1) / sphere.radius
-            hits.append((np.flatnonzero(mask), normals))
+            hits.append((sphere, np.flatnonzero(mask), normals))
     return hits
 
 
 @pytest.mark.parametrize("text", [
     default_scene_text(1024, 768),
     MULTI_CHUNK_SCENE,
-    # 93-row bands cut every sphere; the third hides behind the first
+    # 21845-pixel ranges cut rows and every sphere; the third sphere hides
+    # behind the first
     "camera 700 500 2 0.1 0.2\nsphere -0.8 0 0 0.9 diffuse 0.5 0.5 0.5\n"
     "sphere 0.7 1 0.3 1.1 glossy 8 0.9 0.9 0.9\nsphere -0.8 -1 0 0.5 mirror\n"
     "sphere 0.5 -2 -0.2 0.7 mirror\nbackground off\n",
 ])
 def test_banded_hit_test_matches_whole_camera(text):
     scene = parse_scene(text)
-    background, plans = render_mod._plan_scene(scene, 64, 32)
+    cam = scene.camera
+    joined = {}
+    for band in _row_bands((cam.height * cam.width, 3)):
+        for sphere, pixels, normals in render_mod._hits(cam, scene.spheres, band):
+            joined.setdefault(id(sphere), []).append((pixels, normals))
     hits = whole_camera_hits(scene)
-    assert len(plans) == len(hits)
-    for sp, (pixels, normals) in zip(plans, hits):
-        assert sp.pixels.dtype == pixels.dtype and sp.pixels.tobytes() == pixels.tobytes()
-        assert sp.normals.shape == normals.shape and sp.normals.tobytes() == normals.tobytes()
-    if scene.background:
-        want = equirect_map(render_mod._VIEW_DIR, 64, 32)
-        assert all(np.array_equal(a, b) for a, b in zip(background, want))
-    else:
-        assert background is None
+    assert len(joined) == len(hits)
+    for sphere, pixels, normals in hits:
+        parts = joined[id(sphere)]
+        got = np.concatenate([p for p, _ in parts])
+        assert got.dtype == pixels.dtype and got.tobytes() == pixels.tobytes()
+        got = np.concatenate([n for _, n in parts])
+        assert got.shape == normals.shape and got.tobytes() == normals.tobytes()
 
 
 def test_hit_test_memory_is_band_sized():
-    # the default scene at 1024 x 768 keeps 4.0 MiB of plans; hit-testing
-    # on whole-camera arrays peaked at 61.5 MiB, in row bands at 7.3 MiB
-    # (numpy 2.4). The bound leaves 15% over that peak.
-    scene = parse_scene(default_scene_text(1024, 768))
+    # the default scene's geometry at 1024 x 768, its glossy spheres made
+    # mirrors, under one 32 x 16 environment: the render peaks at 11.3 MiB,
+    # 9.0 of them the float32 result, hit-testing and shading ranges of
+    # 21845 pixels, against 49.0 MiB with float64 results and whole-camera
+    # sphere plans (numpy 2.4). The bound leaves 15% over that peak.
+    text = default_scene_text(1024, 768)
+    for glossy in ("glossy 64 0.9 0.9 0.9", "glossy 8 0.7 0.7 0.7"):
+        text = text.replace(glossy, "mirror")
+    scene = parse_scene(text)
+    envs = random_envs(26, count=1, shape=(16, 32, 3))
     tracemalloc.start()
     try:
-        render_mod._plan_scene(scene, 512, 256)
+        render_many(scene, envs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8.4 * 2 ** 20
+    assert peak < 13.0 * 2 ** 20
 
 
-def glossy_plan(exponent, env_w, env_h):
-    # one glossy sphere of more than 2048 pixels
+def glossy_plan(exponent):
+    # the material and normals of one glossy sphere of more than 2048 pixels
     scene = parse_scene(f"camera 64 64 1 0 0\nsphere 0 0 0 1 glossy {exponent} 0.9 0.8 0.7\n"
                         "background off\n")
-    (sp,) = render_mod._plan_scene(scene, env_w, env_h)[1]
-    assert len(sp.pixels) > 2048
-    return sp
+    ((sphere, pixels, normals),) = whole_camera_hits(scene)
+    assert len(pixels) > 2048
+    return sphere.material, normals
 
 
 def glossy_band(stack):
@@ -654,24 +700,25 @@ def test_glossy_bands_match_whole_chunk_formula(exponent):
     arrs = [e.data for e in random_envs(25, shape=(32, 64, 3))]
     stack = render_mod._env_stack(arrs)
     band = glossy_band(stack)
-    sp = glossy_plan(exponent, 64, 32)
+    material, sphere_normals = glossy_plan(exponent)
     for count in (1, band - 1, band, band + 1, 290, 512):
         part = slice(7, 7 + count)
-        normals = sp.normals[part]
+        normals = sphere_normals[part]
         view = render_mod._VIEW_DIR
         reflect = view - 2.0 * (normals @ view)[:, None] * normals
         reflect /= np.linalg.norm(reflect, axis=-1, keepdims=True)
         lookup = equirect_map(render_mod._glossy_dirs(reflect, exponent), 64, 32)
-        want = np.stack([np.asarray(sp.material.albedo)
+        want = np.stack([np.asarray(material.albedo)
                          * apply_bilinear_map(arr, lookup).mean(axis=1) for arr in arrs])
-        got = render_mod._shade(sp.material, sp.normals[part], stack)
+        got = render_mod._shade(material, normals, stack)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def glossy_shade_peak(sp, stack, count):
+def glossy_shade_peak(plan, stack, count):
+    material, normals = plan
     tracemalloc.start()
     try:
-        render_mod._shade(sp.material, sp.normals[:count], stack)
+        render_mod._shade(material, normals[:count], stack)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -682,12 +729,12 @@ def test_glossy_shading_memory_is_band_sized():
     # with whole-chunk temporaries, 3.9 MiB in bands gathered one environment
     # at a time and 2.0 MiB in bands that gather both at once (numpy 2.4)
     stack = render_mod._env_stack([e.data for e in random_envs(26, shape=(256, 512, 3))])
-    sp = glossy_plan(64, 512, 256)
-    chunk = glossy_shade_peak(sp, stack, 512)
+    plan = glossy_plan(64)
+    chunk = glossy_shade_peak(plan, stack, 512)
     assert chunk < 4.44 * 2 ** 20
     # four times the pixels add less than one band's lobe directions
     band_bytes = _BAND_VALUES * 8
-    assert glossy_shade_peak(sp, stack, 2048) - chunk < band_bytes
+    assert glossy_shade_peak(plan, stack, 2048) - chunk < band_bytes
 
 
 def test_glossy_chunk_peaks_near_one_band():
@@ -697,9 +744,9 @@ def test_glossy_chunk_peaks_near_one_band():
     # band's gather outweighs a lookup, and a kept lookup does not show.
     stack = render_mod._env_stack([random_envs(26, count=1, shape=(256, 512, 3))[0].data])
     band = glossy_band(stack)
-    sp = glossy_plan(64, 512, 256)
-    single = glossy_shade_peak(sp, stack, band)
-    assert glossy_shade_peak(sp, stack, 512) < 1.15 * single
+    plan = glossy_plan(64)
+    single = glossy_shade_peak(plan, stack, band)
+    assert glossy_shade_peak(plan, stack, 512) < 1.15 * single
 
 
 def test_render_many_starts_no_threads():

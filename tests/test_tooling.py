@@ -4,6 +4,9 @@ import ast
 import importlib
 import importlib.util
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -90,3 +93,23 @@ def test_every_declared_path_reaches_the_claims_or_the_inputs():
             claims, got = cli._roles(command, args, params)
             assert got == inputs, name
             assert [str(out) for _, out, _ in claims] == outputs, name
+
+
+def test_a_failing_hypothesis_example_names_its_test(tmp_path):
+    # a failing @given test under the repository's pytest settings and
+    # conftest reports a FAILED line; without the conftest, the warning
+    # filters turned Hypothesis's failure report into an INTERNALERROR
+    shutil.copy(ROOT / "pyproject.toml", tmp_path)
+    (tmp_path / "tests").mkdir()
+    shutil.copy(ROOT / "tests" / "conftest.py", tmp_path / "tests")
+    (tmp_path / "tests" / "test_probe.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n")
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "tests/test_probe.py"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "FAILED tests/test_probe.py::test_fails" in run.stdout
+    assert run.returncode == 1
