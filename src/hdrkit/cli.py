@@ -30,7 +30,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -65,7 +64,7 @@ from .image import (
     exposure_preview,
     srgb_to_linear,
 )
-from .losses import metric_report
+from .losses import _pair, metric_report
 from .pano import (
     DEFAULT_MERGE_TAU,
     MAX_PLANE_EXTENT,
@@ -219,7 +218,9 @@ def _read_linear_ldr(path, ldr_space: str) -> LinearLdr:
 
 def _atomic_write(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    # mode 0666 less the umask, as open() makes files (mkstemp's are 0600)
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -429,8 +430,12 @@ def _cmd_render(args, params, _, outs) -> int:
     if args.reference and len(envs) > 1:
         raise UsageError("--reference compares a single render; give one environment")
     scene = _read_scene(args.scene)
-    # read before rendering, since the render may replace the reference file
+    # read and checked before rendering: the render may replace the reference
+    # file, and a reference of another size than the camera's must write none
     ref = _read_hdr(args.reference) if args.reference else None
+    if ref is not None:
+        with _naming(args.reference):
+            _pair(np.broadcast_to(0.0, (scene.camera.height, scene.camera.width, 3)), ref)
     code = _run_batch(envs, lambda p, i: _render_one(p, outs[i], scene, args.scene),
                       params["jobs"])
     if code == EXIT_OK and ref is not None:

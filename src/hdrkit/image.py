@@ -181,6 +181,16 @@ def image_data(img) -> np.ndarray:
     return np.asarray(img)
 
 
+def _fitted_mask(mask, shape: tuple) -> np.ndarray:
+    """The float64 merge mask, shaped to broadcast over an image of `shape`:
+    the image's shape, (H, W), or (H, W, 1) when the image has channels."""
+    m = np.asarray(image_data(mask), dtype=np.float64)
+    fits = [shape, shape[:2]] + ([shape[:2] + (1,)] if len(shape) == 3 else [])
+    if m.shape not in fits:
+        raise ValueError(f"merge mask of shape {m.shape} does not fit the image's {shape}")
+    return m[..., None] if m.ndim < len(shape) else m
+
+
 def srgb_eotf(x: np.ndarray) -> np.ndarray:
     """Decode sRGB-encoded values in [0, 1] to linear light."""
     x = np.asarray(x, dtype=np.float64)

@@ -32,6 +32,7 @@ from .image import (
     _banded_preview,
     _check_shape,
     _exact_sum,
+    _fitted_mask,
     _float_finite,
     _row_bands,
     channel_mean,
@@ -179,14 +180,10 @@ def pano_loss(pred, gt, merge_mask, cfg: LossConfig = LossConfig()) -> float:
 
     With d the guarded log difference and m the merge mask broadcast over
     channels: beta1 * mean((m*d)**2) + beta2 * mean(((1-m)*d)**2). The
-    mask is (H, W), (H, W, 1) or (H, W, C) for an (H, W, C) image.
+    mask has the images' shape, or is (H, W), or (H, W, 1) when they have channels.
     """
     d = _log_diff(pred, gt, cfg.epsilon)
-    m = np.asarray(image_data(merge_mask), dtype=np.float64)
-    if m.shape not in (d.shape[:2], d.shape[:2] + (1,), d.shape):
-        raise ValueError(f"merge mask of shape {m.shape} does not fit the images' {d.shape}")
-    if m.ndim == 2:
-        m = m[..., None]
+    m = _fitted_mask(merge_mask, d.shape)
     if m.min() < 0 or m.max() > 1:
         raise ValueError("merge mask values must lie in [0, 1]")
     high = float(((m * d) ** 2).mean())
@@ -314,9 +311,7 @@ def ssim(a, b) -> float:
     stay band-sized. The values are those of filtering the whole image
     with edge padding: no window in the region reaches the padding.
     """
-    x, y = image_data(a), image_data(b)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
+    x, y = _pair(a, b)
     if x.ndim != 2:
         raise ValueError("ssim expects single-channel (H, W) images")
     pad = SSIM_WIN_SIZE // 2

@@ -6,13 +6,15 @@ along -y. No shadows or interreflections: the
 point is a reproducible relighting comparison, not photorealism.
 
 Diffuse irradiance is the direct sum over environment texels, grouped per
-row into arcs of lit columns, so renders are bit-deterministic and can be
-checked against the analytic uniform-environment value. Glossy lobes use a
-fixed stratified sample grid (a mirror's lobe is one sample), shaded in
-bands of pixels; each pixel's lobe mean is one reduction over all of its
-samples, so bands move no byte. The environments of one render are stacked
-once, channel-interleaved, and each lookup gathers all of them. Ranges of
-camera pixels are hit-tested, shaded and written into float32 results.
+row into arcs of lit columns and added row by row, so renders are
+bit-deterministic and can be checked against a uniform environment's
+analytic value. Every band of rows, pixels or normals is one of
+image._row_bands. Glossy lobes use a fixed stratified sample grid (a
+mirror's lobe is one sample); each pixel's lobe mean is one reduction over
+all of its samples, so no band moves a byte. The environments of one
+render are stacked once, channel-interleaved, and each lookup gathers all
+of them. Ranges of camera pixels are hit-tested, shaded and written into
+float32 results.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .image import HdrImage, _row_bands, image_data
-from .losses import log_psnr, preview_ssim
+from .losses import _pair, log_psnr, preview_ssim
 from .pano import apply_bilinear_map, dir_equirect, equirect_dir, equirect_map
 
 __all__ = [
@@ -57,12 +59,6 @@ MAX_CAMERA_PIXELS = 1 << 22
 # radius is also at least 1 / MAX_SCENE_LENGTH, so that its square does not
 # underflow and the normals (hit offset / radius) stay unit length.
 MAX_SCENE_LENGTH = 1e100
-# Irradiance prefix tables are made for a band of about _ARC_TEXELS texels
-# and at most _ARC_ROWS rows, and arcs are gathered from them for about
-# _ARC_TEXELS (row, normal) pairs at a time, so that neither grows with the
-# environment's size or the number of normals.
-_ARC_TEXELS = 4096
-_ARC_ROWS = 8
 _VIEW_DIR = np.array([0.0, -1.0, 0.0])  # the orthographic camera looks along -y
 
 
@@ -237,12 +233,13 @@ def diffuse_irradiance(normals, env) -> np.ndarray:
     The sum is grouped per environment row: a normal's lit texels in one
     row form one arc of columns, and the arc's weighted radiance is a
     difference of prefix sums along the row. Prefix sums are made one band
-    of rows at a time, and gathered for a chunk of normals at a time, so
-    memory grows with neither the environment's resolution nor, beyond
-    each normal's own sums, the number of normals. Each normal's sum under
-    each environment is made on its own, so neither the other environments
-    of a stack nor how the normals are cut changes a byte of it, and an
-    arc of zero texels sums to zero.
+    of rows at a time, and gathered for a chunk of normals at a time, both
+    sized by image._row_bands, so memory grows with neither the
+    environment's resolution nor, beyond each normal's own sums, the number
+    of normals. Each normal's sum under each environment is made on its
+    own, row after row, so neither the other environments of a stack nor
+    how the rows or normals are cut changes a byte of it, and an arc of
+    zero texels sums to zero.
     """
     n = np.asarray(normals, dtype=np.float64)
     envs = image_data(env)
@@ -263,33 +260,29 @@ def _irradiance(normals: np.ndarray, stack: np.ndarray) -> np.ndarray:
     component of their direction are prefix-summed along each row, so a
     row's share of a normal's irradiance is n times one difference of
     prefixes per component, plus the row's total when the arc wraps the
-    seam. Prefixes are made one band of rows at a time and read for a
-    chunk of normals at a time; each normal's sum is gathered and reduced
-    on its own, so no normal or environment changes another's bytes."""
+    seam. Prefixes are made and read in the _row_bands of rows and normals;
+    each normal's sum is gathered on its own and added row by row, so no cut
+    of either, and no other normal or environment, moves a bit of it."""
     h, w, k = stack.shape[:3]
     flat = normals.reshape(-1, 3)
     rho = np.hypot(flat[:, 0], flat[:, 1])
     # the column of each normal's azimuth; a NaN normal's sum is NaN anyway
     mid = np.nan_to_num(dir_equirect(flat, w, h)[0])
     sums = np.zeros((len(flat), 3, 3 * k))
-    rows = max(1, min(_ARC_ROWS, _ARC_TEXELS // w))
-    chunk = _ARC_TEXELS // rows  # normals whose arcs are gathered together
-    prefix = np.empty((rows, w + 1, 3, 3 * k))
-    prefix[:, 0] = 0.0
-    for y0 in range(0, h, rows):
-        y = np.arange(y0, min(y0 + rows, h))
+    bands = [np.arange(h)[rows] for rows in _row_bands((h, (w + 1) * 9 * k))]
+    prefix = np.zeros((max(map(len, bands), default=0), w + 1, 3, 3 * k))  # column 0 stays 0
+    for y in bands:
         table = prefix[:len(y)]
         theta = np.pi * (y + 0.5) / h
         cos_t, sin_t = np.cos(theta), np.sin(theta)
         d_omega = (2.0 * np.pi / w) * (np.pi / h) * sin_t
         dirs = equirect_dir(np.arange(w), y[:, None], w, h) * d_omega[:, None, None]
-        np.multiply(stack[y0:y0 + len(y)].reshape(len(y), w, 1, 3 * k), dirs[..., None],
+        np.multiply(stack[y[0]:y[-1] + 1].reshape(len(y), w, 1, 3 * k), dirs[..., None],
                     out=table[:, 1:])
         np.cumsum(table, axis=1, out=table)
         lines = table.reshape(-1, 3, 3 * k)
         base = (w + 1) * np.arange(len(y))[:, None]
-        for n0 in range(0, len(flat), chunk):
-            part = slice(n0, n0 + chunk)
+        for part in _row_bands((len(flat), len(y) * 9 * k)):  # the values a normal gathers
             # lit columns x of row y: |x - mid| < half, mod w
             c = np.multiply.outer(cos_t, flat[part, 2])
             r = np.multiply.outer(sin_t, rho[part])
@@ -306,7 +299,9 @@ def _irradiance(normals: np.ndarray, stack: np.ndarray) -> np.ndarray:
             lit = lines.take(base + start + count - seam, axis=0)
             lit -= lines.take(base + start, axis=0)
             lit += lines.take(base + seam, axis=0)
-            sums[part] += lit.sum(axis=0)
+            acc = sums[part]
+            for row in lit:  # one row at a time, so that no cut of the rows moves a bit
+                acc += row
     out = (flat[:, 0, None] * sums[:, 0] + flat[:, 1, None] * sums[:, 1]
            + flat[:, 2, None] * sums[:, 2])
     return out.reshape(-1, k, 3).transpose(1, 0, 2).reshape((k,) + normals.shape)
@@ -439,9 +434,7 @@ def render(scene: SceneConfig, env) -> HdrImage:
 def compare_renders(a, b) -> dict:
     """Metric bundle for two renders: linear MSE, log-domain PSNR, and the
     preview_ssim of the pair."""
-    pa, pb = image_data(a), image_data(b)
-    if pa.shape != pb.shape:
-        raise ValueError(f"shape mismatch: {pa.shape} vs {pb.shape}")
+    pa, pb = _pair(a, b)
     return {
         "mse": float((np.subtract(pa, pb, dtype=np.float64) ** 2).mean()),
         "log_psnr": log_psnr(pa, pb),

@@ -296,10 +296,11 @@ def test_ceiling_off_the_geometry_exits_3(workdir, capsys, monkeypatch, argv, re
     assert not (workdir / "out").exists()
 
 
-# A calibration, metric or eval-ibl input whose size differs from its
-# counterpart's fails with the library's shape message, naming that file:
-# calibrate's LDR, metrics' gt (checked first) or anchor, or the
-# environment that eval-ibl calibrates.
+# A calibration, metric, eval-ibl or render input whose size differs from
+# its counterpart's fails with the library's shape message, naming that
+# file: calibrate's LDR, metrics' gt (checked first) or anchor, the
+# environment that eval-ibl calibrates, or a render's reference, which is
+# checked against the camera before any render is written.
 @pytest.mark.parametrize("argv, refused", [
     (["calibrate", "p.pfm", "l16.ppm", "-o", "out/c.pfm"], "l16.ppm"),
     (["metrics", "p.pfm", "q16.pfm"], "q16.pfm"),
@@ -307,8 +308,9 @@ def test_ceiling_off_the_geometry_exits_3(workdir, capsys, monkeypatch, argv, re
     (["metrics", "p.pfm", "q16.pfm", "--ldr", "l16.ppm"], "q16.pfm"),
     (["eval-ibl", "q16.pfm", "p.pfm", "l32.ppm", "scene.txt"], "q16.pfm"),
     (["eval-ibl", "p.pfm", "q16.pfm", "l32.ppm", "scene.txt"], "q16.pfm"),
+    (["render", "scene.txt", "p.pfm", "-o", "out/r.pfm", "--reference", "q16.pfm"], "q16.pfm"),
 ], ids=["calibrate-ldr", "metrics-gt", "metrics-anchor", "metrics-gt-and-anchor",
-        "eval-ibl-pred", "eval-ibl-gt"])
+        "eval-ibl-pred", "eval-ibl-gt", "render-reference"])
 def test_shape_mismatch_names_the_input(workdir, capsys, monkeypatch, argv, refused):
     monkeypatch.chdir(workdir)
     rng = np.random.default_rng(28)
@@ -851,6 +853,29 @@ def test_module_entry_point(workdir):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "hdrkit" in proc.stdout
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_outputs_get_the_mode_that_the_umask_leaves(workdir, umask):
+    # 0666 less the umask, as open() makes files: -rw-r--r-- under 022
+    src = save_pfm(workdir / "a.pfm", np.ones((4, 8, 3)))
+    paths = [str(Path(hdrkit.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run([sys.executable, "-m", "hdrkit", "convert", str(src),
+                           "-o", str(workdir / "b.pfm")],
+                          capture_output=True, text=True, env=env, umask=umask)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in workdir.iterdir()) == ["a.pfm", "b.pfm", "b.pfm.json"]
+    for name in ("b.pfm", "b.pfm.json"):
+        assert (workdir / name).stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_a_failed_write_leaves_no_temporary_file(workdir):
+    # the replace fails on a directory, and the file written beside it goes
+    (workdir / "d.pfm").mkdir()
+    with pytest.raises(IsADirectoryError):
+        cli._atomic_write(workdir / "d.pfm", b"data")
+    assert [p.name for p in workdir.iterdir()] == ["d.pfm"]
 
 
 def test_synth_tau_flag_is_gone(workdir, capsys):

@@ -238,6 +238,22 @@ def test_ppm_maxval_must_be_255():
         read_ppm(data)
 
 
+def test_pfm_scale_of_zero_rejected():
+    with pytest.raises(MalformedHeaderError, match="PFM scale must be nonzero"):
+        read_pfm(b"PF\n1 1\n0.0\n" + bytes(12))
+
+
+def test_ppm_without_its_magic_rejected():
+    with pytest.raises(MalformedHeaderError, match="missing 'P6' magic"):
+        read_ppm(b"P5\n1 1\n255\n" + bytes(1))
+
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.float32])
+def test_ppm_writer_refuses_data_that_is_not_uint8(dtype):
+    with pytest.raises(ValueError, match="PPM writer requires uint8 data"):
+        write_ppm(np.zeros((1, 1, 3), dtype=dtype))
+
+
 @pytest.mark.parametrize("data", [
     b"PF\n0 0\n-1.0\n",
     b"PF\n0 2\n-1.0\n" + bytes(24),

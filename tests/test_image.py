@@ -28,6 +28,17 @@ def test_hdr_image_rejects_bad_values():
         HdrImage(np.zeros((2, 2)))
 
 
+def test_hdr_image_of_integers_is_float32():
+    img = HdrImage(np.array([[[0, 1, 2]]], dtype=np.int64))
+    assert img.data.dtype == np.float32
+    assert img.data.tolist() == [[[0.0, 1.0, 2.0]]]
+
+
+def test_ldr_image_refuses_floats():
+    with pytest.raises(ValueError, match=r"LDR image must be uint8 \(codes 0..255\)"):
+        LdrImage(np.zeros((1, 1, 3), dtype=np.float64))
+
+
 def test_linear_ldr_range_enforced():
     LinearLdr(np.zeros((1, 1, 3)))
     LinearLdr(np.ones((1, 1, 3)))

@@ -241,6 +241,33 @@ def test_pano_loss_takes_masks_of_the_image_size():
     assert pano_loss(pred, gt, np.repeat(m[..., None], 3, axis=2)) == want
 
 
+def test_pano_loss_of_single_channel_images_is_its_formula():
+    # an (H, W) mask used to gain a channel axis, which broadcast a square
+    # (H, W) pair's loss over (H, W, W)
+    cfg = LossConfig()
+    pred, gt = random_pair(9, shape=(8, 8))
+    m = np.random.default_rng(3).uniform(size=(8, 8))
+    d = np.log(pred + cfg.epsilon) - np.log(gt + cfg.epsilon)
+    want = cfg.beta1 * ((m * d) ** 2).mean() + cfg.beta2 * (((1.0 - m) * d) ** 2).mean()
+    assert pano_loss(pred, gt, m, cfg) == want
+
+
+def test_pano_loss_refuses_a_channel_mask_for_single_channel_images():
+    pred, gt = random_pair(9, shape=(8, 8))
+    with pytest.raises(ValueError, match=r"merge mask of shape \(8, 8, 1\) does not fit "
+                                         r"the image's \(8, 8\)"):
+        pano_loss(pred, gt, np.full((8, 8, 1), 0.5))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"epsilon": 0.0}, "epsilon must be positive"),
+    ({"beta2": -0.1}, "loss weights must be non-negative"),
+])
+def test_loss_config_refuses_bad_fields(fields, message):
+    with pytest.raises(ValueError, match=message):
+        LossConfig(**fields)
+
+
 # --- display anchoring ---------------------------------------------------------
 
 def test_display_anchor_identity():
@@ -341,6 +368,16 @@ def test_ssim_identity():
 def test_ssim_negative_image_far_from_one():
     card = _test_card()
     assert ssim(card, 255.0 - card) < 0.1
+
+
+@pytest.mark.parametrize("a, b, message", [
+    (np.zeros((16, 16)), np.zeros((16, 17)), r"shape mismatch: \(16, 16\) vs \(16, 17\)"),
+    (np.zeros((16, 16, 3)), np.zeros((16, 16, 3)), r"ssim expects single-channel \(H, W\)"),
+    (np.zeros((16, 10)), np.zeros((16, 10)), "image smaller than the 11x11 window"),
+])
+def test_ssim_refuses_what_it_cannot_compare(a, b, message):
+    with pytest.raises(ValueError, match=message):
+        ssim(a, b)
 
 
 def reference_ssim(x, y, data_range=255.0, sigma=1.5):

@@ -447,6 +447,30 @@ def test_merge_refuses_a_mask_of_another_size(shape):
         merge_panorama(h_c, h_p, np.full(shape, 0.5), proj)
 
 
+def test_merge_of_single_channel_images_is_the_blend():
+    # an (H, W) mask used to gain a channel axis that (H, W) images lack
+    rng = np.random.default_rng(4)
+    proj = PanoProjection(64, 32, 32, 32)
+    h_p = rng.uniform(0.1, 5.0, (32, 64))
+    h_c = rng.uniform(0.1, 5.0, (32, 32))
+    m = rng.uniform(size=(32, 64))
+    c = ceiling_to_pano(h_c, proj)[0]
+    assert np.array_equal(merge_panorama(h_c, h_p, m, proj), m * c + (1.0 - m) * h_p)
+
+
+def test_merge_refuses_a_channel_mask_for_a_single_channel_panorama():
+    proj = PanoProjection(32, 16, 16, 16)
+    with pytest.raises(ValueError, match=r"merge mask of shape \(16, 32, 1\) does not fit "
+                                         r"the image's \(16, 32\)"):
+        merge_panorama(np.ones((16, 16)), np.ones((16, 32)), np.full((16, 32, 1), 0.5), proj)
+
+
+@pytest.mark.parametrize("tau", [-0.1, 1.0])
+def test_merge_mask_refuses_tau_outside_the_unit_interval(tau):
+    with pytest.raises(ValueError, match=r"tau must lie in \[0, 1\)"):
+        merge_mask(np.zeros((16, 16, 3)), PanoProjection(32, 16, 16, 16), tau)
+
+
 def test_merge_half_mask_blends():
     proj = PanoProjection(64, 32, 32, 32)
     h_c = np.full((32, 32, 3), 2.0)
@@ -485,6 +509,13 @@ def test_crop_rejects_an_output_below_one_pixel(out_width, out_height):
     pano = np.full((H, W, 3), 1.25)
     with pytest.raises(ValueError, match="at least 1x1"):
         crop_perspective(pano, 0.0, 0.0, math.radians(60), out_width, out_height)
+
+
+@pytest.mark.parametrize("hfov", [0.0, math.pi, -1.0])
+def test_crop_rejects_a_field_of_view_outside_zero_to_pi(hfov):
+    pano = np.full((H, W, 3), 1.25)
+    with pytest.raises(ValueError, match=r"horizontal field of view must lie in \(0, pi\)"):
+        crop_perspective(pano, 0.0, 0.0, hfov, 64, 48)
 
 
 def test_crop_set_counts_and_aspect():

@@ -362,9 +362,30 @@ def test_irradiance_is_independent_of_how_normals_are_cut():
     whole = diffuse_irradiance(n, env)
     singles = np.concatenate([diffuse_irradiance(n[i:i + 1], env) for i in range(0, 60)])
     assert singles.tobytes() == whole[:60].tobytes()
-    cuts = [0, 1, 8, 300, 813, 1100, len(n)]  # no cut but the ends is a multiple of 512
+    cuts = [0, 1, 8, 300, 813, 1100, len(n)]  # no cut but the ends is a multiple of 196
     parts = [diffuse_irradiance(n[a:b], env) for a, b in zip(cuts, cuts[1:])]
     assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("band_values", [977, 2400])
+def test_irradiance_bytes_do_not_move_with_the_band_size(monkeypatch, band_values):
+    # the bands of environment rows and chunks of normals are _row_bands:
+    # 977 values cut a 64-wide environment into one-row bands and its
+    # normals into chunks of 108 (one environment) or 54 (two), 2400 into
+    # bands of four or two rows and chunks of 66; -x normals' arcs cross the
+    # seam. The default takes the environment whole.
+    envs = random_envs(27)
+    n = np.concatenate([AXES, random_normals(400, seed=28)])
+    scene = parse_scene(MULTI_CHUNK_SCENE)
+
+    def made():
+        return ([diffuse_irradiance(n, envs[0]).tobytes(),
+                 diffuse_irradiance(n, np.stack([e.data for e in envs])).tobytes()]
+                + [r.data.tobytes() for r in render_many(scene, envs[:1]) + render_many(scene, envs)])
+
+    default = made()
+    monkeypatch.setattr(hdrkit.image, "_BAND_VALUES", band_values)
+    assert made() == default
 
 
 def test_non_finite_normals_give_non_finite_irradiance():
@@ -780,6 +801,10 @@ def test_concurrent_renders_are_exact():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [want] * 6
+
+
+def test_render_many_of_no_environments_is_empty():
+    assert render_many(parse_scene(default_scene_text(32, 24)), []) == []
 
 
 def test_render_many_rejects_mixed_shapes():
