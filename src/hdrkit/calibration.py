@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import HdrImage, LinearLdr, SegMask, _row_bands, channel_mean, image_data
+from .image import HdrImage, LinearLdr, SegMask, _pair, _row_bands, channel_mean, image_data
 
 __all__ = [
     "DEFAULT_TAU",
@@ -71,10 +71,7 @@ def calibrate_hdr(h: HdrImage, i: LinearLdr, tau: float = DEFAULT_TAU) -> Calibr
     Raises UncalibratableError when every pixel is overexposed or the masked
     HDR sum vanishes.
     """
-    hd = image_data(h)
-    ld = image_data(i)
-    if hd.shape != ld.shape:
-        raise ValueError(f"shape mismatch: HDR {hd.shape} vs LDR {ld.shape}")
+    hd, ld = _pair(h, i)
     mask = _anchor_mask(ld, tau)
     if not mask.any():
         raise UncalibratableError("all pixels are overexposed; no calibration anchor")

@@ -61,10 +61,11 @@ from .image import (
     HdrImage,
     LdrImage,
     LinearLdr,
+    _pair,
     exposure_preview,
     srgb_to_linear,
 )
-from .losses import _pair, metric_report
+from .losses import metric_report
 from .pano import (
     DEFAULT_MERGE_TAU,
     MAX_PLANE_EXTENT,
@@ -192,18 +193,21 @@ def _check_place(path: Path, directory: bool) -> None:
                 return
 
 
-def _read(path, kind=(HdrImage, LdrImage), expected=""):
-    """The decoded image file, which must be a `kind`."""
+def _read(path, kind=(HdrImage, LdrImage), expected="", shape=None):
+    """The decoded image file, which must be a `kind` and, unless shape is
+    None, of `shape`: that of the input or camera it must match."""
     with _naming(path):
         with open(path, "rb") as fh:
             img = read_image(fh.read())
         if not isinstance(img, kind):
             raise HdrIoError(f"{path}: expected {expected}")
+        if shape is not None:
+            _pair(np.broadcast_to(0.0, shape), img)
         return img
 
 
-def _read_hdr(path) -> HdrImage:
-    return _read(path, HdrImage, "an HDR image (RGBE or PFM)")
+def _read_hdr(path, shape=None) -> HdrImage:
+    return _read(path, HdrImage, "an HDR image (RGBE or PFM)", shape)
 
 
 def _linearize(img: LdrImage, ldr_space: str) -> LinearLdr:
@@ -212,8 +216,8 @@ def _linearize(img: LdrImage, ldr_space: str) -> LinearLdr:
     return srgb_to_linear(img)
 
 
-def _read_linear_ldr(path, ldr_space: str) -> LinearLdr:
-    return _linearize(_read(path, LdrImage, "an 8-bit LDR image (PPM)"), ldr_space)
+def _read_linear_ldr(path, ldr_space: str, shape=None) -> LinearLdr:
+    return _linearize(_read(path, LdrImage, "an 8-bit LDR image (PPM)", shape), ldr_space)
 
 
 def _atomic_write(path: Path, data: bytes) -> None:
@@ -256,9 +260,8 @@ def _print_json(obj) -> None:
 
 def _cmd_calibrate(args, params, manifest, _) -> int:
     hdr = _read_hdr(args.hdr)
-    ldr = _read_linear_ldr(args.ldr, params["ldr_space"])
-    with _naming(args.ldr if ldr.data.shape != hdr.data.shape else None):  # checked first
-        result = calibrate_hdr(hdr, ldr, params["tau"])
+    ldr = _read_linear_ldr(args.ldr, params["ldr_space"], hdr.data.shape)
+    result = calibrate_hdr(hdr, ldr, params["tau"])
     _write_output(args.output, result.calibrated,
                   {**manifest, "result": {"scale_factor": result.scale_factor}})
     _print_json({"scale_factor": result.scale_factor})
@@ -333,22 +336,18 @@ def _run_batch(inputs, worker, jobs: int) -> int:
 
 def _cmd_metrics(args, params, *_) -> int:
     pred = _read_hdr(args.pred)
-    gt = _read_hdr(args.gt)
-    anchor = _read_linear_ldr(args.ldr, params["ldr_space"]) if args.ldr else None
-    # metric_report checks gt's shape, then the anchor's, before any other failure
-    with _naming(args.gt if gt.data.shape != pred.data.shape else
-                 args.ldr if anchor and anchor.data.shape != gt.data.shape else None):
-        _print_json(metric_report(pred, gt, anchor, params["eps"]))
+    gt = _read_hdr(args.gt, pred.data.shape)
+    anchor = _read_linear_ldr(args.ldr, params["ldr_space"], gt.data.shape) if args.ldr else None
+    _print_json(metric_report(pred, gt, anchor, params["eps"]))
     return EXIT_OK
 
 
-def _projection(params, manifest, pano_width, pano_height, ceil_size, ceilings=(),
+def _projection(params, manifest, pano_width, pano_height, ceil_size, ceiling=None,
                 pano_path=None):
     """The one geometry of a panorama command: its PanoProjection, recorded
     as the sidecar's params. A panorama read from `pano_path` that is not
-    twice as wide as high is refused naming that file. Each (path, image)
-    of `ceilings` is held to the geometry by its own width and height: a
-    ceiling input that is not square, or not ceil_size wide, is refused
+    twice as wide as high is refused naming that file, and a `ceiling`
+    (path, image), whose width is ceil_size, that is not square is refused
     naming its file, before any resampling."""
     geometry = {"pano_width": pano_width, "pano_height": pano_height, "ceil_size": ceil_size,
                 "camera_d": params["camera_d"], "plane_extent": params["plane_extent"]}
@@ -356,11 +355,10 @@ def _projection(params, manifest, pano_width, pano_height, ceil_size, ceilings=(
     with _naming(pano_path):
         proj = PanoProjection(pano_width, pano_height, ceil_size, ceil_size,
                               geometry["camera_d"], geometry["plane_extent"])
-    for path, img in ceilings:
-        with _naming(path):
-            if dataclasses.replace(proj, ceil_width=img.width, ceil_height=img.height) != proj:
-                raise ValueError(f"ceiling view is {img.width}x{img.height}, "
-                                 f"not {ceil_size}x{ceil_size} like the ceiling HDR")
+    if ceiling is not None:
+        path, img = ceiling
+        with _naming(path):  # PanoProjection refuses a ceiling that is not square
+            dataclasses.replace(proj, ceil_height=img.height)
     return proj
 
 
@@ -380,7 +378,7 @@ def _cmd_c2p(args, params, manifest, _) -> int:
         raise UsageError("c2p requires --pano-width (or pano_width in --config)")
     ceil = _read_hdr(args.ceil)
     proj = _projection(params, manifest, pano_width, pano_width // 2, ceil.width,
-                       [(args.ceil, ceil)])
+                       (args.ceil, ceil))
     _write_output(args.output, HdrImage(_to_pano(ceil.data, proj, np.float32)), manifest)
     if args.validity_out:
         # sampling a constant image is exact: the validity is the gather of ones
@@ -392,10 +390,9 @@ def _cmd_c2p(args, params, manifest, _) -> int:
 def _cmd_merge(args, params, manifest, _) -> int:
     ceil_hdr = _read_hdr(args.ceil_hdr)
     pano_hdr = _read_hdr(args.pano_hdr)
-    ceil_ldr = _read_linear_ldr(args.ceil_ldr, params["ldr_space"])
+    ceil_ldr = _read_linear_ldr(args.ceil_ldr, params["ldr_space"], ceil_hdr.data.shape)
     proj = _projection(params, manifest, pano_hdr.width, pano_hdr.height, ceil_hdr.width,
-                       [(args.ceil_hdr, ceil_hdr), (args.ceil_ldr, ceil_ldr)],
-                       pano_path=args.pano_hdr)
+                       (args.ceil_hdr, ceil_hdr), pano_path=args.pano_hdr)
     m_p = merge_mask(ceil_ldr, proj, params["merge_tau"])
     del ceil_ldr  # one input image less during the blend
     merged = _merge(ceil_hdr, pano_hdr, m_p, proj, np.float32)
@@ -432,10 +429,8 @@ def _cmd_render(args, params, _, outs) -> int:
     scene = _read_scene(args.scene)
     # read and checked before rendering: the render may replace the reference
     # file, and a reference of another size than the camera's must write none
-    ref = _read_hdr(args.reference) if args.reference else None
-    if ref is not None:
-        with _naming(args.reference):
-            _pair(np.broadcast_to(0.0, (scene.camera.height, scene.camera.width, 3)), ref)
+    ref = (_read_hdr(args.reference, (scene.camera.height, scene.camera.width, 3))
+           if args.reference else None)
     code = _run_batch(envs, lambda p, i: _render_one(p, outs[i], scene, args.scene),
                       params["jobs"])
     if code == EXIT_OK and ref is not None:
@@ -455,9 +450,8 @@ def _cmd_eval_ibl(args, params, *_) -> int:
     ldr = _read_linear_ldr(args.ldr_env, params["ldr_space"])
     envs = []
     for path in (args.pred_env, args.gt_env):
-        hdr = _read_hdr(path)
-        with _naming(path if hdr.data.shape != ldr.data.shape else None):  # checked first
-            envs.append(calibrate_hdr(hdr, ldr, params["tau"]).calibrated)
+        hdr = _read_hdr(path, ldr.data.shape)
+        envs.append(calibrate_hdr(hdr, ldr, params["tau"]).calibrated)
         del hdr
     del ldr  # freed before the render, which sets the peak
     _print_json(compare_renders(*render_many(scene, envs)))

@@ -16,6 +16,9 @@ by _exact_sum, with the bits of numpy's sum over a float64 copy. The one
 exception is calibrate_hdr's masked sums: numpy sums float32 data reduced
 with dtype=np.float64 in buffers of 8192 values, so the scale factor of a
 float32 pair can differ in its last bits from that of its float64 copies.
+
+Two rules serve every module: _check_shape says what an image is, and _pair
+when two buffers match; a pair of other shapes reads "shape mismatch: A vs B".
 """
 
 from __future__ import annotations
@@ -181,13 +184,24 @@ def image_data(img) -> np.ndarray:
     return np.asarray(img)
 
 
+def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """The pixel buffers of a and b, uncopied, of one shape."""
+    p, q = image_data(a), image_data(b)
+    if p.shape != q.shape:
+        raise ValueError(f"shape mismatch: {p.shape} vs {q.shape}")
+    return p, q
+
+
 def _fitted_mask(mask, shape: tuple) -> np.ndarray:
-    """The float64 merge mask, shaped to broadcast over an image of `shape`:
-    the image's shape, (H, W), or (H, W, 1) when the image has channels."""
+    """The float64 merge mask, its values in [0, 1] and not NaN, shaped to
+    broadcast over an image of `shape`: the image's shape, (H, W), or
+    (H, W, 1) when the image has channels."""
     m = np.asarray(image_data(mask), dtype=np.float64)
     fits = [shape, shape[:2]] + ([shape[:2] + (1,)] if len(shape) == 3 else [])
     if m.shape not in fits:
         raise ValueError(f"merge mask of shape {m.shape} does not fit the image's {shape}")
+    if not (m.min(initial=0.0) >= 0 and m.max(initial=1.0) <= 1):
+        raise ValueError("merge mask values must lie in [0, 1]")
     return m[..., None] if m.ndim < len(shape) else m
 
 
@@ -235,8 +249,7 @@ def channel_mean(img) -> np.ndarray:
     but runs as a slow strided reduction over the 3-long axis.
     """
     d = image_data(img)
-    if d.ndim != 3 or d.shape[2] != 3:
-        raise ValueError(f"expected (height, width, 3) array, got shape {d.shape}")
+    _check_shape(d.shape)
     total = np.add(0.0, d[..., 0], dtype=np.float64)
     total += d[..., 1]
     total += d[..., 2]

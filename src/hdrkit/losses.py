@@ -34,6 +34,7 @@ from .image import (
     _exact_sum,
     _fitted_mask,
     _float_finite,
+    _pair,
     _row_bands,
     channel_mean,
     image_data,
@@ -83,14 +84,6 @@ class LossConfig:
             raise ValueError("epsilon must be positive")
         if min(self.alpha, self.beta1, self.beta2) < 0:
             raise ValueError("loss weights must be non-negative")
-
-
-def _pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
-    """The pixel buffers of pred and gt, uncopied, of one shape."""
-    p, g = image_data(pred), image_data(gt)
-    if p.shape != g.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {g.shape}")
-    return p, g
 
 
 def _log_diff(pred, gt, eps: float) -> np.ndarray:
@@ -184,8 +177,6 @@ def pano_loss(pred, gt, merge_mask, cfg: LossConfig = LossConfig()) -> float:
     """
     d = _log_diff(pred, gt, cfg.epsilon)
     m = _fitted_mask(merge_mask, d.shape)
-    if m.min() < 0 or m.max() > 1:
-        raise ValueError("merge mask values must lie in [0, 1]")
     high = float(((m * d) ** 2).mean())
     low = float((((1.0 - m) * d) ** 2).mean())
     return cfg.beta1 * high + cfg.beta2 * low
@@ -208,9 +199,7 @@ def display_anchor(pred, gt, ldr_linear, eps: float = 1e-6):
 def _anchor_scale(g, ldr_linear) -> float:
     """The factor of display_anchor: DISPLAY_PEAK over g at the LDR's brightest
     element (the first one, as np.argmax finds it)."""
-    ldr = image_data(ldr_linear)
-    if ldr.shape != g.shape:
-        raise ValueError("LDR anchor shape differs from the HDR pair")
+    ldr = _pair(g, ldr_linear)[1]
     if float(ldr.max()) <= 0:
         raise ValueError("cannot anchor against an all-black LDR image")
     ref = float(g.flat[int(np.argmax(ldr))])

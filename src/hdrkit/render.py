@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import HdrImage, _row_bands, image_data
-from .losses import _pair, log_psnr, preview_ssim
+from .image import HdrImage, _check_shape, _pair, _row_bands, image_data
+from .losses import log_psnr, preview_ssim
 from .pano import apply_bilinear_map, dir_equirect, equirect_dir, equirect_map
 
 __all__ = [
@@ -213,10 +213,13 @@ def default_scene_text(width: int = 160, height: int = 120) -> str:
 
 
 def _env_stack(arrs) -> np.ndarray:
-    """One C-contiguous (h, w, K, 3) stack of K environments of one shape,
-    channel-interleaved, so that one gather through its (h, w, 3K) view
-    looks up every environment. One C-contiguous environment is viewed,
-    not copied."""
+    """One C-contiguous (h, w, K, 3) stack of K environments, each checked
+    as an image and all of one shape, channel-interleaved, so that one
+    gather through its (h, w, 3K) view looks up every environment. One
+    C-contiguous environment is viewed, not copied."""
+    for a in arrs:
+        _check_shape(a.shape)
+        _pair(arrs[0], a)
     if len(arrs) == 1:
         return np.ascontiguousarray(arrs[0])[:, :, None]
     return np.stack(arrs, axis=2)
@@ -408,9 +411,6 @@ def render_many(scene: SceneConfig, envs) -> list[HdrImage]:
     arrs = [image_data(e) for e in envs]
     if not arrs:
         return []
-    shapes = {a.shape for a in arrs}
-    if len(shapes) > 1:
-        raise ValueError(f"environments differ in shape: {sorted(shapes)}")
     stack = _env_stack(arrs)
     env_h, env_w, k = stack.shape[:3]
     out = np.zeros((k, scene.camera.height, scene.camera.width, 3), dtype=np.float32)

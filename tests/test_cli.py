@@ -265,21 +265,23 @@ def test_merge_cli_is_merge_panorama_cast_to_float32(workdir, capsys):
 
 
 # Each input is held to its command's geometry: a ceiling that is not
-# square, a ceiling LDR of another size than the ceiling HDR, or a panorama
-# that is not twice as wide as high, is a numeric failure naming that file,
-# and nothing is written.
-@pytest.mark.parametrize("argv, refused", [
-    (["merge", "c32.pfm", "p.pfm", "--ceil-ldr", "l16.ppm", "-o", "out/m.pfm"], "l16.ppm"),
+# square, a ceiling LDR of another size than the ceiling HDR (the shape
+# message, as each input is read), or a panorama that is not twice as wide
+# as high, is a numeric failure naming that file, and nothing is written.
+@pytest.mark.parametrize("argv, refused, message", [
+    (["merge", "c32.pfm", "p.pfm", "--ceil-ldr", "l16.ppm", "-o", "out/m.pfm"], "l16.ppm",
+     "shape mismatch: (32, 32, 3) vs (16, 16, 3)"),
     (["merge", "c32x16.pfm", "p.pfm", "--ceil-ldr", "l32x16.ppm", "-o", "out/m.pfm"],
-     "c32x16.pfm"),
+     "c32x16.pfm", "ceiling view must be square"),
     (["c2p", "c32x16.pfm", "-o", "out/p.pfm", "--pano-width", "64", "--validity-out",
-      "out/v.pfm"], "c32x16.pfm"),
-    (["p2c", "p60x32.pfm", "-o", "out/c.pfm"], "p60x32.pfm"),
+      "out/v.pfm"], "c32x16.pfm", "ceiling view must be square"),
+    (["p2c", "p60x32.pfm", "-o", "out/c.pfm"], "p60x32.pfm",
+     "panorama width must be twice its height"),
     (["merge", "c32.pfm", "p60x32.pfm", "--ceil-ldr", "l32.ppm", "-o", "out/m.pfm"],
-     "p60x32.pfm"),
+     "p60x32.pfm", "panorama width must be twice its height"),
 ], ids=["merge-ldr-size", "merge-non-square", "c2p-non-square", "p2c-pano-not-2-to-1",
         "merge-pano-not-2-to-1"])
-def test_ceiling_off_the_geometry_exits_3(workdir, capsys, monkeypatch, argv, refused):
+def test_ceiling_off_the_geometry_exits_3(workdir, capsys, monkeypatch, argv, refused, message):
     monkeypatch.chdir(workdir)
     rng = np.random.default_rng(24)
     save_pfm(workdir / "p.pfm", rng.uniform(0.1, 2.0, (32, 64, 3)))
@@ -292,25 +294,29 @@ def test_ceiling_off_the_geometry_exits_3(workdir, capsys, monkeypatch, argv, re
     code, out, err = run(capsys, *argv)
     assert code == EXIT_NUMERIC and out == ""
     (line,) = err.strip().splitlines()
-    assert json.loads(line)["error"]["file"] == refused
+    error = json.loads(line)["error"]
+    assert error["file"] == refused and error["message"] == message
     assert not (workdir / "out").exists()
 
 
-# A calibration, metric, eval-ibl or render input whose size differs from
-# its counterpart's fails with the library's shape message, naming that
-# file: calibrate's LDR, metrics' gt (checked first) or anchor, the
-# environment that eval-ibl calibrates, or a render's reference, which is
-# checked against the camera before any render is written.
+# Each input is checked as it is read, in argument order, against the
+# input or camera that it must match: calibrate's LDR against its HDR,
+# metrics' gt against pred and its anchor against gt, each environment that
+# eval-ibl calibrates against the LDR environment, and a render's reference
+# against the camera, before any render is written. The first input that
+# does not match fails with the library's shape message, naming that file,
+# even when a later one could not be read at all.
 @pytest.mark.parametrize("argv, refused", [
     (["calibrate", "p.pfm", "l16.ppm", "-o", "out/c.pfm"], "l16.ppm"),
     (["metrics", "p.pfm", "q16.pfm"], "q16.pfm"),
     (["metrics", "p.pfm", "p.pfm", "--ldr", "l16.ppm"], "l16.ppm"),
     (["metrics", "p.pfm", "q16.pfm", "--ldr", "l16.ppm"], "q16.pfm"),
+    (["metrics", "p.pfm", "q16.pfm", "--ldr", "missing.ppm"], "q16.pfm"),
     (["eval-ibl", "q16.pfm", "p.pfm", "l32.ppm", "scene.txt"], "q16.pfm"),
     (["eval-ibl", "p.pfm", "q16.pfm", "l32.ppm", "scene.txt"], "q16.pfm"),
     (["render", "scene.txt", "p.pfm", "-o", "out/r.pfm", "--reference", "q16.pfm"], "q16.pfm"),
 ], ids=["calibrate-ldr", "metrics-gt", "metrics-anchor", "metrics-gt-and-anchor",
-        "eval-ibl-pred", "eval-ibl-gt", "render-reference"])
+        "metrics-gt-before-a-missing-anchor", "eval-ibl-pred", "eval-ibl-gt", "render-reference"])
 def test_shape_mismatch_names_the_input(workdir, capsys, monkeypatch, argv, refused):
     monkeypatch.chdir(workdir)
     rng = np.random.default_rng(28)
@@ -324,7 +330,7 @@ def test_shape_mismatch_names_the_input(workdir, capsys, monkeypatch, argv, refu
     (line,) = err.strip().splitlines()
     error = json.loads(line)["error"]
     assert error["type"] == "ValueError" and error["file"] == refused
-    assert "shape" in error["message"]
+    assert error["message"].startswith("shape mismatch: ")
     assert not (workdir / "out").exists()
 
 

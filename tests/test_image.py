@@ -187,6 +187,11 @@ def test_channel_mean_rejects_other_channel_counts():
         channel_mean(np.ones((2, 2, 4)))
 
 
+def test_channel_mean_refuses_an_empty_image():
+    with pytest.raises(ValueError, match="image must be at least 1x1"):
+        channel_mean(np.ones((0, 4, 3)))
+
+
 @pytest.mark.parametrize("shape", [(1, 1, 3), (7, 5, 3), (203, 97, 3), (40, 1024, 3)])
 def test_exposure_preview_matches_whole_image_formula(shape):
     # several row bands, with a partial last band, must give the bytes of

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hdrkit import losses
+from hdrkit.calibration import calibrate_hdr
 from hdrkit.image import HdrImage, channel_mean, exposure_preview
 from hdrkit.losses import (
     LOG_PSNR_CAP_DB,
@@ -221,8 +222,9 @@ def test_pano_loss_mask_swap_identity():
 
 def test_pano_loss_rejects_bad_mask():
     pred, gt = random_pair(9, shape=(4, 4, 3))
-    with pytest.raises(ValueError):
-        pano_loss(pred, gt, np.full((4, 4), 1.5))
+    for value in (1.5, -0.5, np.nan):  # a NaN mask used to give a NaN loss
+        with pytest.raises(ValueError, match=r"merge mask values must lie in \[0, 1\]"):
+            pano_loss(pred, gt, np.full((4, 4), value))
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (4, 1), (1, 8), (8, 4), (4, 8, 2), (1, 1, 1), (4, 8, 1, 1)])
@@ -370,14 +372,29 @@ def test_ssim_negative_image_far_from_one():
     assert ssim(card, 255.0 - card) < 0.1
 
 
-@pytest.mark.parametrize("a, b, message", [
-    (np.zeros((16, 16)), np.zeros((16, 17)), r"shape mismatch: \(16, 16\) vs \(16, 17\)"),
-    (np.zeros((16, 16, 3)), np.zeros((16, 16, 3)), r"ssim expects single-channel \(H, W\)"),
-    (np.zeros((16, 10)), np.zeros((16, 10)), "image smaller than the 11x11 window"),
+# Every pair of another shape reads image._pair's one message, whichever
+# function refuses it; ssim also refuses what its window cannot compare.
+@pytest.mark.parametrize("compare, a, b, message", [
+    pytest.param(ssim, np.zeros((16, 16)), np.zeros((16, 17)),
+                 r"shape mismatch: \(16, 16\) vs \(16, 17\)", id="ssim-shape"),
+    pytest.param(ssim, np.zeros((16, 16, 3)), np.zeros((16, 16, 3)),
+                 r"ssim expects single-channel \(H, W\)", id="ssim-channels"),
+    pytest.param(ssim, np.zeros((16, 10)), np.zeros((16, 10)),
+                 "image smaller than the 11x11 window", id="ssim-window"),
+    pytest.param(calibrate_hdr, np.ones((2, 3, 3)), np.full((2, 2, 3), 0.4),
+                 r"shape mismatch: \(2, 3, 3\) vs \(2, 2, 3\)", id="calibrate_hdr"),
+    pytest.param(lambda gt, ldr: display_anchor(gt, gt, ldr), np.ones((4, 4, 3)),
+                 np.full((4, 5, 3), 0.5), r"shape mismatch: \(4, 4, 3\) vs \(4, 5, 3\)",
+                 id="display_anchor"),
+    pytest.param(lambda gt, ldr: metric_report(gt, gt, ldr), np.ones((16, 16, 3)),
+                 np.full((16, 8, 3), 0.5), r"shape mismatch: \(16, 16, 3\) vs \(16, 8, 3\)",
+                 id="metric_report-anchor"),
+    pytest.param(compare_renders, np.ones((4, 4, 3)), np.ones((4, 5, 3)),
+                 r"shape mismatch: \(4, 4, 3\) vs \(4, 5, 3\)", id="compare_renders"),
 ])
-def test_ssim_refuses_what_it_cannot_compare(a, b, message):
+def test_refuses_what_it_cannot_compare(compare, a, b, message):
     with pytest.raises(ValueError, match=message):
-        ssim(a, b)
+        compare(a, b)
 
 
 def reference_ssim(x, y, data_range=255.0, sigma=1.5):

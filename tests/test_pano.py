@@ -447,6 +447,15 @@ def test_merge_refuses_a_mask_of_another_size(shape):
         merge_panorama(h_c, h_p, np.full(shape, 0.5), proj)
 
 
+@pytest.mark.parametrize("value", [1.5, -0.5, np.nan])
+def test_merge_refuses_mask_values_outside_the_unit_interval(value):
+    # such masks used to extrapolate: a mask of 1.5 gave -0.5 everywhere
+    proj = PanoProjection(32, 16, 16, 16)
+    h_c, h_p = np.zeros((16, 16, 3)), np.ones((16, 32, 3))
+    with pytest.raises(ValueError, match=r"merge mask values must lie in \[0, 1\]"):
+        merge_panorama(h_c, h_p, np.full((16, 32), value), proj)
+
+
 def test_merge_of_single_channel_images_is_the_blend():
     # an (H, W) mask used to gain a channel axis that (H, W) images lack
     rng = np.random.default_rng(4)

@@ -807,9 +807,24 @@ def test_render_many_of_no_environments_is_empty():
     assert render_many(parse_scene(default_scene_text(32, 24)), []) == []
 
 
+@pytest.mark.parametrize("shape, message", [
+    ((0, 4, 3), "image must be at least 1x1"),
+    ((2, 0, 3), "image must be at least 1x1"),
+    ((4, 8), r"expected \(height, width, 3\) array"),
+], ids=["no-rows", "no-columns", "no-channels"])
+def test_an_environment_that_is_no_image_is_refused(shape, message):
+    # these used to fail as a RuntimeWarning, a ZeroDivisionError, an
+    # IndexError or non-finite sampling coordinates
+    env = np.ones(shape)
+    with pytest.raises(ValueError, match=message):
+        diffuse_irradiance(np.array([[0.0, 0.0, 1.0]]), env)
+    with pytest.raises(ValueError, match=message):
+        render_many(parse_scene(default_scene_text(8, 6)), [env])
+
+
 def test_render_many_rejects_mixed_shapes():
     scene = parse_scene(default_scene_text(32, 24))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"shape mismatch: \(16, 32, 3\) vs \(32, 64, 3\)"):
         render_many(scene, [uniform_env(shape=(16, 32, 3)), uniform_env(shape=(32, 64, 3))])
 
 
