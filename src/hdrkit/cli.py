@@ -65,7 +65,7 @@ from .image import (
     exposure_preview,
     srgb_to_linear,
 )
-from .losses import metric_report
+from .losses import DEFAULT_EPS, metric_report
 from .pano import (
     DEFAULT_MERGE_TAU,
     MAX_PLANE_EXTENT,
@@ -555,15 +555,16 @@ _OPTIONS = {
                                 "fixed dynamic range in EV (identity-CRF mode)"),
     "target_mean": _Option("--target-mean", _real("(0, 1)"), DEFAULT_TARGET_MEAN,
                            "auto-exposure target mean"),
-    "eps": _Option("--eps", _real("(0, inf)"), 1e-6, "offset added before taking logs"),
+    "eps": _Option("--eps", _real("(0, inf)"), DEFAULT_EPS, "offset added before taking logs"),
     "ceil_size": _Option("--ceil-size", _integer(1), None,
                          "ceiling view side in pixels, at least 1 (default: the panorama's "
                          "height)"),
     "pano_width": _Option("--pano-width", _integer(2, even=True), None,
                           "panorama width in pixels, positive and even (required)"),
-    "camera_d": _Option("--d", _real("(0, 1]"), 1.0,
+    "camera_d": _Option("--d", _real("(0, 1]"), PanoProjection.camera_offset,
                         "ceiling camera offset below the sphere center"),
-    "plane_extent": _Option("--extent", _real(f"(0, {MAX_PLANE_EXTENT:g}]"), 1.0,
+    "plane_extent": _Option("--extent", _real(f"(0, {MAX_PLANE_EXTENT:g}]"),
+                            PanoProjection.plane_extent,
                             "half-width of the ceiling plane"),
     "merge_tau": _Option("--merge-tau", _real("[0, 1)"), DEFAULT_MERGE_TAU,
                          "ceiling LDR mean where the merge mask starts"),

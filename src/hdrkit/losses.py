@@ -54,8 +54,10 @@ __all__ = [
     "preview_ssim",
     "metric_report",
     "LOG_PSNR_CAP_DB",
+    "DEFAULT_EPS",
 ]
 
+DEFAULT_EPS = 1e-6  # the offset added before taking logs
 LOG_PSNR_CAP_DB = 99.0
 PREVIEW_EV = 0.0  # exposure of the SSIM previews
 PREVIEW_WINDOW_EV = 10.0  # their exposure window
@@ -74,7 +76,7 @@ class LossConfig:
     resolutions.
     """
 
-    epsilon: float = 1e-6
+    epsilon: float = DEFAULT_EPS
     alpha: float = 0.05
     beta1: float = 0.2
     beta2: float = 0.01
@@ -96,7 +98,7 @@ def _log_diff(pred, gt, eps: float) -> np.ndarray:
     return d
 
 
-def optimal_scale(pred, gt, eps: float = 1e-6) -> float:
+def optimal_scale(pred, gt, eps: float = DEFAULT_EPS) -> float:
     """Positive multiplier for pred minimizing the mean squared log error.
 
     Closed form: log k is the mean over all elements of
@@ -105,7 +107,7 @@ def optimal_scale(pred, gt, eps: float = 1e-6) -> float:
     return float(math.exp(-_log_diff_mean(*_pair(pred, gt), eps)))
 
 
-def scale_invariant_loss(pred, gt, eps: float = 1e-6) -> float:
+def scale_invariant_loss(pred, gt, eps: float = DEFAULT_EPS) -> float:
     """Mean squared log difference minus the squared mean log difference.
 
     Equals the minimum over all positive rescalings of pred of the mean
@@ -139,7 +141,7 @@ def _log_diff_moments(p: np.ndarray, g: np.ndarray, eps: float) -> tuple[float, 
     return mean, float(np.divide(_exact_sum(p.size, squared_deviation), p.size))
 
 
-def si_mse(pred, gt, eps: float = 1e-6) -> float:
+def si_mse(pred, gt, eps: float = DEFAULT_EPS) -> float:
     """Scale-invariant MSE metric (same quantity as the training loss).
 
     Returned raw; reporting layers may rescale into display units.
@@ -147,7 +149,7 @@ def si_mse(pred, gt, eps: float = 1e-6) -> float:
     return scale_invariant_loss(pred, gt, eps)
 
 
-def seg_cross_entropy(pred, gt, eps: float = 1e-6) -> float:
+def seg_cross_entropy(pred, gt, eps: float = DEFAULT_EPS) -> float:
     """Binary cross-entropy summed over pixels and channels.
 
     pred holds per-channel probabilities and is clamped into
@@ -182,7 +184,7 @@ def pano_loss(pred, gt, merge_mask, cfg: LossConfig = LossConfig()) -> float:
     return cfg.beta1 * high + cfg.beta2 * low
 
 
-def display_anchor(pred, gt, ldr_linear, eps: float = 1e-6):
+def display_anchor(pred, gt, ldr_linear, eps: float = DEFAULT_EPS):
     """Bring a predicted/ground-truth HDR pair onto an absolute display scale.
 
     pred is first multiplied by its optimal alignment scale against gt;
@@ -208,7 +210,7 @@ def _anchor_scale(g, ldr_linear) -> float:
     return DISPLAY_PEAK / ref
 
 
-def log_psnr(pred, gt, eps: float = 1e-6) -> float:
+def log_psnr(pred, gt, eps: float = DEFAULT_EPS) -> float:
     """PSNR in dB between log-domain images normalized to gt's log-range.
 
     Both images are log-transformed with an epsilon guard and mapped by the
@@ -374,7 +376,7 @@ def _scaled_preview(a: np.ndarray, k: float, scale: float, clamp: bool):
     return preview
 
 
-def metric_report(pred, gt, ldr_linear=None, eps: float = 1e-6) -> dict:
+def metric_report(pred, gt, ldr_linear=None, eps: float = DEFAULT_EPS) -> dict:
     """The standard metric bundle: si_mse, log_psnr, ssim, and kappa.
 
     pred is aligned to gt by its optimal scale before log_psnr; when a

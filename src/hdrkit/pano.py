@@ -221,7 +221,7 @@ def apply_bilinear_map(img: np.ndarray, smap: tuple) -> np.ndarray:
     return bottom
 
 
-def plane_to_sphere(cx, cy, offset: float = 1.0):
+def plane_to_sphere(cx, cy, offset: float = PanoProjection.camera_offset):
     """Upper-hemisphere point hit by the ray from (0,0,-offset) through (cx, cy, 0).
 
     Returns (px, py, pz, valid); points whose ray meets the sphere only in
@@ -240,7 +240,7 @@ def plane_to_sphere(cx, cy, offset: float = 1.0):
     return px, py, pz, pz >= 0
 
 
-def sphere_to_plane(px, py, pz, offset: float = 1.0):
+def sphere_to_plane(px, py, pz, offset: float = PanoProjection.camera_offset):
     """Plane point (cx, cy) imaging direction p from the offset camera.
 
     Only meaningful for pz >= -offset; the ceiling conversion masks

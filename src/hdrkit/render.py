@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .image import HdrImage, _check_shape, _pair, _row_bands, image_data
+from .image import HdrImage, _pair, _row_bands, image_data
 from .losses import log_psnr, preview_ssim
 from .pano import apply_bilinear_map, dir_equirect, equirect_dir, equirect_map
 
@@ -62,14 +62,20 @@ MAX_SCENE_LENGTH = 1e100
 _VIEW_DIR = np.array([0.0, -1.0, 0.0])  # the orthographic camera looks along -y
 
 
+# Each scene directive's count of arguments, and how many more it may take;
+# and the numbers each material kind takes after its name.
+_SCENE_ARGS = {"camera": (2, 3), "sphere": (5, 0), "background": (1, 0)}
+_MATERIAL_ARGS = {"mirror": 0, "diffuse": 3, "glossy": 4}
+
+
 @dataclass(frozen=True)
 class Material:
-    kind: str  # diffuse | mirror | glossy
+    kind: str  # a key of _MATERIAL_ARGS
     albedo: tuple[float, float, float] = (1.0, 1.0, 1.0)
     exponent: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("diffuse", "mirror", "glossy"):
+        if self.kind not in _MATERIAL_ARGS:
             raise ValueError(f"unknown material kind {self.kind!r}")
         if any(not 0 <= a <= 1 for a in self.albedo):
             raise ValueError("albedo components must lie in [0, 1]")
@@ -133,70 +139,59 @@ def parse_scene(text: str) -> SceneConfig:
     """Parse the line-based scene description.
 
     Directives (one per line, '#' comments allowed):
-      camera W H SPAN [CX CZ]
+      camera W H [SPAN [CX [CZ]]]
       sphere CX CY CZ RADIUS diffuse R G B
       sphere CX CY CZ RADIUS mirror
       sphere CX CY CZ RADIUS glossy EXPONENT R G B
       background on|off
-    A scene has one camera line and at most one background line.
+    Left-out camera values are OrthoCamera's defaults. A scene has one
+    camera line and at most one background line, which defaults to on.
     """
-    camera = None
+    fields: dict = {}
     spheres: list[Sphere] = []
-    background = True
     once: dict[str, int] = {}  # line of each camera or background directive
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        word, args = parts[0].lower(), parts[1:]
+        word, *args = line.split()
+        word = word.lower()
         try:
-            if word == "camera":
-                w, h = int(args[0]), int(args[1])
-                span = float(args[2]) if len(args) > 2 else 3.0
-                cx = float(args[3]) if len(args) > 3 else 0.0
-                cz = float(args[4]) if len(args) > 4 else 1.0
-                camera = OrthoCamera(w, h, span, cx, cz)
-                used = 5
-            elif word == "sphere":
-                center = (float(args[0]), float(args[1]), float(args[2]))
-                radius = float(args[3])
+            if word not in _SCENE_ARGS:
+                raise SceneParseError(f"unknown directive {word!r}")
+            need, more = _SCENE_ARGS[word]
+            if word == "sphere" and len(args) >= need:
+                *center, radius = map(float, args[:4])  # so a bad number is named before the kind
                 kind = args[4].lower()
-                if kind == "mirror":
-                    mat = Material("mirror")
-                    used = 5
-                elif kind == "diffuse":
-                    mat = Material("diffuse", (float(args[5]), float(args[6]), float(args[7])))
-                    used = 8
-                elif kind == "glossy":
-                    mat = Material("glossy",
-                                   (float(args[6]), float(args[7]), float(args[8])),
-                                   exponent=float(args[5]))
-                    used = 9
-                else:
+                if kind not in _MATERIAL_ARGS:
                     raise SceneParseError(f"unknown material {kind!r}")
-                spheres.append(Sphere(center, radius, mat))
-            elif word == "background":
+                need += _MATERIAL_ARGS[kind]
+            if len(args) < need:
+                raise SceneParseError(f"too few arguments for {word!r}: {len(args)} of {need}")
+            args, rest = args[:need + more], args[need + more:]
+            if word == "camera":
+                fields[word] = OrthoCamera(int(args[0]), int(args[1]), *map(float, args[2:]))
+            elif word == "sphere":
+                # the last three numbers are an albedo; a glossy exponent precedes them
+                numbers = [float(a) for a in args[5:]]
+                mat = (Material(kind, tuple(numbers[-3:]), *numbers[:-3]) if numbers
+                       else Material(kind))
+                spheres.append(Sphere(tuple(center), radius, mat))
+            else:
                 value = args[0].lower()
                 if value not in _SWITCH_ON + _SWITCH_OFF:
                     raise SceneParseError(f"background must be on or off, not {args[0]!r}")
-                background = value in _SWITCH_ON
-                used = 1
-            else:
-                raise SceneParseError(f"unknown directive {word!r}")
-            if len(args) > used:
-                raise SceneParseError(f"unexpected {' '.join(args[used:])!r} after {word!r}")
-            if word in once:
+                fields[word] = value in _SWITCH_ON
+            if rest:
+                raise SceneParseError(f"unexpected {' '.join(rest)!r} after {word!r}")
+            if word != "sphere" and once.setdefault(word, lineno) != lineno:
                 raise SceneParseError(f"second {word!r} line (the first is line {once[word]})")
-            if word != "sphere":
-                once[word] = lineno
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, SceneParseError):
-                raise SceneParseError(f"line {lineno}: {exc}") from None
-            raise SceneParseError(f"line {lineno}: bad arguments for {word!r}: {exc}") from None
-    if camera is None:
+        except ValueError as exc:
+            why = exc if isinstance(exc, SceneParseError) else f"bad arguments for {word!r}: {exc}"
+            raise SceneParseError(f"line {lineno}: {why}") from None
+    if "camera" not in fields:
         raise SceneParseError("scene has no camera line")
-    return SceneConfig(camera=camera, spheres=tuple(spheres), background=background)
+    return SceneConfig(spheres=tuple(spheres), **fields)
 
 
 def default_scene_text(width: int = 160, height: int = 120) -> str:
@@ -213,25 +208,27 @@ def default_scene_text(width: int = 160, height: int = 120) -> str:
 
 
 def _env_stack(arrs) -> np.ndarray:
-    """One C-contiguous (h, w, K, 3) stack of K environments, each checked
-    as an image and all of one shape, channel-interleaved, so that one
-    gather through its (h, w, 3K) view looks up every environment. One
-    C-contiguous environment is viewed, not copied."""
-    for a in arrs:
-        _check_shape(a.shape)
-        _pair(arrs[0], a)
-    if len(arrs) == 1:
-        return np.ascontiguousarray(arrs[0])[:, :, None]
-    return np.stack(arrs, axis=2)
+    """One C-contiguous (h, w, K, 3) stack of K >= 1 environments, each an
+    HdrImage and all of one shape, channel-interleaved, so that one gather
+    through its (h, w, 3K) view looks up every environment. One C-contiguous
+    floating environment is viewed, not copied."""
+    if not arrs:
+        raise ValueError("no environment to shade with")
+    datas = [HdrImage(a).data for a in arrs]
+    for data in datas:
+        _pair(datas[0], data)
+    if len(datas) == 1:
+        return datas[0][:, :, None]
+    return np.stack(datas, axis=2)
 
 
 def diffuse_irradiance(normals, env) -> np.ndarray:
     """Cosine-weighted irradiance E(n) summed over environment texels.
 
-    normals: (..., 3) unit vectors. env: one (h, w, 3) environment, giving
-    (..., 3) irradiance, or a (K, h, w, 3) stack of environments, giving
-    (K, ..., 3). Outgoing diffuse radiance is albedo * E / pi. Under a
-    uniform environment L0 the sum converges to pi * L0.
+    normals: (..., 3) unit vectors. env: one (h, w, 3) HdrImage environment,
+    giving (..., 3) irradiance, or a (K, h, w, 3) stack of K >= 1 of them,
+    giving (K, ..., 3). Outgoing diffuse radiance is albedo * E / pi. Under
+    a uniform environment L0 the sum converges to pi * L0.
 
     The sum is grouped per environment row: a normal's lit texels in one
     row form one arc of columns, and the arc's weighted radiance is a
@@ -400,7 +397,7 @@ def _shade(material: Material, normals: np.ndarray, stack: np.ndarray) -> np.nda
 def render_many(scene: SceneConfig, envs) -> list[HdrImage]:
     """Render the scene under each environment map; deterministic.
 
-    The environments, which must share one shape, are stacked once,
+    The environments, HdrImages' data of one shape, are stacked once,
     channel-interleaved, so each lookup gathers all of them. The camera's
     flat pixels are taken in ranges of at most 21845 (the _row_bands of
     their RGB values); each range is hit-tested, shaded and written into

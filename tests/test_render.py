@@ -61,6 +61,11 @@ def test_parse_plane_and_background():
         parse_scene("camera 8 8 1\nplane 0.5 0.5 0.5\n")
 
 
+def test_left_out_scene_values_are_the_dataclass_defaults():
+    scene = parse_scene("camera 8 6\nsphere 0 0 0 1 mirror\n")
+    assert scene == SceneConfig(OrthoCamera(8, 6), (Sphere((0, 0, 0), 1.0, Material("mirror")),))
+
+
 def test_render_module_is_not_shadowed():
     import hdrkit
     import hdrkit.render as m
@@ -82,7 +87,10 @@ def test_parse_errors():
 
 @pytest.mark.parametrize("line, message", [
     ("background onn", "background must be on or off, not 'onn'"),
-    ("background", "bad arguments for 'background': list index out of range"),
+    ("background", "too few arguments for 'background': 0 of 1"),
+    ("camera 8", "too few arguments for 'camera': 1 of 2"),
+    ("sphere 0 0 0.9 0.9", "too few arguments for 'sphere': 4 of 5"),
+    ("sphere 0 0 0.9 0.9 glossy 8 0.7 0.7", "too few arguments for 'sphere': 8 of 9"),
     ("background on off", "unexpected 'off' after 'background'"),
     ("camera 16 12 3 0 0.9 7 8", "unexpected '7 8' after 'camera'"),
     ("sphere 0 0 0.9 0.9 mirror glossy 3", "unexpected 'glossy 3' after 'sphere'"),
@@ -807,19 +815,23 @@ def test_render_many_of_no_environments_is_empty():
     assert render_many(parse_scene(default_scene_text(32, 24)), []) == []
 
 
-@pytest.mark.parametrize("shape, message", [
-    ((0, 4, 3), "image must be at least 1x1"),
-    ((2, 0, 3), "image must be at least 1x1"),
-    ((4, 8), r"expected \(height, width, 3\) array"),
-], ids=["no-rows", "no-columns", "no-channels"])
-def test_an_environment_that_is_no_image_is_refused(shape, message):
+@pytest.mark.parametrize("env, message", [
+    (np.ones((0, 4, 3)), "image must be at least 1x1"),
+    (np.ones((2, 0, 3)), "image must be at least 1x1"),
+    (np.ones((4, 8)), r"expected \(height, width, 3\) array"),
+    (np.full((4, 8, 3), np.nan), "HDR image contains non-finite values"),
+    (np.full((4, 8, 3), -1.0), "HDR image contains negative values"),
+    (np.ones((0, 4, 8, 3)), "no environment to shade with"),
+], ids=["no-rows", "no-columns", "no-channels", "nan", "negative", "empty-stack"])
+def test_an_environment_that_is_no_image_is_refused(env, message):
     # these used to fail as a RuntimeWarning, a ZeroDivisionError, an
-    # IndexError or non-finite sampling coordinates
-    env = np.ones(shape)
+    # IndexError, non-finite sampling coordinates or numpy's "need at least
+    # one array to stack", or gave NaN or negative irradiance
     with pytest.raises(ValueError, match=message):
         diffuse_irradiance(np.array([[0.0, 0.0, 1.0]]), env)
-    with pytest.raises(ValueError, match=message):
-        render_many(parse_scene(default_scene_text(8, 6)), [env])
+    if env.ndim < 4:  # render_many takes a list of environments, never a stack
+        with pytest.raises(ValueError, match=message):
+            render_many(parse_scene(default_scene_text(8, 6)), [env])
 
 
 def test_render_many_rejects_mixed_shapes():

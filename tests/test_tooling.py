@@ -15,6 +15,7 @@ import pytest
 from hdrkit import cli
 from hdrkit.fileio import write_ppm, write_rgbe
 from hdrkit.image import HdrImage, LinearLdr, linear_to_srgb
+from hdrkit.render import OrthoCamera, parse_scene
 
 ROOT = Path(__file__).resolve().parents[1]
 LAUNCHER = ROOT / "perfbench" / "launcher.py"
@@ -41,6 +42,31 @@ def test_readme_library_example_runs(tmp_path, monkeypatch):
     (tmp_path / "scene.ppm").write_bytes(write_ppm(linear_to_srgb(LinearLdr(np.minimum(hdr, 1)))))
     monkeypatch.chdir(tmp_path)
     exec(compile(example, "README.md", "exec"), {})
+
+
+def test_readme_scene_file_parses():
+    # the block under "### Scene files", parsed as the scene file it shows
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^### Scene files\n\n```\n(.*?)^```", readme, re.S | re.M).group(1)
+    scene = parse_scene(block)
+    assert scene.camera == OrthoCamera(160, 120, 4.5, 0.0, 0.9)
+    assert [s.material.kind for s in scene.spheres] == ["diffuse", "mirror", "glossy"]
+
+
+def test_readme_cli_lines_resolve(tmp_path, monkeypatch):
+    # each documented invocation parses, resolves its options and claims its
+    # outputs; run in an empty directory, so none of its files can be read
+    readme = (ROOT / "README.md").read_text()
+    lines = [line.split("#")[0].split()
+             for block in re.findall(r"^```bash\n(.*?)^```", readme, re.S | re.M)
+             for line in block.splitlines() if line.startswith("hdrkit ")]
+    assert sorted({argv[1] for argv in lines}) == sorted(cli._COMMANDS)
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        args = cli._build_parser().parse_args(argv[1:])
+        command = cli._COMMANDS[args.command]
+        _, inputs = cli._roles(command, args, cli._resolve_params(args, {}, command.options))
+        assert inputs, argv
 
 
 def test_package_imports_no_scipy():
