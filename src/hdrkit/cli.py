@@ -12,12 +12,12 @@ like a flag, and a bad one is a usage error. Batch subcommands (synth,
 render) process every input even if some fail; failures are reported per
 file on stderr.
 Every output, batch files and crop-set's view files included, is claimed
-from the command table before any subcommand runs: an output whose
-extension names no format its subcommand can write (an HDR image cannot go
-to .ppm), two outputs of the same file (two batch inputs, or --output and
---validity-out), and --output with --out-dir are usage errors; a directory
-where an output file goes, or a file where an output directory goes, is an
-I/O error naming the output.
+with its sidecar by _plan, from the command table, before any input is read:
+an output whose extension names no format its subcommand can write (an HDR
+image cannot go to .ppm), two outputs of the same file (two batch inputs, or
+--output and --validity-out), and --output with --out-dir are usage errors;
+a directory where an output file or its sidecar goes, or a file where an
+output directory goes, is an I/O error naming that path.
 """
 
 from __future__ import annotations
@@ -100,15 +100,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _emit_error(kind: str, message: str, file=None) -> None:
-    print(json.dumps({"error": {"type": kind, "message": message, "file": file}}),
-          file=sys.stderr)
-
-
-def _exit_code(exc: Exception) -> int:
-    """The exit code of a failure: a usage error exits 1, an I/O failure or
-    a MemoryError 2, and any other exception 3 (numeric failures and
-    anything unforeseen)."""
+def _report(exc: Exception, file=None) -> int:
+    """Print the JSON error line of a failure, naming exc.file if it carries
+    one and else `file`, and return its exit code: a usage error exits 1, an
+    I/O failure or a MemoryError 2, and any other exception 3 (numeric
+    failures and anything unforeseen)."""
+    print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc),
+                                "file": getattr(exc, "file", file)}}), file=sys.stderr)
     if isinstance(exc, UsageError):
         return EXIT_USAGE
     if isinstance(exc, (HdrIoError, OSError, MemoryError)):
@@ -119,7 +117,7 @@ def _exit_code(exc: Exception) -> int:
 @contextlib.contextmanager
 def _naming(path):
     """Attach the file's name, unless path is None, to a failure inside the
-    block, for the error line that main prints."""
+    block, for the error line that _report prints."""
     try:
         yield
     except Exception as exc:
@@ -162,7 +160,7 @@ def _claim(outputs) -> None:
     """Check (owner, path, formats) outputs before any input is read: each
     file's extension must name one of its formats, no two paths may
     resolve to the same file, and nothing on disk may stand where a path's
-    file or directory goes."""
+    file or directory, or a file's sidecar, goes."""
     claimed = {}
     for owner, out, formats in outputs:
         # only HDR outputs narrow the formats
@@ -175,6 +173,8 @@ def _claim(outputs) -> None:
         claimed[key] = owner
     for _, out, formats in outputs:
         _check_place(out, not formats)
+        if formats:
+            _check_place(_sidecar(out), False)
 
 
 def _check_place(path: Path, directory: bool) -> None:
@@ -235,6 +235,11 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
+def _sidecar(path: Path) -> Path:
+    """Where the JSON manifest of the output `path` goes."""
+    return path.with_name(path.name + ".json")
+
+
 def _write_output(path, img, manifest: dict) -> None:
     path = Path(path)
     data = write_image(img, _format_for(path))
@@ -243,7 +248,7 @@ def _write_output(path, img, manifest: dict) -> None:
     sidecar = dict(manifest)
     sidecar.setdefault("tool_version", __version__)
     sidecar["output"] = str(path)
-    sidecar_path = path.with_name(path.name + ".json")
+    sidecar_path = _sidecar(path)
     with _naming(sidecar_path):
         _atomic_write(sidecar_path, json.dumps(sidecar, indent=2, sort_keys=True).encode() + b"\n")
 
@@ -253,9 +258,10 @@ def _print_json(obj) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: each takes the parsed path arguments, the
-# resolved options of its subcommand, the base manifest of its sidecars and
-# its claimed output paths in declaration order (a batch's files first)
+# subcommand implementations: each takes what _plan made of its argv, before
+# any input was read: the parsed path arguments, the resolved options of its
+# subcommand, the base manifest of its sidecars and its output paths in
+# declaration order (a batch's files first), each claimed with its sidecar
 
 
 def _cmd_calibrate(args, params, manifest, _) -> int:
@@ -309,29 +315,20 @@ def _cmd_synth(args, params, _, outs) -> int:
 
 
 def _run_batch(inputs, worker, jobs: int) -> int:
-    """Run per-file work, reporting each failure with its _exit_code
-    without aborting the batch. `jobs` of 1 runs the files one after
-    another."""
+    """Run worker(path, i) for each input on `jobs` threads without aborting
+    the batch, and _report each failure in input order, naming its input
+    unless the failure names another file."""
 
-    def safe(i_path):
-        i, path = i_path
+    def attempt(path, i):
         try:
             worker(path, i)
         except Exception as exc:
-            return _exit_code(exc), type(exc).__name__, str(exc), str(path)
+            return exc
 
-    if jobs <= 1:
-        failures = [safe(item) for item in enumerate(inputs)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            failures = list(pool.map(safe, enumerate(inputs)))
-    code = EXIT_OK
-    for failure in failures:
-        if failure:
-            c, kind, message, path = failure
-            _emit_error(kind, message, file=path)
-            code = max(code, c)
-    return code
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        failures = pool.map(attempt, inputs, range(len(inputs)))
+        return max([_report(exc, str(path)) for path, exc in zip(inputs, failures)
+                    if exc is not None], default=EXIT_OK)
 
 
 def _cmd_metrics(args, params, *_) -> int:
@@ -606,31 +603,6 @@ class _Command:
     options: list  # keys of _OPTIONS
 
 
-def _roles(command: _Command, args, params):
-    """The (owner, path, formats) claim of every output of one invocation,
-    in declaration order, and its input paths, from the table and the
-    options alone: no file is read. A batch input's file writes --output,
-    or else its stem plus the table's suffix, in --out-dir or beside it."""
-    claims, inputs = [], []
-    for names, _, writes, batch, holds in command.paths:
-        value = getattr(args, names[-1].lstrip("-").replace("-", "_"))
-        if value is None:
-            continue
-        if writes is not None:
-            claims.append((names[-1], Path(value), writes))
-            claims += [(names[-1], Path(value) / f, _HDR) for f in holds(args, params)]
-            continue
-        inputs += value if batch else [value]
-        if batch and args.output and args.out_dir:
-            raise UsageError("give --output or --out-dir, not both")
-        if batch and args.output and len(value) > 1:
-            raise UsageError("use --out-dir with more than one input")
-        if batch and not args.output:
-            claims += [(f, Path(args.out_dir or Path(f).parent) / (Path(f).stem + batch), _ANY)
-                       for f in value]
-    return claims, inputs
-
-
 _COMMANDS = {
     "calibrate": _Command(_cmd_calibrate, "scale an HDR image to its LDR reference",
                           [_path("hdr"), _path("ldr"), _output(_HDR)], ["tau", "ldr_space"]),
@@ -717,18 +689,44 @@ def _resolve_params(args, config: dict, keys) -> dict:
     return params
 
 
+def _plan(argv=None):
+    """Everything one invocation decides before any input is read, from its
+    argv, --config and the table alone: its handler and the handler's (args,
+    params, manifest, outs), with every output claimed (see _claim). A batch
+    input's file writes --output, or else its stem plus the table's suffix,
+    in --out-dir or beside it. The manifest's inputs list the input paths in
+    declaration order."""
+    args = _build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
+    params = _resolve_params(args, _load_config(args.config), command.options)
+    claims, inputs = [], []
+    for names, _, writes, batch, holds in command.paths:
+        value = getattr(args, names[-1].lstrip("-").replace("-", "_"))
+        if value is None:
+            continue
+        if writes is not None:
+            claims.append((names[-1], Path(value), writes))
+            claims += [(names[-1], Path(value) / f, _HDR) for f in holds(args, params)]
+            continue
+        inputs += value if batch else [value]
+        if batch and args.output and args.out_dir:
+            raise UsageError("give --output or --out-dir, not both")
+        if batch and args.output and len(value) > 1:
+            raise UsageError("use --out-dir with more than one input")
+        if batch and not args.output:
+            claims += [(f, Path(args.out_dir or Path(f).parent) / (Path(f).stem + batch), _ANY)
+                       for f in value]
+    _claim(claims)
+    manifest = {"subcommand": args.command, "inputs": inputs, "params": params}
+    return command.handler, args, params, manifest, [out for _, out, _ in claims]
+
+
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        command = _COMMANDS[args.command]
-        params = _resolve_params(args, _load_config(args.config), command.options)
-        claims, inputs = _roles(command, args, params)
-        _claim(claims)
-        manifest = {"subcommand": args.command, "inputs": inputs, "params": params}
-        return command.handler(args, params, manifest, [out for _, out, _ in claims])
+        handler, *arguments = _plan(argv)
+        return handler(*arguments)
     except Exception as exc:
-        _emit_error(type(exc).__name__, str(exc), getattr(exc, "file", None))
-        return _exit_code(exc)
+        return _report(exc)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import io
 import json
 import os
@@ -665,11 +666,16 @@ CLAIMED_BEFORE_ANY_HANDLER = [
     (["render", "s.txt", "e.hdr", "-o", "file/r.pfm"], EXIT_IO, "file/r.pfm"),
     (["preview", "h.hdr", "-o", "d.pfm"], EXIT_IO, "d.pfm"),
     (["convert", "h.hdr", "-o", "file/x.pfm"], EXIT_IO, "file/x.pfm"),
+    # a directory where an output's sidecar goes
+    (["convert", "a.pfm", "-o", "o/b.pfm"], EXIT_IO, "o/b.pfm.json"),
+    (["synth", "a.pfm", "--out-dir", "s"], EXIT_IO, "s/a.ppm.json"),
 ]
 
 
-@pytest.mark.parametrize("argv, code, named", CLAIMED_BEFORE_ANY_HANDLER,
-                         ids=[f"{case[0][0]}-{case[1]}" for case in CLAIMED_BEFORE_ANY_HANDLER])
+@pytest.mark.parametrize(
+    "argv, code, named", CLAIMED_BEFORE_ANY_HANDLER,
+    ids=[f"{argv[0]}-{code}" + ("-sidecar" if str(named).endswith(".json") else "")
+         for argv, code, named in CLAIMED_BEFORE_ANY_HANDLER])
 def test_outputs_are_claimed_before_any_handler_runs(workdir, capsys, monkeypatch, argv, code,
                                                      named):
     def handler(*_):
@@ -678,6 +684,9 @@ def test_outputs_are_claimed_before_any_handler_runs(workdir, capsys, monkeypatc
     monkeypatch.chdir(workdir)
     (workdir / "d.pfm").mkdir()
     (workdir / "file").write_bytes(b"")
+    (workdir / "o" / "b.pfm.json").mkdir(parents=True)
+    (workdir / "s" / "a.ppm.json").mkdir(parents=True)
+    before = sorted(workdir.rglob("*"))
     command = argv[0]
     monkeypatch.setitem(cli._COMMANDS, command,
                         dataclasses.replace(cli._COMMANDS[command], handler=handler))
@@ -689,7 +698,7 @@ def test_outputs_are_claimed_before_any_handler_runs(workdir, capsys, monkeypatc
         assert error["type"] == "UsageError" and "would both write" in error["message"]
     else:
         assert error["file"] == named
-    assert sorted(p.name for p in workdir.iterdir()) == ["d.pfm", "file"]
+    assert sorted(workdir.rglob("*")) == before
 
 
 def fuzz_seeds():
@@ -1263,6 +1272,45 @@ def test_unexpected_worker_exception_does_not_abort_batch(workdir, capsys, monke
     assert error["type"] == exc_type.__name__ and error["file"] == str(paths[0])
     assert not (out / "h0.ppm").exists()
     assert (out / "h1.ppm").exists() and (out / "h1.ppm.json").exists()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_batch_write_failure_names_its_output(workdir, capsys, monkeypatch, jobs):
+    # the error line names the output that could not be written, as it does
+    # outside a batch, and the other file of the batch is still written
+    rng = np.random.default_rng(24)
+    paths = [save_hdr(workdir / f"h{i}.hdr", rng.lognormal(0, 1.0, (8, 8, 3))) for i in range(2)]
+    out = workdir / "out"
+    real = cli._atomic_write
+
+    def disk_full(path, data):
+        if path == out / "h0.ppm":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        real(path, data)
+
+    monkeypatch.setattr(cli, "_atomic_write", disk_full)
+    got, _, err = run(capsys, "synth", *paths, "--out-dir", out, "--jobs", jobs)
+    assert got == EXIT_IO
+    (line,) = err.strip().splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "OSError" and error["file"] == str(out / "h0.ppm")
+    assert sorted(p.name for p in out.iterdir()) == ["h1.ppm", "h1.ppm.json"]
+
+
+def test_c2p_without_pano_width_exits_1_before_reading_the_ceiling(workdir, capsys):
+    # with neither --pano-width nor a pano_width config key, the usage error
+    # (1) comes before the missing ceiling's I/O error (2) could
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({"camera_d": 0.5}))
+    for config in ([], ["--config", cfg]):
+        code, out, err = run(capsys, "c2p", workdir / "missing.pfm", "-o", workdir / "p.pfm",
+                             *config)
+        assert code == EXIT_USAGE and out == ""
+        (line,) = err.strip().splitlines()
+        assert json.loads(line)["error"] == {
+            "type": "UsageError", "file": None,
+            "message": "c2p requires --pano-width (or pano_width in --config)"}
+    assert [p.name for p in workdir.iterdir()] == ["cfg.json"]
 
 
 def test_cli_import_leaves_scipy_out(workdir):

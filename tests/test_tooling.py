@@ -63,10 +63,8 @@ def test_readme_cli_lines_resolve(tmp_path, monkeypatch):
     assert sorted({argv[1] for argv in lines}) == sorted(cli._COMMANDS)
     monkeypatch.chdir(tmp_path)
     for argv in lines:
-        args = cli._build_parser().parse_args(argv[1:])
-        command = cli._COMMANDS[args.command]
-        _, inputs = cli._roles(command, args, cli._resolve_params(args, {}, command.options))
-        assert inputs, argv
+        *_, manifest, _ = cli._plan(argv[1:])
+        assert manifest["inputs"], argv
 
 
 def test_package_imports_no_scipy():
@@ -84,19 +82,63 @@ def test_package_imports_no_scipy():
     assert found == []
 
 
+def test_package_has_no_unused_imports_or_private_names():
+    # every name a module imports is used there (the package's re-exports
+    # and __future__ features aside), and every module-level _private
+    # function, class or constant is referenced in the package beyond its
+    # definition, so a helper that lost its last caller shows up here
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted((ROOT / "src" / "hdrkit").glob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    unused, unreferenced = [], []
+    for module, tree in trees.items():
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        for node in ast.walk(tree):
+            if module == "__init__.py" or not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{module}:{node.lineno} {name}")
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unreferenced += [f"{module}:{node.lineno} {name}" for name in names
+                             if name.startswith("_") and not name.startswith("__")
+                             and name not in referenced]
+    assert (unused, unreferenced) == ([], [])
+
+
 def test_runtime_dependencies_are_numpy_only():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     assert [re.split(r"[\s<>=!~;\[]", dep)[0] for dep in project["dependencies"]] == ["numpy"]
 
 
-def test_every_declared_path_reaches_the_claims_or_the_inputs():
+def test_every_declared_path_reaches_the_claims_or_the_inputs(tmp_path, monkeypatch):
     # a path's argparse attribute is derived from its last name; one that
     # missed would drop the path from the claims or the sidecars' inputs.
     # --output and --out-dir exclude each other, so a command with both is
-    # parsed once without each; without --output a batch file is claimed in
-    # --out-dir, and crop-set's view files follow its directory
-    parser = cli._build_parser()
+    # planned once without each; without --output a batch file is claimed in
+    # --out-dir, and crop-set's view files follow its directory. Run in an
+    # empty directory, so no output's place is taken
+    monkeypatch.chdir(tmp_path)
     views = [(yaw, 0) for yaw in range(0, 360, 60)] + [(yaw, 45) for yaw in (0, 120, 240)]
     for name, command in cli._COMMANDS.items():
         declared = {names[-1] for names, *_ in command.paths}
@@ -114,11 +156,9 @@ def test_every_declared_path_reaches_the_claims_or_the_inputs():
                 if name == "crop-set" and writes is not None:
                     outputs += [f"{value}/pano_yaw{yaw:03d}_pitch{pitch:02d}.pfm"
                                 for yaw, pitch in views]
-            args = parser.parse_args(argv)
-            params = cli._resolve_params(args, {}, command.options)
-            claims, got = cli._roles(command, args, params)
-            assert got == inputs, name
-            assert [str(out) for _, out, _ in claims] == outputs, name
+            *_, manifest, outs = cli._plan(argv)
+            assert manifest["inputs"] == inputs, name
+            assert [str(out) for out in outs] == outputs, name
 
 
 def test_a_failing_hypothesis_example_names_its_test(tmp_path):
